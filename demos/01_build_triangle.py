@@ -8,7 +8,7 @@ and p_n(w) = (-1)^(n-1) sum_k beta(n, k) w^k with positive integer
 coefficients beta(n, k).  This script builds the triangle row by row and
 shows the closed forms for its boundary entries.
 """
-from wderiv import SignedPolynomial, boundary_value, build_table
+from wderiv import boundary_value, build_table
 
 N_MAX = 10
 
@@ -20,9 +20,9 @@ for n in range(1, N_MAX + 1):
 
 print("\nthe polynomials themselves (signs restored):\n")
 for n in range(1, 6):
-    p = SignedPolynomial.from_table(table, n)
-    terms = " + ".join(f"({c})w^{k}" if k else f"({c})"
-                       for k, c in enumerate(p.coeffs))
+    sign = -1 if n % 2 == 0 else 1
+    terms = " + ".join(f"({sign * b})w^{k}" if k else f"({sign * b})"
+                       for k, b in enumerate(table.rows[n]))
     print(f"  p_{n}(w) = {terms}")
 
 print("\nboundary entries have closed forms:")

@@ -12,7 +12,7 @@
 from wderiv import (
     alternating_sum,
     build_table,
-    carlitz_row_sum,
+    carlitz_row,
     double_factorial,
     factorial_identity,
     rstirling_from_beta,
@@ -40,7 +40,7 @@ for n in (3, 7, 15):
 
 print("\nCarlitz row sums are independent of lambda:")
 for kappa in (0, 1, 3, 10):
-    sums = {lam: carlitz_row_sum(kappa, lam) for lam in (kappa + 1, 0, 7, -4)}
+    sums = {lam: sum(carlitz_row(kappa, lam)) for lam in (kappa + 1, 0, 7, -4)}
     expected = double_factorial(2 * kappa - 1)
     ok = all(value == expected for value in sums.values())
     print(f"  kappa={kappa:2d}: sums {sorted(set(sums.values()))} "

@@ -6,15 +6,15 @@ The n-th derivative of the principal branch of the Lambert W function is
 
 with p_n(w) = (-1)^(n-1) sum_k beta(n, k) w^k and every beta(n, k) a
 positive integer.  This package builds the beta triangle by a row
-recurrence and by five independent closed forms, proves their agreement
-and the rows' structural properties (positivity, log-concavity,
-unimodality, ratio and binomial inequalities) by exhaustive exact integer
-checks, and verifies numerically that the alternating-sign law of the
-derivatives holds, i.e. that W is a Bernstein function.
+recurrence, checks it against a forward-difference kernel sum (in four
+normalisations) and a Carlitz-style triangular recurrence, proves the
+rows' structural properties (positivity, log-concavity, unimodality, ratio
+and binomial inequalities) by exhaustive exact integer checks, and verifies
+numerically that the alternating-sign law of the derivatives holds, i.e.
+that W is a Bernstein function.
 """
 from .triangle import (
     CoefficientTable,
-    SignedPolynomial,
     BOUNDARY_KINDS,
     build_table,
     recurrence_step,
@@ -25,17 +25,16 @@ from .triangle import (
 )
 from .closed_forms import (
     ConsistencyError,
-    beta_explicit,
+    ROUTE_ROWS,
+    beta_explicit_row,
     rstirling_shifted,
-    beta_rstirling,
+    beta_rstirling_row,
     bernoulli_higher,
-    beta_bernoulli,
+    beta_bernoulli_row,
     forward_diff_power,
-    beta_forward_diff,
-    carlitz_B,
-    beta_carlitz,
-    carlitz_row_sum,
-    clear_carlitz_cache,
+    beta_forward_diff_row,
+    carlitz_row,
+    beta_carlitz_row,
     rstirling_from_beta,
     factorial_identity,
 )
@@ -66,7 +65,6 @@ from .numeric import (
     log_grid,
 )
 from .tableio import (
-    OutputRecord,
     table_to_csv,
     table_to_json,
     parse_table_csv,
@@ -83,28 +81,25 @@ from .verify import (
     verify_carlitz_sums,
     run_verification,
 )
-from .bench import BenchRecord, run_bench, bench_to_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefficientTable", "SignedPolynomial", "BOUNDARY_KINDS", "build_table",
-    "recurrence_step", "boundary_value", "poly_eval_exact", "alternating_sum",
-    "double_factorial",
-    "ConsistencyError", "beta_explicit", "rstirling_shifted", "beta_rstirling",
-    "bernoulli_higher", "beta_bernoulli", "forward_diff_power",
-    "beta_forward_diff", "carlitz_B", "beta_carlitz", "carlitz_row_sum",
-    "clear_carlitz_cache", "rstirling_from_beta", "factorial_identity",
+    "CoefficientTable", "BOUNDARY_KINDS", "build_table", "recurrence_step",
+    "boundary_value", "poly_eval_exact", "alternating_sum", "double_factorial",
+    "ConsistencyError", "ROUTE_ROWS", "beta_explicit_row", "rstirling_shifted",
+    "beta_rstirling_row", "bernoulli_higher", "beta_bernoulli_row",
+    "forward_diff_power", "beta_forward_diff_row", "carlitz_row",
+    "beta_carlitz_row", "rstirling_from_beta", "factorial_identity",
     "PropertyReport", "is_positive", "is_log_concave", "is_log_concave_weighted",
     "is_unimodal", "check_ratio_bound", "check_lemma1",
     "MACHINE_EPS", "ROUTE_CLOSED", "ROUTE_TAYLOR", "ROUTE_FD",
     "ConvergenceError", "WEvaluation", "DerivativeValue", "BernsteinScanReport",
     "lambert_w", "w_derivative", "w_derivative_taylor", "w_derivative_fd",
     "pn_series_eval", "bernstein_scan", "log_grid",
-    "OutputRecord", "table_to_csv", "table_to_json", "parse_table_csv",
-    "parse_table_json", "parse_table", "load_table",
+    "table_to_csv", "table_to_json", "parse_table_csv", "parse_table_json",
+    "parse_table", "load_table",
     "CheckFailure", "ROUTE_NAMES", "verify_routes", "verify_properties",
     "verify_identities", "verify_carlitz_sums", "run_verification",
-    "BenchRecord", "run_bench", "bench_to_csv",
     "__version__",
 ]

@@ -2,9 +2,9 @@
 
 For each route and each row n the timed unit is "produce row n": the
 recurrence route derives row n from the previous row (the previous rows are
-prepared outside the timer), the closed-form routes evaluate all n entries
-directly, and the Carlitz route rebuilds its triangle from scratch (its
-memo cache is cleared before every repetition so timings stay cold).
+prepared outside the timer), and the closed-form routes of
+``closed_forms.ROUTE_ROWS`` build row n directly; the Carlitz route keeps
+no state between calls, so every repetition rebuilds its triangle.
 ``nanoseconds`` is the best of ``reps`` repetitions; ``max_bits`` is the
 largest bit length among the produced entries.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 from . import closed_forms, triangle
 
@@ -27,20 +26,6 @@ class BenchRecord:
     max_bits: int
 
 
-def _carlitz_row(n: int) -> list[int]:
-    closed_forms.clear_carlitz_cache()
-    return [closed_forms.beta_carlitz(n, k) for k in range(n)]
-
-
-_ROW_BUILDERS: dict[str, Callable[[int], Sequence[int]]] = {
-    "explicit": lambda n: [closed_forms.beta_explicit(n, k) for k in range(n)],
-    "rstirling": lambda n: [closed_forms.beta_rstirling(n, k) for k in range(n)],
-    "bernoulli": lambda n: [closed_forms.beta_bernoulli(n, k) for k in range(n)],
-    "fdiff": lambda n: [closed_forms.beta_forward_diff(n, k) for k in range(n)],
-    "carlitz": _carlitz_row,
-}
-
-
 def run_bench(
     n_max: int, routes: tuple[str, ...], reps: int
 ) -> list[BenchRecord]:
@@ -48,7 +33,7 @@ def run_bench(
         raise ValueError("n_max must be >= 1")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    unknown = set(routes) - set(_ROW_BUILDERS) - {"recurrence"}
+    unknown = set(routes) - set(closed_forms.ROUTE_ROWS) - {"recurrence"}
     if unknown:
         raise ValueError(f"unknown routes: {sorted(unknown)}")
 
@@ -63,17 +48,14 @@ def run_bench(
                     prev = table.rows[n - 1]
                     unit = lambda n=n, prev=prev: triangle.recurrence_step(n - 1, prev)
             else:
-                unit = lambda n=n, builder=_ROW_BUILDERS[route]: builder(n)
-            best = None
-            row: Sequence[int] = ()
+                unit = lambda n=n, row_of=closed_forms.ROUTE_ROWS[route]: row_of(n)
+            timings = []
             for _ in range(reps):
                 t0 = time.perf_counter_ns()
                 row = unit()
-                elapsed = time.perf_counter_ns() - t0
-                if best is None or elapsed < best:
-                    best = elapsed
+                timings.append(time.perf_counter_ns() - t0)
             records.append(BenchRecord(
-                route=route, n=n, nanoseconds=best,
+                route=route, n=n, nanoseconds=min(timings),
                 max_bits=max(entry.bit_length() for entry in row)))
     return records
 

@@ -1,42 +1,44 @@
-"""Closed-form routes to the triangle entries, and the identities among them.
+"""Closed-form routes to the triangle rows, and the identities among them.
 
-Five independent ways to produce beta(n, k) are implemented here or in
-:mod:`wderiv.triangle`:
+Three independent computations of beta(n, k) exist in the package:
 
 * the row recurrence (``triangle.build_table``),
-* an explicit double sum (``beta_explicit``),
-* shifted r-Stirling numbers of the second kind (``beta_rstirling``),
-* Bernoulli polynomials of negative integer order (``beta_bernoulli``),
-* iterated forward differences of a power (``beta_forward_diff``),
-* a triangular-recurrence family of integer polynomials evaluated at an
-  integer point (``beta_carlitz``).
+* the forward-difference kernel sum
 
-Every route that assembles an integer through rational arithmetic ends with
-an integrality assertion, so the algebraic identities double as executable
-consistency checks: a non-integer total raises :class:`ConsistencyError`.
-Binomial coefficients follow the convention C(a, b) = 0 for b < 0 or b > a,
-which keeps all sums total.
+      beta(n, k) = sum_{m=0}^{k} C(2n-1, k-m) (-1)^m Delta^m x^(m+n-1)|_(x=n) / m!,
+
+* a triangular-recurrence family of integer polynomials evaluated at an
+  integer point (``beta_carlitz_row``).
+
+The kernel sum has four routes, one per normalisation of its inner values:
+the explicit double sum, shifted r-Stirling numbers of the second kind,
+Bernoulli polynomials of negative integer order and iterated forward
+differences of a power.  Each computes its n inner values once and shares
+one binomial convolution, so these four check the normalisation identities,
+not the kernel sum itself.  Every route returns a whole row; the convolution
+asserts that each entry is an integer, raising :class:`ConsistencyError`
+otherwise.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
+from typing import Callable
 
 from .triangle import CoefficientTable
 
 __all__ = [
     "ConsistencyError",
-    "beta_explicit",
+    "ROUTE_ROWS",
+    "beta_explicit_row",
     "rstirling_shifted",
-    "beta_rstirling",
+    "beta_rstirling_row",
     "bernoulli_higher",
-    "beta_bernoulli",
+    "beta_bernoulli_row",
     "forward_diff_power",
-    "beta_forward_diff",
-    "carlitz_B",
-    "beta_carlitz",
-    "carlitz_row_sum",
-    "clear_carlitz_cache",
+    "beta_forward_diff_row",
+    "carlitz_row",
+    "beta_carlitz_row",
     "rstirling_from_beta",
     "factorial_identity",
 ]
@@ -46,36 +48,51 @@ class ConsistencyError(ArithmeticError):
     """An integer-valued sum came out with a denominator != 1 (a bug, not bad input)."""
 
 
-def _choose(a: int, b: int) -> int:
-    return comb(a, b) if 0 <= b <= a else 0
-
-
 def _as_integer(total: Fraction, context: str) -> int:
     if total.denominator != 1:
         raise ConsistencyError(f"{context}: non-integer result {total}")
     return total.numerator
 
 
-def _check_nk(n: int, k: int) -> None:
+def _check_n(n: int) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"k must be in 0..{n - 1}, got {k}")
 
 
-def beta_explicit(n: int, k: int) -> int:
-    """beta(n, k) by the explicit double sum
+def _convolve(n: int, inner: list[int | Fraction], context: str) -> tuple[int, ...]:
+    """Row n of the kernel sum: entry k is sum_{m<=k} C(2n-1, k-m) inner[m].
 
-        sum_{m=0}^{k} (1/m!) C(2n-1, k-m) sum_{q=0}^{m} C(m, q) (-1)^q (q+n)^(m+n-1).
+    The inner values are brought to one denominator, so the row costs O(n^2)
+    integer operations; an entry that is not an integer raises
+    :class:`ConsistencyError`.
     """
-    _check_nk(n, k)
-    total = Fraction(0)
-    for m in range(k + 1):
-        inner = sum(
-            comb(m, q) * (-1) ** q * (q + n) ** (m + n - 1) for q in range(m + 1)
+    inner = [Fraction(v) for v in inner]
+    denom = lcm(*(v.denominator for v in inner))
+    scaled = [v.numerator * (denom // v.denominator) for v in inner]
+    binoms = [comb(2 * n - 1, j) for j in range(len(inner))]
+    return tuple(
+        _as_integer(
+            Fraction(sum(binoms[k - m] * scaled[m] for m in range(k + 1)), denom),
+            f"{context}({n})[{k}]",
         )
-        total += Fraction(_choose(2 * n - 1, k - m) * inner, factorial(m))
-    return _as_integer(total, f"beta_explicit({n}, {k})")
+        for k in range(len(inner))
+    )
+
+
+def beta_explicit_row(n: int) -> tuple[int, ...]:
+    """Row n by the explicit double sum
+
+        beta(n, k) = sum_{m=0}^{k} (1/m!) C(2n-1, k-m) sum_{q=0}^{m} C(m, q) (-1)^q (q+n)^(m+n-1).
+    """
+    _check_n(n)
+    inner = [
+        Fraction(
+            sum(comb(m, q) * (-1) ** q * (q + n) ** (m + n - 1) for q in range(m + 1)),
+            factorial(m),
+        )
+        for m in range(n)
+    ]
+    return _convolve(n, inner, "beta_explicit_row")
 
 
 def rstirling_shifted(n: int, m: int, r: int) -> int:
@@ -94,13 +111,11 @@ def rstirling_shifted(n: int, m: int, r: int) -> int:
     return _as_integer(total, f"rstirling_shifted({n}, {m}, {r})")
 
 
-def beta_rstirling(n: int, k: int) -> int:
-    """beta(n, k) as an alternating binomial sum of shifted r-Stirling numbers."""
-    _check_nk(n, k)
-    return sum(
-        (-1) ** m * _choose(2 * n - 1, k - m) * rstirling_shifted(n - 1 + m, m, n)
-        for m in range(k + 1)
-    )
+def beta_rstirling_row(n: int) -> tuple[int, ...]:
+    """Row n as alternating binomial sums of shifted r-Stirling numbers."""
+    _check_n(n)
+    inner = [(-1) ** m * rstirling_shifted(n - 1 + m, m, n) for m in range(n)]
+    return _convolve(n, inner, "beta_rstirling_row")
 
 
 def bernoulli_higher(order: int, m: int, r: int | Fraction) -> Fraction:
@@ -118,18 +133,14 @@ def bernoulli_higher(order: int, m: int, r: int | Fraction) -> Fraction:
     return Fraction(factorial(order), factorial(m + order)) * acc
 
 
-def beta_bernoulli(n: int, k: int) -> int:
-    """beta(n, k) via Bernoulli polynomials of negative order."""
-    _check_nk(n, k)
-    total = Fraction(0)
-    for m in range(k + 1):
-        total += (
-            (-1) ** m
-            * _choose(2 * n - 1, k - m)
-            * comb(m + n - 1, n - 1)
-            * bernoulli_higher(n - 1, m, n)
-        )
-    return _as_integer(total, f"beta_bernoulli({n}, {k})")
+def beta_bernoulli_row(n: int) -> tuple[int, ...]:
+    """Row n via Bernoulli polynomials of negative order."""
+    _check_n(n)
+    inner = [
+        (-1) ** m * comb(m + n - 1, n - 1) * bernoulli_higher(n - 1, m, n)
+        for m in range(n)
+    ]
+    return _convolve(n, inner, "beta_bernoulli_row")
 
 
 def forward_diff_power(m: int, n: int) -> int:
@@ -146,74 +157,53 @@ def forward_diff_power(m: int, n: int) -> int:
     )
 
 
-def beta_forward_diff(n: int, k: int) -> int:
-    """beta(n, k) via iterated forward differences."""
-    _check_nk(n, k)
-    total = Fraction(0)
-    for m in range(k + 1):
-        total += Fraction(
-            _choose(2 * n - 1, k - m) * (-1) ** m * forward_diff_power(m, n),
-            factorial(m),
-        )
-    return _as_integer(total, f"beta_forward_diff({n}, {k})")
+def beta_forward_diff_row(n: int) -> tuple[int, ...]:
+    """Row n via iterated forward differences."""
+    _check_n(n)
+    inner = [
+        Fraction((-1) ** m * forward_diff_power(m, n), factorial(m)) for m in range(n)
+    ]
+    return _convolve(n, inner, "beta_forward_diff_row")
 
 
-# Triangle rows of B(kappa, j, lam), cached per lam.  Entries are recomputed
-# idempotently if two threads race on the same lam; worst case is wasted work.
-_carlitz_cache: dict[int, list[tuple[int, ...]]] = {}
-
-
-def _carlitz_rows(kappa: int, lam: int) -> list[tuple[int, ...]]:
-    rows = _carlitz_cache.setdefault(lam, [(1,)])
-    while len(rows) <= kappa:
-        kk = len(rows)
-        prev = rows[-1]
-
-        def prev_at(j: int) -> int:
-            return prev[j] if 0 <= j < kk else 0
-
-        rows.append(
-            tuple(
-                (kk + j - lam) * prev_at(j) + (kk - j + lam) * prev_at(j - 1)
-                for j in range(kk + 1)
-            )
-        )
-    return rows
-
-
-def carlitz_B(kappa: int, j: int, lam: int) -> int:
-    """B(kappa, j, lam) by the three-term recurrence
+def carlitz_row(kappa: int, lam: int) -> tuple[int, ...]:
+    """Row kappa of B(kappa, j, lam), 0 <= j <= kappa, by the three-term recurrence
 
         B(k, j, lam) = (k + j - lam) B(k-1, j, lam) + (k - j + lam) B(k-1, j-1, lam)
 
     with B(0, j, lam) = [j == 0], and 0 outside 0 <= j <= kappa.  The j = 0
-    column is the rising factorial (1-lam)(2-lam)...(kappa-lam).  Values are
-    memoized per lam.
+    column is the rising factorial (1-lam)(2-lam)...(kappa-lam), and the row
+    sums to (2*kappa - 1)!! for every lam.  The triangle is rebuilt on every
+    call; nothing is cached.
     """
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
-    if j < 0 or j > kappa:
-        return 0
-    return _carlitz_rows(kappa, lam)[kappa][j]
+    row: tuple[int, ...] = (1,)
+    for kk in range(1, kappa + 1):
+        padded = (0,) + row + (0,)
+        row = tuple(
+            (kk + j - lam) * padded[j + 1] + (kk - j + lam) * padded[j]
+            for j in range(kk + 1)
+        )
+    return row
 
 
-def clear_carlitz_cache() -> None:
-    """Drop the memoized B(kappa, j, lam) rows (used by the benchmark)."""
-    _carlitz_cache.clear()
+def beta_carlitz_row(n: int) -> tuple[int, ...]:
+    """Row n from beta(n, k) = (-1)^k B(n-1, n-1-k, n)."""
+    _check_n(n)
+    return tuple(
+        -b if k % 2 else b for k, b in enumerate(reversed(carlitz_row(n - 1, n)))
+    )
 
 
-def beta_carlitz(n: int, k: int) -> int:
-    """beta(n, k) = (-1)^k B(n-1, n-1-k, n)."""
-    _check_nk(n, k)
-    value = carlitz_B(n - 1, n - 1 - k, n)
-    return -value if k % 2 else value
-
-
-def carlitz_row_sum(kappa: int, lam: int) -> int:
-    """sum_j B(kappa, j, lam); equals (2*kappa - 1)!! for every lam."""
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
-    return sum(_carlitz_rows(kappa, lam)[kappa])
+# The closed-form routes by their CLI names, in the order verify runs them.
+ROUTE_ROWS: dict[str, Callable[[int], tuple[int, ...]]] = {
+    "explicit": beta_explicit_row,
+    "rstirling": beta_rstirling_row,
+    "bernoulli": beta_bernoulli_row,
+    "fdiff": beta_forward_diff_row,
+    "carlitz": beta_carlitz_row,
+}
 
 
 def rstirling_from_beta(n: int, m: int, table: CoefficientTable) -> int:
@@ -229,8 +219,7 @@ def rstirling_from_beta(n: int, m: int, table: CoefficientTable) -> int:
         raise ValueError("m must be nonnegative")
     row = table.row(n)
     return sum(
-        (-1) ** k * b * _choose(2 * n - 2 + m - k, 2 * n - 2)
-        for k, b in enumerate(row)
+        (-1) ** k * b * comb(2 * n - 2 + m - k, 2 * n - 2) for k, b in enumerate(row)
     )
 
 
@@ -239,12 +228,8 @@ def factorial_identity(n: int) -> tuple[int, int]:
 
         sum_{m=0}^{n-1} (-1)^m C(2n-1, n-m-1) {2n-1+m brace n+m}_n = (n-1)!.
 
-    Returns (left, right); they agree for every n >= 1.
+    The left side is the last entry of the r-Stirling row.  Returns
+    (left, right); they agree for every n >= 1.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    left = sum(
-        (-1) ** m * _choose(2 * n - 1, n - m - 1) * rstirling_shifted(n - 1 + m, m, n)
-        for m in range(n)
-    )
-    return left, factorial(n - 1)
+    _check_n(n)
+    return beta_rstirling_row(n)[-1], factorial(n - 1)

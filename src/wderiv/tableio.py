@@ -1,21 +1,23 @@
 """Serialization of coefficient tables.
 
 Entries exceed 64 bits early (beta(n, 0) = n^(n-1) already needs 80 bits at
-n = 16), so both formats carry them as decimal strings and parse them back
-with int(); round trips are lossless and the emitted bytes are deterministic
-for a given table.  CSV columns are ``n,k,beta`` with a header, LF line
-endings and no quoting; JSON is ``{"n_max": N, "rows": [[...], ...]}`` with
-``rows[0]`` holding row 1.
+n = 16), so both formats carry them as decimal strings; round trips are
+lossless and the emitted bytes are deterministic for a given table.  CSV
+columns are ``n,k,beta`` with a header, LF line endings and no quoting; JSON
+is ``{"n_max": N, "rows": [[...], ...]}`` with ``rows[0]`` holding row 1.
+
+Parsing is strict: every CSV field and every JSON entry must be a decimal
+string matching ``-?[0-9]+``, ``n_max`` a JSON integer and ``rows`` a list
+of lists.  Anything else raises ``ValueError``.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import re
 
 from .triangle import CoefficientTable
 
 __all__ = [
-    "OutputRecord",
     "table_to_csv",
     "table_to_json",
     "parse_table_csv",
@@ -24,28 +26,16 @@ __all__ = [
     "load_table",
 ]
 
-
-@dataclass(frozen=True)
-class OutputRecord:
-    """One emitted triangle entry; beta is exact decimal text."""
-
-    n: int
-    k: int
-    beta: str
-    route: str | None = None
-
-
-def iter_records(table: CoefficientTable) -> list[OutputRecord]:
-    return [
-        OutputRecord(n=n, k=k, beta=str(b))
-        for n in range(1, table.n_max + 1)
-        for k, b in enumerate(table.rows[n])
-    ]
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def table_to_csv(table: CoefficientTable) -> str:
     lines = ["n,k,beta"]
-    lines.extend(f"{r.n},{r.k},{r.beta}" for r in iter_records(table))
+    lines.extend(
+        f"{n},{k},{b}"
+        for n in range(1, table.n_max + 1)
+        for k, b in enumerate(table.rows[n])
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -55,6 +45,13 @@ def table_to_json(table: CoefficientTable) -> str:
         "rows": [[str(b) for b in table.rows[n]] for n in range(1, table.n_max + 1)],
     }
     return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+def _parse_entry(text: object) -> int:
+    """The integer written as a plain decimal string, in either format."""
+    if not isinstance(text, str) or not _DECIMAL.fullmatch(text):
+        raise ValueError(f"table entry must be a decimal string, got {text!r:.40}")
+    return int(text)
 
 
 def _table_from_rows(n_max: int, rows: list[list[int]]) -> CoefficientTable:
@@ -72,7 +69,7 @@ def parse_table_csv(text: str) -> CoefficientTable:
         parts = line.split(",")
         if len(parts) != 3:
             raise ValueError(f"malformed CSV line: {line!r}")
-        n, k, beta = int(parts[0]), int(parts[1]), int(parts[2])
+        n, k, beta = (_parse_entry(part) for part in parts)
         if n == len(rows) + 1 and k == 0:
             rows.append([])
         if n != len(rows) or k != len(rows[-1]):
@@ -84,11 +81,18 @@ def parse_table_csv(text: str) -> CoefficientTable:
 
 
 def parse_table_json(text: str) -> CoefficientTable:
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON table is nested too deeply") from None
     if not isinstance(payload, dict) or set(payload) != {"n_max", "rows"}:
         raise ValueError("JSON table must be an object with keys n_max and rows")
-    rows = [[int(entry) for entry in row] for row in payload["rows"]]
-    return _table_from_rows(int(payload["n_max"]), rows)
+    n_max, rows = payload["n_max"], payload["rows"]
+    if not isinstance(n_max, int) or isinstance(n_max, bool):
+        raise ValueError(f"n_max must be an integer, got {n_max!r:.40}")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("rows must be a list of lists")
+    return _table_from_rows(n_max, [[_parse_entry(e) for e in row] for row in rows])
 
 
 def parse_table(text: str) -> CoefficientTable:

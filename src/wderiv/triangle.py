@@ -30,7 +30,6 @@ from math import factorial
 
 __all__ = [
     "CoefficientTable",
-    "SignedPolynomial",
     "BOUNDARY_KINDS",
     "build_table",
     "recurrence_step",
@@ -76,37 +75,6 @@ class CoefficientTable:
         if k < 0 or k >= n:
             return 0
         return row[k]
-
-
-@dataclass(frozen=True)
-class SignedPolynomial:
-    """The polynomial p_n(w) itself, signs included.
-
-    ``coeffs[k]`` is the coefficient of w^k, equal to (-1)^(n-1)*beta(n, k);
-    the degree is n - 1 and the leading coefficient has magnitude (n-1)!.
-    """
-
-    n: int
-    coeffs: tuple[int, ...]
-
-    @classmethod
-    def from_table(cls, table: CoefficientTable, n: int) -> SignedPolynomial:
-        sign = -1 if n % 2 == 0 else 1
-        return cls(n=n, coeffs=tuple(sign * b for b in table.row(n)))
-
-    @property
-    def degree(self) -> int:
-        return self.n - 1
-
-    @property
-    def leading_coefficient(self) -> int:
-        return self.coeffs[-1]
-
-    def evaluate(self, w: int | Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * w + c
-        return acc
 
 
 def recurrence_step(n: int, row: tuple[int, ...]) -> tuple[int, ...]:

@@ -37,7 +37,7 @@ __all__ = [
     "lambda_values",
 ]
 
-ROUTE_NAMES = ("recurrence", "explicit", "rstirling", "bernoulli", "fdiff", "carlitz")
+ROUTE_NAMES = ("recurrence",) + tuple(closed_forms.ROUTE_ROWS)
 
 DEFAULT_ROUTE_N_MAX = 40
 DEFAULT_PROPERTY_N_MAX = 200
@@ -59,25 +59,16 @@ class CheckFailure:
         return (self.n, 10**9 if self.k is None else self.k, self.check)
 
 
-_ROUTE_FUNCS = {
-    "explicit": closed_forms.beta_explicit,
-    "rstirling": closed_forms.beta_rstirling,
-    "bernoulli": closed_forms.beta_bernoulli,
-    "fdiff": closed_forms.beta_forward_diff,
-    "carlitz": closed_forms.beta_carlitz,
-}
-
-
 def verify_routes(
     table: CoefficientTable,
     routes: tuple[str, ...] = ROUTE_NAMES,
     n_max: int | None = None,
 ) -> list[CheckFailure]:
-    """Compare table entries against the requested routes.
+    """Compare table rows against the requested routes.
 
     The recurrence reference always covers every row of the table; the
-    closed-form routes are evaluated up to n_max (default 40) because their
-    cost grows cubically with n.
+    closed-form routes are evaluated up to n_max (default 40), since each of
+    their rows costs O(n^2) big-integer operations.
     """
     unknown = set(routes) - set(ROUTE_NAMES)
     if unknown:
@@ -85,26 +76,21 @@ def verify_routes(
     n_max = min(table.n_max, DEFAULT_ROUTE_N_MAX if n_max is None else n_max)
     failures: list[CheckFailure] = []
 
+    def compare(name: str, n: int, want_row: tuple[int, ...]) -> None:
+        for k, (got, want) in enumerate(zip(table.rows[n], want_row)):
+            if got != want:
+                failures.append(CheckFailure(
+                    n, k, f"route:{name}", f"table has {got}, {name} gives {want}"))
+
     if "recurrence" in routes:
         reference = triangle.build_table(table.n_max)
         for n in range(1, table.n_max + 1):
-            for k in range(n):
-                got, want = table.rows[n][k], reference.rows[n][k]
-                if got != want:
-                    failures.append(CheckFailure(
-                        n, k, "route:recurrence",
-                        f"table has {got}, recurrence gives {want}"))
+            compare("recurrence", n, reference.rows[n])
 
-    for name, func in _ROUTE_FUNCS.items():
-        if name not in routes:
-            continue
-        for n in range(1, n_max + 1):
-            for k in range(n):
-                got, want = table.rows[n][k], func(n, k)
-                if got != want:
-                    failures.append(CheckFailure(
-                        n, k, f"route:{name}",
-                        f"table has {got}, {name} gives {want}"))
+    for name, row_of in closed_forms.ROUTE_ROWS.items():
+        if name in routes:
+            for n in range(1, n_max + 1):
+                compare(name, n, row_of(n))
     return failures
 
 
@@ -162,15 +148,13 @@ def verify_identities(
                 failures.append(CheckFailure(
                     n, m, "identity:inversion",
                     f"inverted value {s} != direct r-Stirling {direct}"))
-        for k in range(n):
-            back = sum(
-                (-1) ** m * closed_forms._choose(2 * n - 1, k - m) * stirlings[m]
-                for m in range(k + 1)
-            )
-            if back != table.rows[n][k]:
+        signed = [(-1) ** m * s for m, s in enumerate(stirlings)]
+        reassembled = closed_forms._convolve(n, signed, "inversion_roundtrip")
+        for k, (back, entry) in enumerate(zip(reassembled, table.rows[n])):
+            if back != entry:
                 failures.append(CheckFailure(
                     n, k, "identity:inversion_roundtrip",
-                    f"reassembled {back} != table entry {table.rows[n][k]}"))
+                    f"reassembled {back} != table entry {entry}"))
     return failures
 
 
@@ -199,7 +183,7 @@ def verify_carlitz_sums(kappa_max: int, samples: int = 3) -> list[CheckFailure]:
     for kappa in range(kappa_max + 1):
         want = triangle.double_factorial(2 * kappa - 1)
         for lam in lambda_values(kappa, samples):
-            got = closed_forms.carlitz_row_sum(kappa, lam)
+            got = sum(closed_forms.carlitz_row(kappa, lam))
             if got != want:
                 failures.append(CheckFailure(
                     kappa, None, "identity:carlitz_row_sum",

@@ -14,14 +14,10 @@ import pytest
 
 from wderiv import (
     MACHINE_EPS,
+    ROUTE_ROWS,
     build_table,
     bernstein_scan,
-    beta_bernoulli,
-    beta_carlitz,
-    beta_explicit,
-    beta_forward_diff,
-    beta_rstirling,
-    carlitz_row_sum,
+    carlitz_row,
     check_lemma1,
     check_ratio_bound,
     double_factorial,
@@ -42,7 +38,6 @@ from wderiv import (
     w_derivative_taylor,
 )
 from wderiv.cli import main as cli_main
-from wderiv.closed_forms import _choose
 from conftest import GOLDEN_ROWS
 
 
@@ -64,15 +59,12 @@ def test_criterion_1_golden_rows():
 def test_criterion_2_five_route_agreement():
     t0 = time.perf_counter()
     table = build_table(40)
-    routes = (beta_explicit, beta_rstirling, beta_bernoulli,
-              beta_forward_diff, beta_carlitz)
     mismatches = 0
     for n in range(1, 41):
-        for k in range(n):
-            expected = table.rows[n][k]
-            for route in routes:
-                if route(n, k) != expected:
-                    mismatches += 1
+        for row_of in ROUTE_ROWS.values():
+            mismatches += sum(
+                got != want
+                for got, want in zip(row_of(n), table.rows[n], strict=True))
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and elapsed < 30.0
     _report(2, ok, f"820 entries x 5 routes bit-exact in {elapsed:.2f}s")
@@ -117,14 +109,14 @@ def test_criterion_4_identities():
                for m, s in enumerate(stirlings)):
             bad.append((n, "inversion"))
         for k in range(n):
-            back = sum((-1) ** m * _choose(2 * n - 1, k - m) * stirlings[m]
+            back = sum((-1) ** m * math.comb(2 * n - 1, k - m) * stirlings[m]
                        for m in range(k + 1))
             if back != table.rows[n][k]:
                 bad.append((n, k, "roundtrip"))
     for kappa in range(31):
         want = double_factorial(2 * kappa - 1)
         for lam in (kappa + 1, 0, 7):
-            if carlitz_row_sum(kappa, lam) != want:
+            if sum(carlitz_row(kappa, lam)) != want:
                 bad.append((kappa, lam, "carlitz"))
     _report(4, not bad, f"n<=60 identities + kappa<=30 row sums, failures={bad}")
 

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from wderiv import build_table, table_to_json, parse_table_csv
+from wderiv import ROUTE_NAMES, build_table, table_to_json, parse_table_csv
 from wderiv.cli import main
+from test_tableio import BAD_CSV_TABLES, BAD_JSON_TABLES
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +103,28 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--table", str(path))
         assert code == 0
 
+    @pytest.mark.parametrize("name", sorted(BAD_JSON_TABLES))
+    def test_corrupt_json_table_is_usage_error(self, tmp_path, name):
+        path = tmp_path / "corrupt.json"
+        path.write_text(BAD_JSON_TABLES[name], encoding="ascii")
+        proc = subprocess.run(
+            [sys.executable, "-m", "wderiv", "verify", "--table", str(path)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("name", sorted(BAD_CSV_TABLES))
+    def test_corrupt_csv_table_is_usage_error(self, tmp_path, name):
+        path = tmp_path / "corrupt.csv"
+        path.write_text(BAD_CSV_TABLES[name], encoding="ascii")
+        proc = subprocess.run(
+            [sys.executable, "-m", "wderiv", "verify", "--table", str(path)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
     def test_missing_table_file(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--table", "/no/such/file.json")
         assert code == 2
@@ -166,6 +189,13 @@ class TestBenchCommand:
     def test_unknown_route(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--n-max", "5", "--routes", "magic")
         assert code == 2
+
+    def test_accepts_every_verify_route(self, capsys):
+        code, out, _ = run_cli(capsys, "bench", "--n-max", "3", "--reps", "1",
+                               "--routes", ",".join(ROUTE_NAMES))
+        assert code == 0
+        routes = [line.split(",")[0] for line in out.strip().split("\n")[1:]]
+        assert routes == [name for name in ROUTE_NAMES for _ in range(3)]
 
 
 class TestUsage:

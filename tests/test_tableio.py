@@ -3,7 +3,6 @@ import json
 import pytest
 
 from wderiv import (
-    OutputRecord,
     build_table,
     load_table,
     parse_table,
@@ -87,7 +86,45 @@ class TestSniffAndLoad:
         assert load_table(str(json_path)) == table8
 
 
-def test_output_record_is_lossless():
-    record = OutputRecord(n=40, k=0, beta=str(40**39))
-    assert int(record.beta) == 40**39
-    assert record.route is None
+
+# Corrupt files that used to load (entries truncated or coerced by int())
+# or to escape as TypeError; each must now raise ValueError.
+BAD_JSON_TABLES = {
+    "float_entry": '{"n_max":2,"rows":[["1"],[2.9,"1"]]}',
+    "bool_entry": '{"n_max":2,"rows":[["1"],[true,"1"]]}',
+    "int_entry": '{"n_max":2,"rows":[["1"],[2,"1"]]}',
+    "padded_entry": '{"n_max":2,"rows":[["1"],[" 2","1"]]}',
+    "underscore_entry": '{"n_max":1,"rows":[["1_0"]]}',
+    "null_n_max": '{"n_max": null, "rows": []}',
+    "bool_n_max": '{"n_max": true, "rows": [["1"]]}',
+    "float_n_max": '{"n_max": 1.0, "rows": [["1"]]}',
+    "rows_not_list": '{"n_max": 1, "rows": 5}',
+    "row_not_list": '{"n_max": 1, "rows": ["1"]}',
+    "deep_nesting": '{"n_max":1,"rows":' + "[" * 100_000 + "]" * 100_000 + "}",
+}
+
+BAD_CSV_TABLES = {
+    "padded_entry": "n,k,beta\n1,0, 1 \n",
+    "underscore_entry": "n,k,beta\n1,0,1_0\n",
+    "float_entry": "n,k,beta\n1,0,1.0\n",
+    "padded_index": "n,k,beta\n 1,0,1\n",
+    "plus_sign": "n,k,beta\n1,0,+1\n",
+}
+
+
+class TestStrictParsing:
+    @pytest.mark.parametrize("name", sorted(BAD_JSON_TABLES))
+    def test_bad_json_raises_value_error(self, name):
+        with pytest.raises(ValueError):
+            parse_table(BAD_JSON_TABLES[name])
+
+    @pytest.mark.parametrize("name", sorted(BAD_CSV_TABLES))
+    def test_bad_csv_raises_value_error(self, name):
+        with pytest.raises(ValueError):
+            parse_table(BAD_CSV_TABLES[name])
+
+    def test_negative_entries_still_parse(self):
+        # a wrong sign is a verification failure, not a parse error
+        table = parse_table('{"n_max":2,"rows":[["1"],["-2","1"]]}')
+        assert table.rows[2] == (-2, 1)
+        assert parse_table_csv("n,k,beta\n1,0,-1\n").rows[1] == (-1,)

@@ -1,12 +1,10 @@
 from fractions import Fraction
-from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
 from wderiv import (
     CoefficientTable,
-    SignedPolynomial,
     alternating_sum,
     boundary_value,
     build_table,
@@ -152,29 +150,6 @@ class TestCrossDerivation:
             assert set(range(n)) - set(derived) == {n - 3}
             for k, value in derived.items():
                 assert value == table40.rows[n][k], (n, k)
-
-
-class TestSignedPolynomial:
-    def test_signs(self, table8):
-        p2 = SignedPolynomial.from_table(table8, 2)
-        assert p2.coeffs == (-2, -1)
-        p3 = SignedPolynomial.from_table(table8, 3)
-        assert p3.coeffs == (9, 8, 2)
-
-    def test_invariants(self, table40):
-        for n in range(1, 26):
-            p = SignedPolynomial.from_table(table40, n)
-            assert p.degree == n - 1
-            assert abs(p.leading_coefficient) == factorial(n - 1)
-            expected = double_factorial(2 * n - 3)
-            if n % 2 == 0:
-                expected = -expected
-            assert p.evaluate(-1) == expected
-
-    def test_evaluate_matches_poly_eval(self, table8):
-        p4 = SignedPolynomial.from_table(table8, 4)
-        for w in (0, 1, -2, Fraction(3, 7)):
-            assert p4.evaluate(w) == poly_eval_exact(4, table8, w)
 
 
 class TestCoefficientTable:
