@@ -13,93 +13,19 @@ and binomial inequalities) by exhaustive exact integer checks, and verifies
 numerically that the alternating-sign law of the derivatives holds, i.e.
 that W is a Bernstein function.
 """
-from .triangle import (
-    CoefficientTable,
-    BOUNDARY_KINDS,
-    build_table,
-    recurrence_step,
-    boundary_value,
-    poly_eval_exact,
-    alternating_sum,
-    double_factorial,
-)
-from .closed_forms import (
-    ConsistencyError,
-    ROUTE_ROWS,
-    beta_explicit_row,
-    rstirling_shifted,
-    beta_rstirling_row,
-    bernoulli_higher,
-    beta_bernoulli_row,
-    forward_diff_power,
-    beta_forward_diff_row,
-    carlitz_row,
-    beta_carlitz_row,
-    rstirling_from_beta,
-    factorial_identity,
-)
-from .properties import (
-    PropertyReport,
-    is_positive,
-    is_log_concave,
-    is_log_concave_weighted,
-    is_unimodal,
-    check_ratio_bound,
-    check_lemma1,
-)
-from .numeric import (
-    MACHINE_EPS,
-    ROUTE_CLOSED,
-    ROUTE_TAYLOR,
-    ROUTE_FD,
-    ConvergenceError,
-    WEvaluation,
-    DerivativeValue,
-    BernsteinScanReport,
-    lambert_w,
-    w_derivative,
-    w_derivative_taylor,
-    w_derivative_fd,
-    pn_series_eval,
-    bernstein_scan,
-    log_grid,
-)
-from .tableio import (
-    table_to_csv,
-    table_to_json,
-    parse_table_csv,
-    parse_table_json,
-    parse_table,
-    load_table,
-)
-from .verify import (
-    CheckFailure,
-    ROUTE_NAMES,
-    verify_routes,
-    verify_properties,
-    verify_identities,
-    verify_carlitz_sums,
-    run_verification,
-)
+from . import closed_forms, numeric, properties, tableio, triangle, verify
+from .closed_forms import *
+from .numeric import *
+from .properties import *
+from .tableio import *
+from .triangle import *
+from .verify import *
 
 __version__ = "0.1.0"
 
+# each module's __all__ is the one list of its public names
 __all__ = [
-    "CoefficientTable", "BOUNDARY_KINDS", "build_table", "recurrence_step",
-    "boundary_value", "poly_eval_exact", "alternating_sum", "double_factorial",
-    "ConsistencyError", "ROUTE_ROWS", "beta_explicit_row", "rstirling_shifted",
-    "beta_rstirling_row", "bernoulli_higher", "beta_bernoulli_row",
-    "forward_diff_power", "beta_forward_diff_row", "carlitz_row",
-    "beta_carlitz_row", "rstirling_from_beta", "factorial_identity",
-    "PropertyReport", "is_positive", "is_log_concave", "is_log_concave_weighted",
-    "is_unimodal", "check_ratio_bound", "check_lemma1",
-    "MACHINE_EPS", "ROUTE_CLOSED", "ROUTE_TAYLOR", "ROUTE_FD",
-    "ConvergenceError", "WEvaluation", "DerivativeValue", "BernsteinScanReport",
-    "lambert_w", "w_derivative", "w_derivative_taylor", "w_derivative_fd",
-    "pn_series_eval", "bernstein_scan", "log_grid",
-    "table_to_csv", "table_to_json", "parse_table_csv", "parse_table_json",
-    "parse_table", "load_table",
-    "CheckFailure", "ROUTE_NAMES", "verify_routes", "verify_properties",
-    "verify_identities", "verify_carlitz_sums", "run_verification",
-    "__version__",
-]
+    name
+    for module in (triangle, closed_forms, properties, numeric, tableio, verify)
+    for name in module.__all__
+] + ["__version__"]

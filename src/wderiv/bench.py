@@ -11,24 +11,14 @@ largest bit length among the produced entries.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from . import closed_forms, triangle
 
-__all__ = ["BenchRecord", "run_bench", "bench_to_csv"]
+__all__ = ["run_bench"]
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    route: str
-    n: int
-    nanoseconds: int
-    max_bits: int
-
-
-def run_bench(
-    n_max: int, routes: tuple[str, ...], reps: int
-) -> list[BenchRecord]:
+def run_bench(n_max: int, routes: tuple[str, ...], reps: int) -> str:
+    """The CSV ``route,n,nanoseconds,max_bits``, one line per route and row."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if reps < 1:
@@ -38,7 +28,7 @@ def run_bench(
         raise ValueError(f"unknown routes: {sorted(unknown)}")
 
     table = triangle.build_table(n_max)  # previous rows for the recurrence route
-    records: list[BenchRecord] = []
+    lines = ["route,n,nanoseconds,max_bits"]
     for route in routes:
         for n in range(1, n_max + 1):
             if route == "recurrence":
@@ -54,15 +44,6 @@ def run_bench(
                 t0 = time.perf_counter_ns()
                 row = unit()
                 timings.append(time.perf_counter_ns() - t0)
-            records.append(BenchRecord(
-                route=route, n=n, nanoseconds=min(timings),
-                max_bits=max(entry.bit_length() for entry in row)))
-    return records
-
-
-def bench_to_csv(records: list[BenchRecord]) -> str:
-    lines = ["route,n,nanoseconds,max_bits"]
-    lines.extend(
-        f"{r.route},{r.n},{r.nanoseconds},{r.max_bits}" for r in records
-    )
+            max_bits = max(entry.bit_length() for entry in row)
+            lines.append(f"{route},{n},{min(timings)},{max_bits}")
     return "\n".join(lines) + "\n"

@@ -34,9 +34,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the exact verification battery")
     p_verify.add_argument("--n-max", type=int, default=None,
-                          help="row limit for all checks (default: 40 for route "
-                               "agreement, 200 for the recurrence-only property "
-                               "checks)")
+                          help="row limit for all checks (default: "
+                               f"{verify.DEFAULT_ROUTE_N_MAX} for route agreement, "
+                               f"{verify.DEFAULT_PROPERTY_N_MAX} for the "
+                               "recurrence-only property checks)")
     p_verify.add_argument("--table", default=None,
                           help="verify a table loaded from this CSV/JSON file "
                                "instead of a freshly built one")
@@ -83,25 +84,22 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     routes = tuple(r for r in args.routes.split(",") if r)
+    # one horizon for every stage; None leaves each stage its own default
+    horizon = args.n_max
     if args.table is not None:
         table = tableio.load_table(args.table)
-        route_n_max = args.n_max if args.n_max is not None else table.n_max
-        property_n_max = identity_n_max = route_n_max
-    elif args.n_max is not None:
-        table = triangle.build_table(args.n_max)
-        route_n_max = property_n_max = identity_n_max = args.n_max
+        if horizon is None:
+            horizon = table.n_max
     else:
-        table = triangle.build_table(verify.DEFAULT_PROPERTY_N_MAX)
-        route_n_max = verify.DEFAULT_ROUTE_N_MAX
-        property_n_max = verify.DEFAULT_PROPERTY_N_MAX
-        identity_n_max = verify.DEFAULT_ROUTE_N_MAX
+        table = triangle.build_table(
+            verify.DEFAULT_PROPERTY_N_MAX if horizon is None else horizon)
 
     failures = verify.run_verification(
         table,
         routes=routes,
-        route_n_max=route_n_max,
-        property_n_max=property_n_max,
-        identity_n_max=identity_n_max,
+        route_n_max=horizon,
+        property_n_max=horizon,
+        identity_n_max=horizon,
         lambda_samples=args.lambda_samples,
     )
     if args.format == "json":
@@ -148,8 +146,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     routes = tuple(r for r in args.routes.split(",") if r)
-    records = bench.run_bench(args.n_max, routes, args.reps)
-    _write_output(bench.bench_to_csv(records), args.out)
+    _write_output(bench.run_bench(args.n_max, routes, args.reps), args.out)
     return 0
 
 

@@ -126,9 +126,9 @@ def bernoulli_higher(order: int, m: int, r: int | Fraction) -> Fraction:
     """
     if order < 0 or m < 0:
         raise ValueError("order and m must be nonnegative")
+    # an integer r sums in int, leaving one division for the end
     acc = sum(
-        (-1) ** (m - q) * comb(m, q) * Fraction(q + r) ** (m + order)
-        for q in range(m + 1)
+        (-1) ** (m - q) * comb(m, q) * (q + r) ** (m + order) for q in range(m + 1)
     )
     return Fraction(factorial(order), factorial(m + order)) * acc
 

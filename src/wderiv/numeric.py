@@ -20,7 +20,9 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from math import comb, exp, factorial, fsum, log1p
+from typing import Iterator
 
 from .triangle import CoefficientTable
 
@@ -146,6 +148,27 @@ def w_derivative(n: int, x: float, table: CoefficientTable) -> DerivativeValue:
     return DerivativeValue(n=n, x=x, value=value, route=ROUTE_CLOSED)
 
 
+def _settled_sum(terms: Iterator[float], rel_tol: float, what: str) -> float:
+    """fsum of the terms, stopping after two consecutive terms fall below
+    rel_tol times the running sum.
+
+    More than 10^4 terms raises ConvergenceError, naming ``what``.
+    """
+    taken: list[float] = []
+    total = 0.0
+    small_streak = 0
+    for t in islice(terms, _MAX_SERIES_TERMS):
+        taken.append(t)
+        total += t
+        if abs(t) <= rel_tol * abs(total):
+            small_streak += 1
+            if small_streak == 2:
+                return fsum(taken)
+        else:
+            small_streak = 0
+    raise ConvergenceError(f"{what} did not settle within {_MAX_SERIES_TERMS} terms")
+
+
 def w_derivative_taylor(n: int, x: float, rel_tol: float = 1e-12) -> DerivativeValue:
     """d^nW/dx^n for |x| < 1/e from the series around 0.
 
@@ -162,29 +185,19 @@ def w_derivative_taylor(n: int, x: float, rel_tol: float = 1e-12) -> DerivativeV
         return DerivativeValue(n=n, x=x, value=float((-n) ** (n - 1)),
                                route=ROUTE_TAYLOR)
     log_ax = math.log(abs(x))
-    terms: list[float] = []
-    total = 0.0
-    small_streak = 0
-    for m in range(n, n + _MAX_SERIES_TERMS):
-        # (-m)^(m-1) x^(m-n) / (m-n)!, assembled in log space
-        t = exp((m - 1) * math.log(m) + (m - n) * log_ax - math.lgamma(m - n + 1))
-        if (m - 1) % 2:
-            t = -t
-        if x < 0.0 and (m - n) % 2:
-            t = -t
-        terms.append(t)
-        total += t
-        if abs(t) <= rel_tol * abs(total):
-            small_streak += 1
-            if small_streak == 2:
-                break
-        else:
-            small_streak = 0
-    else:
-        raise ConvergenceError(
-            f"taylor series for n={n}, x={x} did not settle "
-            f"within {_MAX_SERIES_TERMS} terms")
-    return DerivativeValue(n=n, x=x, value=fsum(terms), route=ROUTE_TAYLOR)
+
+    def terms() -> Iterator[float]:
+        for m in count(n):
+            # (-m)^(m-1) x^(m-n) / (m-n)!, assembled in log space
+            t = exp((m - 1) * math.log(m) + (m - n) * log_ax - math.lgamma(m - n + 1))
+            if (m - 1) % 2:
+                t = -t
+            if x < 0.0 and (m - n) % 2:
+                t = -t
+            yield t
+
+    value = _settled_sum(terms(), rel_tol, f"taylor series for n={n}, x={x}")
+    return DerivativeValue(n=n, x=x, value=value, route=ROUTE_TAYLOR)
 
 
 def _central_diff(n: int, x: float, h: float) -> float:
@@ -232,31 +245,20 @@ def pn_series_eval(n: int, w: float, rel_tol: float = 1e-10) -> float:
     if w == 0.0:
         return float((-1) ** (n - 1) * n ** (n - 1))
     w_exact = Fraction(w)
-    terms: list[float] = []
-    total = 0.0
-    small_streak = 0
-    for s in range(_MAX_SERIES_TERMS):
-        ns = n + s
-        rational = Fraction(ns ** (ns - 1), factorial(s)) * w_exact**s
-        try:
-            t = float(rational) * exp(ns * w)
-        except OverflowError as err:
-            raise ConvergenceError(
-                f"series term overflow at n={n}, w={w}, s={s}") from err
-        if (ns - 1) % 2:
-            t = -t
-        terms.append(t)
-        total += t
-        if abs(t) <= rel_tol * abs(total):
-            small_streak += 1
-            if small_streak == 2:
-                break
-        else:
-            small_streak = 0
-    else:
-        raise ConvergenceError(
-            f"series for p_{n}({w}) did not settle within {_MAX_SERIES_TERMS} terms")
-    return fsum(terms) * (1.0 + w) ** (2 * n - 1)
+
+    def terms() -> Iterator[float]:
+        for s in count():
+            ns = n + s
+            rational = Fraction(ns ** (ns - 1), factorial(s)) * w_exact**s
+            try:
+                t = float(rational) * exp(ns * w)
+            except OverflowError as err:
+                raise ConvergenceError(
+                    f"series term overflow at n={n}, w={w}, s={s}") from err
+            yield -t if (ns - 1) % 2 else t
+
+    return (_settled_sum(terms(), rel_tol, f"series for p_{n}({w})")
+            * (1.0 + w) ** (2 * n - 1))
 
 
 def bernstein_scan(

@@ -9,7 +9,7 @@ in cross-multiplied form, so no rationals or floats appear anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial
 from typing import Sequence
 
 __all__ = [
@@ -71,6 +71,10 @@ def _log_concave(seq: Sequence[int], name: str) -> PropertyReport:
     return PropertyReport(name, True)
 
 
+def _weighted(seq: Sequence[int]) -> list[int]:
+    return [factorial(j) * c for j, c in enumerate(seq)]
+
+
 def is_log_concave(seq: Sequence[int]) -> PropertyReport:
     """c_{k-1} c_{k+1} <= c_k^2 at every interior index (positive input only)."""
     _require_positive(seq)
@@ -80,8 +84,7 @@ def is_log_concave(seq: Sequence[int]) -> PropertyReport:
 def is_log_concave_weighted(seq: Sequence[int]) -> PropertyReport:
     """Log-concavity of the weighted sequence k! * c_k."""
     _require_positive(seq)
-    weighted = [factorial(k) * c for k, c in enumerate(seq)]
-    return _log_concave(weighted, "log_concave_weighted")
+    return _log_concave(_weighted(seq), "log_concave_weighted")
 
 
 def is_unimodal(seq: Sequence[int]) -> PropertyReport:
@@ -122,15 +125,19 @@ def check_ratio_bound(n: int, row: Sequence[int]) -> PropertyReport:
 def check_lemma1(seq: Sequence[int]) -> PropertyReport:
     """c_k c_m >= C(k+m, k) c_0 c_{k+m} for 0 <= m <= k+1 with k+m in range.
 
+    Multiplied through by k! m!, this is a_k a_m >= a_0 a_{k+m} on the
+    weighted row a_j = j! c_j, which is checked instead.
     Preconditions (checked, domain error on failure): the sequence is
     positive and {k! c_k} is log-concave.
     """
     _require_positive(seq)
-    if not is_log_concave_weighted(seq).holds:
+    a = _weighted(seq)
+    if not _log_concave(a, "log_concave_weighted").holds:
         raise ValueError("lemma1 requires {k! c_k} to be log-concave")
-    length = len(seq)
+    a0_a = [a[0] * a_j for a_j in a]
+    length = len(a)
     for k in range(length):
         for m in range(min(k + 1, length - 1 - k) + 1):
-            if seq[k] * seq[m] < comb(k + m, k) * seq[0] * seq[k + m]:
+            if a[k] * a[m] < a0_a[k + m]:
                 return PropertyReport("lemma1", False, first_violation=(k, m))
     return PropertyReport("lemma1", True)

@@ -30,7 +30,6 @@ from math import factorial
 
 __all__ = [
     "CoefficientTable",
-    "BOUNDARY_KINDS",
     "build_table",
     "recurrence_step",
     "boundary_value",
@@ -38,9 +37,6 @@ __all__ = [
     "alternating_sum",
     "double_factorial",
 ]
-
-BOUNDARY_KINDS = ("first", "second", "last", "second_last")
-
 
 @dataclass(frozen=True)
 class CoefficientTable:

@@ -27,14 +27,11 @@ from .triangle import CoefficientTable
 __all__ = [
     "CheckFailure",
     "ROUTE_NAMES",
-    "DEFAULT_ROUTE_N_MAX",
-    "DEFAULT_PROPERTY_N_MAX",
     "verify_routes",
     "verify_properties",
     "verify_identities",
     "verify_carlitz_sums",
     "run_verification",
-    "lambda_values",
 ]
 
 ROUTE_NAMES = ("recurrence",) + tuple(closed_forms.ROUTE_ROWS)
@@ -42,6 +39,11 @@ ROUTE_NAMES = ("recurrence",) + tuple(closed_forms.ROUTE_ROWS)
 DEFAULT_ROUTE_N_MAX = 40
 DEFAULT_PROPERTY_N_MAX = 200
 DEFAULT_CARLITZ_KAPPA_MAX = 30
+
+
+def _horizon(n_max: int | None, default: int, limit: int) -> int:
+    """The last row a stage checks: n_max, or default if None, capped at limit."""
+    return min(limit, default if n_max is None else n_max)
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ def verify_routes(
     unknown = set(routes) - set(ROUTE_NAMES)
     if unknown:
         raise ValueError(f"unknown routes: {sorted(unknown)}")
-    n_max = min(table.n_max, DEFAULT_ROUTE_N_MAX if n_max is None else n_max)
+    n_max = _horizon(n_max, DEFAULT_ROUTE_N_MAX, table.n_max)
     failures: list[CheckFailure] = []
 
     def compare(name: str, n: int, want_row: tuple[int, ...]) -> None:
@@ -97,8 +99,8 @@ def verify_routes(
 def verify_properties(
     table: CoefficientTable, n_max: int | None = None
 ) -> list[CheckFailure]:
-    """Run every sequence-property check on each row up to n_max."""
-    n_max = min(table.n_max, DEFAULT_PROPERTY_N_MAX if n_max is None else n_max)
+    """Run every sequence-property check on each row up to n_max (default 200)."""
+    n_max = _horizon(n_max, DEFAULT_PROPERTY_N_MAX, table.n_max)
     failures: list[CheckFailure] = []
     for n in range(1, n_max + 1):
         row = table.rows[n]
@@ -123,8 +125,11 @@ def verify_properties(
 def verify_identities(
     table: CoefficientTable, n_max: int | None = None
 ) -> list[CheckFailure]:
-    """Alternating sum, factorial identity and inversion round trip per row."""
-    n_max = table.n_max if n_max is None else min(n_max, table.n_max)
+    """Alternating sum, factorial identity and inversion round trip per row.
+
+    Rows run up to n_max (default 40).
+    """
+    n_max = _horizon(n_max, DEFAULT_ROUTE_N_MAX, table.n_max)
     failures: list[CheckFailure] = []
     for n in range(1, n_max + 1):
         alt = triangle.alternating_sum(n, table)
@@ -199,12 +204,15 @@ def run_verification(
     identity_n_max: int | None = None,
     lambda_samples: int = 3,
 ) -> list[CheckFailure]:
-    """Run the full battery and return all failures sorted by (n, k, check)."""
+    """Run the full battery and return all failures sorted by (n, k, check).
+
+    The Carlitz sums run to kappa <= 30 and the identity horizon; they do not
+    read the table, so only a horizon of None is capped at it.
+    """
     failures = verify_routes(table, routes, route_n_max)
     failures += verify_properties(table, property_n_max)
-    if identity_n_max is None:
-        identity_n_max = min(table.n_max, DEFAULT_ROUTE_N_MAX)
     failures += verify_identities(table, identity_n_max)
-    kappa_max = min(identity_n_max, DEFAULT_CARLITZ_KAPPA_MAX)
+    kappa_max = _horizon(identity_n_max, min(DEFAULT_ROUTE_N_MAX, table.n_max),
+                         DEFAULT_CARLITZ_KAPPA_MAX)
     failures += verify_carlitz_sums(kappa_max, lambda_samples)
     return sorted(failures, key=CheckFailure.sort_key)

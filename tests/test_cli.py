@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from wderiv import ROUTE_NAMES, build_table, table_to_json, parse_table_csv
+from wderiv import (ROUTE_NAMES, build_table, closed_forms, parse_table_csv,
+                    properties, table_to_json, verify)
 from wderiv.cli import main
 from test_tableio import BAD_CSV_TABLES, BAD_JSON_TABLES
 
@@ -128,6 +129,62 @@ class TestVerifyCommand:
     def test_missing_table_file(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--table", "/no/such/file.json")
         assert code == 2
+
+
+class TestVerifyHorizons:
+    """The last row (or kappa) each verify stage reaches, seen through spies.
+
+    check_lemma1 is stubbed to keep the default 200-row run short; every
+    other check runs for real.
+    """
+
+    @pytest.fixture
+    def reached(self, monkeypatch):
+        seen = {"routes": 0, "properties": 0, "identities": 0, "carlitz": 0}
+
+        def spy(stage, func, at):
+            def wrapped(*args, **kwargs):
+                seen[stage] = max(seen[stage], at(*args))
+                return func(*args, **kwargs)
+            return wrapped
+
+        for name, row_of in closed_forms.ROUTE_ROWS.items():
+            monkeypatch.setitem(closed_forms.ROUTE_ROWS, name,
+                                spy("routes", row_of, lambda n: n))
+        monkeypatch.setattr(properties, "is_positive",
+                            spy("properties", properties.is_positive, len))
+        monkeypatch.setattr(properties, "check_lemma1",
+                            lambda row: properties.PropertyReport("lemma1", True))
+        monkeypatch.setattr(closed_forms, "factorial_identity",
+                            spy("identities", closed_forms.factorial_identity,
+                                lambda n: n))
+        monkeypatch.setattr(verify, "verify_carlitz_sums",
+                            spy("carlitz", verify.verify_carlitz_sums,
+                                lambda kappa_max, *rest: kappa_max))
+        return seen
+
+    @staticmethod
+    def horizons(seen):
+        return (seen["routes"], seen["properties"], seen["identities"],
+                seen["carlitz"])
+
+    def test_defaults(self, capsys, reached):
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 0
+        assert self.horizons(reached) == (40, 200, 40, 30)
+
+    def test_n_max_sets_every_stage(self, capsys, reached):
+        code, out, _ = run_cli(capsys, "verify", "--n-max", "12")
+        assert code == 0
+        assert self.horizons(reached) == (12, 12, 12, 12)
+
+    def test_table_caps_all_but_carlitz(self, capsys, reached, tmp_path):
+        path = tmp_path / "t12.json"
+        path.write_text(table_to_json(build_table(12)), encoding="ascii")
+        code, out, _ = run_cli(capsys, "verify", "--table", str(path),
+                               "--n-max", "100")
+        assert code == 0
+        assert self.horizons(reached) == (12, 12, 12, 30)
 
 
 class TestEvalCommand:
