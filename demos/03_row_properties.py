@@ -3,8 +3,9 @@
 Each row is positive, log-concave (also after weighting entry k by k!),
 and therefore unimodal; the ratios (k+1) beta(n,k+1) / beta(n,k) stay
 below n - 1; and the entries satisfy the binomial inequality
-c_k c_m >= C(k+m, k) c_0 c_{k+m}.  All checks are exact integer
-comparisons, so a pass is a proof for the rows checked.
+c_k c_m >= C(k+m, k) c_0 c_{k+m}.  Floats with a stated error bound
+screen the log-concavity and binomial comparisons, and exact integers
+decide every close call, so a pass is a proof for the rows checked.
 """
 from wderiv import (
     build_table,

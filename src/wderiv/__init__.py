@@ -9,7 +9,8 @@ positive integer.  This package builds the beta triangle by a row
 recurrence, checks it against a forward-difference kernel sum (in four
 normalisations) and a Carlitz-style triangular recurrence, proves the
 rows' structural properties (positivity, log-concavity, unimodality, ratio
-and binomial inequalities) by exhaustive exact integer checks, and verifies
+and binomial inequalities) by exhaustive checks that integers decide (floats
+of bounded error only pass the clear cases), and verifies
 numerically that the alternating-sign law of the derivatives holds, i.e.
 that W is a Bernstein function.
 """

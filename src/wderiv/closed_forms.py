@@ -32,6 +32,7 @@ __all__ = [
     "ROUTE_ROWS",
     "beta_explicit_row",
     "rstirling_shifted",
+    "rstirling_values",
     "beta_rstirling_row",
     "bernoulli_higher",
     "beta_bernoulli_row",
@@ -111,10 +112,15 @@ def rstirling_shifted(n: int, m: int, r: int) -> int:
     return _as_integer(total, f"rstirling_shifted({n}, {m}, {r})")
 
 
+def rstirling_values(n: int) -> list[int]:
+    """The n values {2n-1+m brace n+m}_n, 0 <= m < n, behind row n."""
+    _check_n(n)
+    return [rstirling_shifted(n - 1 + m, m, n) for m in range(n)]
+
+
 def beta_rstirling_row(n: int) -> tuple[int, ...]:
     """Row n as alternating binomial sums of shifted r-Stirling numbers."""
-    _check_n(n)
-    inner = [(-1) ** m * rstirling_shifted(n - 1 + m, m, n) for m in range(n)]
+    inner = [(-1) ** m * s for m, s in enumerate(rstirling_values(n))]
     return _convolve(n, inner, "beta_rstirling_row")
 
 
@@ -231,5 +237,13 @@ def factorial_identity(n: int) -> tuple[int, int]:
     The left side is the last entry of the r-Stirling row.  Returns
     (left, right); they agree for every n >= 1.
     """
-    _check_n(n)
-    return beta_rstirling_row(n)[-1], factorial(n - 1)
+    return _factorial_identity(rstirling_values(n))
+
+
+def _factorial_identity(stirlings: list[int]) -> tuple[int, int]:
+    """factorial_identity(n) from the r-Stirling values of row n."""
+    n = len(stirlings)
+    left = sum(
+        (-1) ** m * comb(2 * n - 1, n - 1 - m) * s for m, s in enumerate(stirlings)
+    )
+    return left, factorial(n - 1)

@@ -134,8 +134,8 @@ class TestVerifyCommand:
 class TestVerifyHorizons:
     """The last row (or kappa) each verify stage reaches, seen through spies.
 
-    check_lemma1 is stubbed to keep the default 200-row run short; every
-    other check runs for real.
+    The spies only watch: every check runs for real, so the default run is
+    the whole battery and must pass.
     """
 
     @pytest.fixture
@@ -153,11 +153,9 @@ class TestVerifyHorizons:
                                 spy("routes", row_of, lambda n: n))
         monkeypatch.setattr(properties, "is_positive",
                             spy("properties", properties.is_positive, len))
-        monkeypatch.setattr(properties, "check_lemma1",
-                            lambda row: properties.PropertyReport("lemma1", True))
-        monkeypatch.setattr(closed_forms, "factorial_identity",
-                            spy("identities", closed_forms.factorial_identity,
-                                lambda n: n))
+        monkeypatch.setattr(closed_forms, "_factorial_identity",
+                            spy("identities", closed_forms._factorial_identity,
+                                len))
         monkeypatch.setattr(verify, "verify_carlitz_sums",
                             spy("carlitz", verify.verify_carlitz_sums,
                                 lambda kappa_max, *rest: kappa_max))

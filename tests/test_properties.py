@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from wderiv import (
     PropertyReport,
+    build_table,
     check_lemma1,
     check_ratio_bound,
     is_log_concave,
@@ -193,3 +194,133 @@ class TestPropertyReport:
             assert is_unimodal(row).holds
             assert check_ratio_bound(n, row).holds
             assert check_lemma1(row).holds
+
+
+# Exact references: plain cross-multiplied loops with no float screen.  The
+# screened checks must give the same report, or the same ValueError message,
+# on every input.
+
+def _ref_log_concave(seq):
+    for k in range(1, len(seq) - 1):
+        if seq[k - 1] * seq[k + 1] > seq[k] * seq[k]:
+            return (False, (k,))
+    return (True, None)
+
+
+def _ref_require_positive(seq):
+    if len(seq) == 0:
+        raise ValueError("sequence must be nonempty")
+    for i, c in enumerate(seq):
+        if c <= 0:
+            raise ValueError(f"sequence must be positive, entry {i} is {c}")
+
+
+def _ref_weighted(seq):
+    return [factorial(j) * c for j, c in enumerate(seq)]
+
+
+def ref_is_log_concave(seq):
+    _ref_require_positive(seq)
+    return _ref_log_concave(seq)
+
+
+def ref_is_log_concave_weighted(seq):
+    _ref_require_positive(seq)
+    return _ref_log_concave(_ref_weighted(seq))
+
+
+def ref_check_lemma1(seq):
+    _ref_require_positive(seq)
+    a = _ref_weighted(seq)
+    if not _ref_log_concave(a)[0]:
+        raise ValueError("lemma1 requires {k! c_k} to be log-concave")
+    for k in range(len(a)):
+        for m in range(min(k + 1, len(a) - 1 - k) + 1):
+            if a[k] * a[m] < a[0] * a[k + m]:
+                return (False, (k, m))
+    return (True, None)
+
+
+SCREENED = [
+    (is_log_concave, ref_is_log_concave),
+    (is_log_concave_weighted, ref_is_log_concave_weighted),
+    (check_lemma1, ref_check_lemma1),
+]
+
+
+def outcome(check, seq):
+    try:
+        result = check(seq)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    if isinstance(result, PropertyReport):
+        return (result.holds, result.first_violation)
+    return result
+
+
+def assert_matches_reference(seq):
+    for check, reference in SCREENED:
+        assert outcome(check, seq) == outcome(reference, seq), check.__name__
+
+
+def lemma1_tie_row(length, r):
+    """c_j = C r^j / j! with C a multiple of (length-1)!: a_j = j! c_j is
+    geometric, so every Lemma 1 pair and every weighted log-concavity
+    comparison is an exact tie."""
+    big = factorial(length - 1) * 3**1000
+    return [big * r**j // factorial(j) for j in range(length)]
+
+
+def log_concave_tie_row(length):
+    """2^j 5^(L-j) 3^1000: geometric, so every log-concavity comparison ties."""
+    return [2**j * 5**(length - 1 - j) * 3**1000 for j in range(length)]
+
+
+def bumped(seq):
+    """seq with one entry moved by +-1, for every entry that stays positive."""
+    for j in range(len(seq)):
+        for step in (1, -1):
+            if seq[j] + step > 0:
+                yield seq[:j] + [seq[j] + step] + seq[j + 1:]
+
+
+class TestScreenMatchesExactReference:
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 9, 25])
+    def test_exact_ties(self, length):
+        for seq in (lemma1_tie_row(length, 1), lemma1_tie_row(length, 7),
+                    log_concave_tie_row(length)):
+            assert_matches_reference(seq)
+        assert check_lemma1(lemma1_tie_row(length, 7)).holds
+        assert is_log_concave(log_concave_tie_row(length)).holds
+
+    @pytest.mark.parametrize("length", [2, 3, 5, 12])
+    def test_ties_bumped_in_the_last_bit(self, length):
+        for row in (lemma1_tie_row(length, 7), log_concave_tie_row(length)):
+            for seq in bumped(row):
+                assert_matches_reference(seq)
+
+    def test_bumped_rows_of_the_table(self):
+        table = build_table(200)
+        for n in (3, 17, 90, 200):
+            row = list(table.rows[n])
+            for j in sorted({0, 1, n // 2, n - 2, n - 1}):
+                for step in (1, -1):
+                    seq = row[:j] + [row[j] + step] + row[j + 1:]
+                    assert_matches_reference(seq)
+
+    def test_violations_in_the_last_bit_are_found(self):
+        # one unit more at a_1, or one less at a_2, of a geometric row breaks
+        # log-concavity at k = 2 and nowhere before
+        row = log_concave_tie_row(5)
+        assert is_log_concave(row[:1] + [row[1] + 1] + row[2:]).first_violation == (2,)
+        assert is_log_concave(row[:2] + [row[2] - 1] + row[3:]).first_violation == (2,)
+        # one unit more at the last entry breaks the Lemma 1 precondition
+        tie = lemma1_tie_row(4, 7)
+        with pytest.raises(ValueError, match="log-concave"):
+            check_lemma1(tie[:3] + [tie[3] + 1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=2**3000),
+                    min_size=1, max_size=12))
+    def test_random_positive_sequences(self, seq):
+        assert_matches_reference(seq)
