@@ -76,9 +76,15 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     table = triangle.build_table(args.n_max)
-    text = (tableio.table_to_csv(table) if args.format == "csv"
-            else tableio.table_to_json(table))
-    _write_output(text, args.out)
+    # An entry past the interpreter's int-string limit makes str() raise;
+    # raise it before any output exists, so nothing is left half-written.
+    for row in table.rows[1:]:
+        str(max(map(abs, row)))
+    if args.out is None:
+        tableio.write_table(table, sys.stdout, args.format)
+    else:
+        with open(args.out, "w", encoding="ascii", newline="") as fh:
+            tableio.write_table(table, fh, args.format)
     return 0
 
 

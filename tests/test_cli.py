@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from wderiv import (ROUTE_NAMES, build_table, closed_forms, parse_table_csv,
-                    properties, table_to_json, verify)
+                    properties, table_to_csv, table_to_json, verify)
 from wderiv.cli import main
 from test_tableio import BAD_CSV_TABLES, BAD_JSON_TABLES
 
@@ -55,6 +55,57 @@ class TestTableCommand:
     def test_bad_n_max(self, capsys):
         code, _, err = run_cli(capsys, "table", "--n-max", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt, to_text", [("csv", table_to_csv),
+                                              ("json", table_to_json)])
+    def test_stdout_bytes_equal_out_file(self, tmp_path, fmt, to_text):
+        path = tmp_path / f"table.{fmt}"
+        cmd = [sys.executable, "-m", "wderiv", "table", "--n-max", "30", "--format", fmt]
+        printed = subprocess.run(cmd, capture_output=True, timeout=60, check=True)
+        written = subprocess.run(cmd + ["--out", str(path)],
+                                 capture_output=True, timeout=60, check=True)
+        assert written.stdout == b""
+        assert printed.stdout == path.read_bytes()
+        assert printed.stdout == to_text(build_table(30)).encode("ascii")
+
+
+class TestTableDigitLimit:
+    """Past the interpreter's int-string limit `table` fails before any output.
+
+    Under a limit of 640 digits, row 256 is the first with a longer entry.
+    """
+
+    @pytest.fixture
+    def limit_640(self):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_file_is_not_created(self, capsys, tmp_path, limit_640, fmt):
+        path = tmp_path / f"table.{fmt}"
+        code, out, err = run_cli(capsys, "table", "--n-max", "260", "--format", fmt,
+                                 "--out", str(path))
+        assert code == 2
+        assert err.startswith("error: Exceeds the limit (640 digits) for integer "
+                              "string conversion")
+        assert out == ""
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_stays_empty(self, capsys, limit_640, fmt):
+        code, out, err = run_cli(capsys, "table", "--n-max", "260", "--format", fmt)
+        assert code == 2
+        assert "Exceeds the limit (640 digits)" in err
+        assert out == ""
+
+    def test_last_row_within_the_limit_is_written(self, capsys, limit_640):
+        code, out, _ = run_cli(capsys, "table", "--n-max", "255", "--format", "json")
+        assert code == 0
+        assert out == table_to_json(build_table(255))
 
 
 class TestVerifyCommand:
@@ -129,6 +180,16 @@ class TestVerifyCommand:
     def test_missing_table_file(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--table", "/no/such/file.json")
         assert code == 2
+
+    @pytest.mark.parametrize("text", [b"n,k,beta\n1,0,\xc3\xa91\n",
+                                      b'{"n_max":1,"rows":[["\xc3\xa9"]]}'])
+    def test_non_ascii_table_is_usage_error(self, capsys, tmp_path, text):
+        path = tmp_path / "table"
+        path.write_bytes(text)
+        code, out, err = run_cli(capsys, "verify", "--table", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: 'ascii' codec can't decode byte 0xc3")
 
 
 class TestVerifyHorizons:

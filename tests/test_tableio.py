@@ -1,8 +1,13 @@
+import io
 import json
+import re
+import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wderiv import (
+    CoefficientTable,
     build_table,
     load_table,
     parse_table,
@@ -10,9 +15,57 @@ from wderiv import (
     parse_table_json,
     table_to_csv,
     table_to_json,
+    write_table,
 )
+from wderiv.cli import main
+from wderiv.tableio import _parse_entry
 
 EXPECTED_CSV_3 = "n,k,beta\n1,0,1\n2,0,2\n2,1,1\n3,0,9\n3,1,8\n3,2,2\n"
+
+
+# The whole-string writers the row-chunk writers replaced, kept as the
+# reference for their bytes.
+def reference_csv(table):
+    lines = ["n,k,beta"]
+    lines.extend(
+        f"{n},{k},{b}"
+        for n in range(1, table.n_max + 1)
+        for k, b in enumerate(table.rows[n])
+    )
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(table):
+    payload = {
+        "n_max": table.n_max,
+        "rows": [[str(b) for b in table.rows[n]] for n in range(1, table.n_max + 1)],
+    }
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+WRITER_TABLES = [pytest.param(build_table(n), id=f"n_max={n}") for n in (1, 2, 12, 60)]
+WRITER_TABLES.append(pytest.param(
+    CoefficientTable(n_max=3, rows=((), (0,), (-7, 0), (0, -(10**30), 5))),
+    id="zero_and_negative"))
+FORMATS = {"csv": (table_to_csv, reference_csv), "json": (table_to_json, reference_json)}
+
+
+class TestWriters:
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    @pytest.mark.parametrize("table", WRITER_TABLES)
+    def test_bytes_match_reference(self, table, fmt):
+        to_text, reference = FORMATS[fmt]
+        expected = reference(table)
+        assert to_text(table) == expected
+        fh = io.StringIO()
+        write_table(table, fh, fmt)
+        assert fh.getvalue() == expected
+
+    def test_unknown_format(self):
+        fh = io.StringIO()
+        with pytest.raises(ValueError, match="table format must be 'csv' or 'json'"):
+            write_table(build_table(2), fh, "xml")
+        assert fh.getvalue() == ""
 
 
 class TestCsv:
@@ -72,6 +125,40 @@ class TestJson:
             parse_table_json('{"n_max": 1, "rows": [["1", "2"]]}')
 
 
+def outcome(func, arg):
+    """The table ``func(arg)`` returns, or the type and message of its ValueError."""
+    try:
+        return func(arg)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def assert_load_matches_parse(tmp_path, text):
+    """load_table of a file holding ``text`` acts as parse_table of its text."""
+    path = tmp_path / "table"
+    path.write_bytes(text.encode("ascii"))
+    assert outcome(load_table, str(path)) == outcome(parse_table, path.read_text())
+
+
+TABLE4_CSV = table_to_csv(build_table(4))
+TABLE4_JSON = table_to_json(build_table(4))
+# Files at the edges of format sniffing and line splitting.
+LOAD_EDGES = {
+    "json_after_spaces": "   " + TABLE4_JSON,
+    "json_after_newline": "\n" + TABLE4_JSON,
+    "json_after_file_separator": "\x1c" + TABLE4_JSON,
+    "json_after_long_padding": " " * 10_000 + TABLE4_JSON,
+    "json_crlf": TABLE4_JSON.replace("\n", "\r\n"),
+    "csv_after_blank_lines": "\n\n\n" + TABLE4_CSV,
+    "csv_crlf": TABLE4_CSV.replace("\n", "\r\n"),
+    "csv_cr": TABLE4_CSV.replace("\n", "\r"),
+    "csv_no_final_newline": TABLE4_CSV.rstrip("\n"),
+    "csv_blank_lines_between": TABLE4_CSV.replace("\n", "\n\n"),
+    "empty": "",
+    "whitespace_only": " \t\n\r\n\x0b ",
+}
+
+
 class TestSniffAndLoad:
     def test_parse_table_sniffs(self, table8):
         assert parse_table(table_to_csv(table8)) == table8
@@ -85,6 +172,17 @@ class TestSniffAndLoad:
         json_path.write_text(table_to_json(table8), encoding="ascii")
         assert load_table(str(json_path)) == table8
 
+    @pytest.mark.parametrize("name", sorted(LOAD_EDGES))
+    def test_load_matches_parse_of_text(self, tmp_path, name):
+        assert_load_matches_parse(tmp_path, LOAD_EDGES[name])
+
+    @pytest.mark.parametrize("text", ["n,k,beta\n1,0,\u00e91\n",
+                                      '{"n_max":1,"rows":[["\u00e9"]]}'])
+    def test_non_ascii_byte_raises_decode_error(self, tmp_path, text):
+        path = tmp_path / "table"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(UnicodeDecodeError):
+            load_table(str(path))
 
 
 # Corrupt files that used to load (entries truncated or coerced by int())
@@ -113,18 +211,80 @@ BAD_CSV_TABLES = {
 
 
 class TestStrictParsing:
+    # each bad input also goes through load_table from a file, which must
+    # raise the same exception with the same message
     @pytest.mark.parametrize("name", sorted(BAD_JSON_TABLES))
-    def test_bad_json_raises_value_error(self, name):
+    def test_bad_json_raises_value_error(self, name, tmp_path):
         with pytest.raises(ValueError):
             parse_table(BAD_JSON_TABLES[name])
+        assert_load_matches_parse(tmp_path, BAD_JSON_TABLES[name])
 
     @pytest.mark.parametrize("name", sorted(BAD_CSV_TABLES))
-    def test_bad_csv_raises_value_error(self, name):
+    def test_bad_csv_raises_value_error(self, name, tmp_path):
         with pytest.raises(ValueError):
             parse_table(BAD_CSV_TABLES[name])
+        assert_load_matches_parse(tmp_path, BAD_CSV_TABLES[name])
 
-    def test_negative_entries_still_parse(self):
+    def test_negative_entries_still_parse(self, tmp_path):
         # a wrong sign is a verification failure, not a parse error
         table = parse_table('{"n_max":2,"rows":[["1"],["-2","1"]]}')
         assert table.rows[2] == (-2, 1)
         assert parse_table_csv("n,k,beta\n1,0,-1\n").rows[1] == (-1,)
+        assert_load_matches_parse(tmp_path, '{"n_max":2,"rows":[["1"],["-2","1"]]}')
+        assert_load_matches_parse(tmp_path, "n,k,beta\n1,0,-1\n")
+
+
+# The grammar of a table entry, as the regular expression the byte-level
+# check replaced.
+DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def reference_entry(text):
+    if not DECIMAL.fullmatch(text):
+        raise ValueError(f"table entry must be a decimal string, got {text!r:.40}")
+    return int(text)
+
+
+class TestEntryGrammar:
+    @pytest.mark.parametrize(
+        "text", ["", "-", "--1", "-0", "007", "+1", "1_000", " 1", "1 ", "12", "-34"])
+    def test_edge_cases_match_reference(self, text):
+        assert outcome(_parse_entry, text) == outcome(reference_entry, text)
+
+    # Unicode digits (Arabic-Indic three, superscript two, fullwidth one)
+    # pass str.isdigit or int() but not the grammar.
+    @given(st.text(alphabet="0123456789-+_ \t\n\u0663\u00b2\uff11a", max_size=12))
+    def test_matches_reference(self, text):
+        assert outcome(_parse_entry, text) == outcome(reference_entry, text)
+
+
+def traced_peak(func, *args):
+    """The peak of memory traced by tracemalloc while ``func(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Writing and loading a 150-row table (about 2.3 MB) hold rows, not the text."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_command_peak_below_file_size(self, tmp_path, fmt):
+        path = tmp_path / f"table.{fmt}"
+        argv = ["table", "--n-max", "150", "--format", fmt, "--out", str(path)]
+        peak = traced_peak(main, argv)
+        assert peak < path.stat().st_size
+
+    def test_csv_load_peak_below_file_size(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text(table_to_csv(build_table(150)), encoding="ascii")
+        assert traced_peak(load_table, str(path)) < path.stat().st_size
+
+    def test_json_load_peak_below_two_point_six_file_sizes(self, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text(table_to_json(build_table(150)), encoding="ascii")
+        assert traced_peak(load_table, str(path)) < 2.6 * path.stat().st_size
