@@ -4,8 +4,11 @@ Each row is positive, log-concave (also after weighting entry k by k!),
 and therefore unimodal; the ratios (k+1) beta(n,k+1) / beta(n,k) stay
 below n - 1; and the entries satisfy the binomial inequality
 c_k c_m >= C(k+m, k) c_0 c_{k+m}.  Floats with a stated error bound
-screen the log-concavity and binomial comparisons, and exact integers
-decide every close call, so a pass is a proof for the rows checked.
+screen the log-concavity comparisons, and exact integers decide every
+close call, so a pass is a proof for the rows checked.  The binomial
+inequality needs no scan of its own: the k!-weighted row a_k = k! c_k is
+log-concave, so its ratios a_{k+1}/a_k do not increase, and that gives
+a_k a_m >= a_0 a_{k+m}, the inequality multiplied through by k! m!.
 """
 from wderiv import (
     build_table,

@@ -4,8 +4,9 @@
   p_n(-1) = (-1)^(n-1) (2n-3)!!, so w = -1 is never a zero of p_n;
 * summing the last-entry closed form gives an r-Stirling identity whose
   value is (n-1)!;
-* the r-Stirling form of a row can be inverted: the r-Stirling numbers are
-  recoverable from the row by binomial convolution;
+* the r-Stirling form of a row can be inverted: the n r-Stirling numbers
+  behind row n are recovered from the row by one binomial convolution, the
+  same triangular sum the routes use, with the kernel C(2n-2+j, 2n-2);
 * the rows of the Carlitz-style triangle B(kappa, j, lam) sum to
   (2 kappa - 1)!! no matter what lam is.
 """
@@ -15,7 +16,7 @@ from wderiv import (
     carlitz_row,
     double_factorial,
     factorial_identity,
-    rstirling_from_beta,
+    rstirling_from_beta_row,
     rstirling_shifted,
 )
 
@@ -34,9 +35,10 @@ for n in (1, 5, 8, 12):
 
 print("\ninversion round trip: row -> r-Stirling numbers -> compare direct:")
 for n in (3, 7, 15):
-    inverted = [rstirling_from_beta(n, m, table) for m in range(4)]
-    direct = [rstirling_shifted(n - 1 + m, m, n) for m in range(4)]
-    print(f"  n={n:2d}: {inverted} == {direct}: {inverted == direct}")
+    inverted = rstirling_from_beta_row(n, table)
+    direct = [rstirling_shifted(n - 1 + m, m, n) for m in range(n)]
+    print(f"  n={n:2d}: {inverted[:4]} ... all {n} equal the direct values: "
+          f"{inverted == direct}")
 
 print("\nCarlitz row sums are independent of lambda:")
 for kappa in (0, 1, 3, 10):

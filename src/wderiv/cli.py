@@ -134,10 +134,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    # both values first, so a domain error leaves stdout empty
     evaluation = numeric.lambert_w(args.x)
-    sys.stdout.write(f"W(x) = {evaluation.w:.17g}\n")
-    sys.stdout.write(f"residual = {evaluation.residual:.17g}\n")
-    sys.stdout.write(f"iterations = {evaluation.iterations}\n")
     if args.route == numeric.ROUTE_TAYLOR:
         deriv = numeric.w_derivative_taylor(args.n, args.x, rel_tol=args.tol_rel)
     elif args.route == numeric.ROUTE_FD:
@@ -145,6 +143,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     else:
         table = triangle.build_table(args.n)
         deriv = numeric.w_derivative(args.n, args.x, table)
+    sys.stdout.write(f"W(x) = {evaluation.w:.17g}\n")
+    sys.stdout.write(f"residual = {evaluation.residual:.17g}\n")
+    sys.stdout.write(f"iterations = {evaluation.iterations}\n")
     sys.stdout.write(
         f"d^{args.n}W/dx^{args.n} ({deriv.route}) = {deriv.value:.17g}\n")
     return 0

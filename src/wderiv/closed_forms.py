@@ -15,14 +15,17 @@ the explicit double sum, shifted r-Stirling numbers of the second kind,
 Bernoulli polynomials of negative integer order and iterated forward
 differences of a power.  Each computes its n inner values once and shares
 one binomial convolution, so these four check the normalisation identities,
-not the kernel sum itself.  Every route returns a whole row; the convolution
+not the kernel sum itself; the last three normalise one power sum,
+Delta^m x^p at x = r.  Every route returns a whole row; the convolution
 asserts that each entry is an integer, raising :class:`ConsistencyError`
-otherwise.
+otherwise.  The inversion ``rstirling_from_beta_row`` runs the same
+triangular sum with the kernel of (1-w)^-(2n-1).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, lcm
+from operator import mul
 from typing import Callable
 
 from .triangle import CoefficientTable
@@ -40,7 +43,7 @@ __all__ = [
     "beta_forward_diff_row",
     "carlitz_row",
     "beta_carlitz_row",
-    "rstirling_from_beta",
+    "rstirling_from_beta_row",
     "factorial_identity",
 ]
 
@@ -60,6 +63,11 @@ def _check_n(n: int) -> None:
         raise ValueError("n must be >= 1")
 
 
+def _triangular(kernel: list[int], values: list[int]) -> list[int]:
+    """Entry k is sum_{j<=k} kernel[k-j] values[j], for 0 <= k < len(values)."""
+    return [sum(map(mul, kernel[k::-1], values)) for k in range(len(values))]
+
+
 def _convolve(n: int, inner: list[int | Fraction], context: str) -> tuple[int, ...]:
     """Row n of the kernel sum: entry k is sum_{m<=k} C(2n-1, k-m) inner[m].
 
@@ -72,12 +80,18 @@ def _convolve(n: int, inner: list[int | Fraction], context: str) -> tuple[int, .
     scaled = [v.numerator * (denom // v.denominator) for v in inner]
     binoms = [comb(2 * n - 1, j) for j in range(len(inner))]
     return tuple(
-        _as_integer(
-            Fraction(sum(binoms[k - m] * scaled[m] for m in range(k + 1)), denom),
-            f"{context}({n})[{k}]",
-        )
-        for k in range(len(inner))
+        _as_integer(Fraction(total, denom), f"{context}({n})[{k}]")
+        for k, total in enumerate(_triangular(binoms, scaled))
     )
+
+
+def _power_diff(m: int, p: int, r: int | Fraction) -> int | Fraction:
+    """Delta^m x^p at x = r, sum_q (-1)^(m-q) C(m, q) (q+r)^p, without comb."""
+    total, coef = 0, (-1) ** m
+    for q in range(m + 1):
+        total += coef * (q + r) ** p
+        coef = -coef * (m - q) // (q + 1)
+    return total
 
 
 def beta_explicit_row(n: int) -> tuple[int, ...]:
@@ -99,16 +113,13 @@ def beta_explicit_row(n: int) -> tuple[int, ...]:
 def rstirling_shifted(n: int, m: int, r: int) -> int:
     """The shifted r-Stirling number of the second kind {n+r brace m+r}_r.
 
-    Computed from the closed sum (1/m!) sum_q (-1)^(m-q) C(m, q) (q+r)^n.
-    It counts partitions of n+r elements into m+r nonempty blocks with the
-    first r elements in distinct blocks; in particular the m = 0 case is r^n.
+    Computed from the closed sum (1/m!) Delta^m x^n at x = r.  It counts
+    partitions of n+r elements into m+r nonempty blocks with the first r
+    elements in distinct blocks; in particular the m = 0 case is r^n.
     """
     if n < 0 or m < 0 or r < 0:
         raise ValueError("arguments must be nonnegative")
-    total = Fraction(
-        sum((-1) ** (m - q) * comb(m, q) * (q + r) ** n for q in range(m + 1)),
-        factorial(m),
-    )
+    total = Fraction(_power_diff(m, n, r), factorial(m))
     return _as_integer(total, f"rstirling_shifted({n}, {m}, {r})")
 
 
@@ -127,16 +138,13 @@ def beta_rstirling_row(n: int) -> tuple[int, ...]:
 def bernoulli_higher(order: int, m: int, r: int | Fraction) -> Fraction:
     """Bernoulli polynomial of higher order at negative integer order, B_order^(-m)(r).
 
-    Closed sum: order!/(m+order)! * sum_q (-1)^(m-q) C(m, q) (q+r)^(m+order).
+    Closed sum: order!/(m+order)! * Delta^m x^(m+order) at x = r.
     The m = 0 case reduces to r^order.
     """
     if order < 0 or m < 0:
         raise ValueError("order and m must be nonnegative")
-    # an integer r sums in int, leaving one division for the end
-    acc = sum(
-        (-1) ** (m - q) * comb(m, q) * (q + r) ** (m + order) for q in range(m + 1)
-    )
-    return Fraction(factorial(order), factorial(m + order)) * acc
+    scale = Fraction(factorial(order), factorial(m + order))
+    return scale * _power_diff(m, m + order, r)
 
 
 def beta_bernoulli_row(n: int) -> tuple[int, ...]:
@@ -158,9 +166,7 @@ def forward_diff_power(m: int, n: int) -> int:
         raise ValueError("m must be nonnegative")
     if n < 1:
         raise ValueError("n must be >= 1")
-    return sum(
-        (-1) ** (m - q) * comb(m, q) * (n + q) ** (m + n - 1) for q in range(m + 1)
-    )
+    return _power_diff(m, m + n - 1, n)
 
 
 def beta_forward_diff_row(n: int) -> tuple[int, ...]:
@@ -212,21 +218,20 @@ ROUTE_ROWS: dict[str, Callable[[int], tuple[int, ...]]] = {
 }
 
 
-def rstirling_from_beta(n: int, m: int, table: CoefficientTable) -> int:
-    """Invert the r-Stirling route: recover {2n-1+m brace n+m}_n from row n.
+def rstirling_from_beta_row(n: int, table: CoefficientTable) -> list[int]:
+    """Invert the r-Stirling route: recover {2n-1+m brace n+m}_n, 0 <= m < n.
 
     The alternating row is a binomial convolution of the r-Stirling sequence
     with the coefficients of (1-w)^(2n-1); multiplying the generating function
     by (1-w)^-(2n-1) inverts it:
 
-        {2n-1+m brace n+m}_n = sum_k (-1)^k beta(n, k) C(2n-2+m-k, 2n-2).
+        {2n-1+m brace n+m}_n = sum_{k<=m} (-1)^k beta(n, k) C(2n-2+m-k, 2n-2).
+
+    The kernel C(2n-2+j, 2n-2) is built once for the row.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
     row = table.row(n)
-    return sum(
-        (-1) ** k * b * comb(2 * n - 2 + m - k, 2 * n - 2) for k, b in enumerate(row)
-    )
+    kernel = [comb(2 * n - 2 + j, 2 * n - 2) for j in range(n)]
+    return _triangular(kernel, [-b if k % 2 else b for k, b in enumerate(row)])
 
 
 def factorial_identity(n: int) -> tuple[int, int]:

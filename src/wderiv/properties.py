@@ -4,18 +4,20 @@ Positivity, log-concavity (plain and k!-weighted), unimodality, the strict
 ratio bound (k+1) c_{k+1} < (n-1) c_k, and the binomial inequality
 c_k c_m >= C(k+m, k) c_0 c_{k+m}.  Inequalities that are usually written
 with ratios are decided in cross-multiplied integer form, never with
-rationals.  The log-concavity and binomial checks first screen each
-comparison with float logarithms whose error is bounded (see ``_screen``):
-a comparison whose float margin clears that bound holds for certain, and
-every closer call is decided by the exact integer test.  So a pass is
-still a proof, and each report is the one the exact tests alone give.
+rationals.  The log-concavity checks first screen each comparison with
+float logarithms whose error is bounded (see ``_screen``): a comparison
+whose float margin clears that bound holds for certain, and every closer
+call is decided by the exact integer test.  So a pass is still a proof,
+and each report is the one the exact tests alone give.  The binomial
+inequality follows from its checked precondition, the k!-weighted
+log-concavity, so it is decided by that check alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import inf, log2
-from operator import mul, sub
+from math import log2
+from operator import mul
 from typing import Sequence
 
 __all__ = [
@@ -159,32 +161,15 @@ def check_lemma1(seq: Sequence[int]) -> PropertyReport:
     """c_k c_m >= C(k+m, k) c_0 c_{k+m} for 0 <= m <= k+1 with k+m in range.
 
     Multiplied through by k! m!, this is a_k a_m >= a_0 a_{k+m} on the
-    weighted row a_j = j! c_j, which is checked instead.
+    weighted row a_j = j! c_j.
     Preconditions (checked, domain error on failure): the sequence is
     positive and {k! c_k} is log-concave.
 
     The precondition implies the inequality: the ratios a_{j+1}/a_j of a
-    positive log-concave row do not increase, so a_{k+m}/a_k <= a_m/a_0.
-    On valid input this check can only confirm; it stays as the paper's
-    stated check.
+    positive log-concave row do not increase, so a_{k+m}/a_k, a product of
+    m ratios from index k on, is at most a_m/a_0, the product of the first
+    m.  The check therefore returns the precondition's verdict.
     """
-    _require_positive(seq)
-    a = _weighted(seq)
-    logs, tol = _screen(a)
-    if not _log_concave(a, "log_concave_weighted", logs, tol).holds:
+    if not is_log_concave_weighted(seq).holds:
         raise ValueError("lemma1 requires {k! c_k} to be log-concave")
-    length = len(a)
-    # Pairs with m = 0, and k = 0 (where m <= 1), are skipped: both sides
-    # are then the same product.  Rounding is monotone, so lead + min(...)
-    # clears tol iff every pair's screen lead + (logs[m] - logs[k + m]) does.
-    for k in range(1, length):
-        top = min(k + 1, length - 1 - k)
-        lead = logs[k] - logs[0]
-        spread = map(sub, logs[1:top + 1], logs[k + 1:k + top + 1])
-        if lead + min(spread, default=inf) > tol:
-            continue
-        for m in range(1, top + 1):
-            if (lead + (logs[m] - logs[k + m]) <= tol
-                    and a[k] * a[m] < a[0] * a[k + m]):
-                return PropertyReport("lemma1", False, first_violation=(k, m))
     return PropertyReport("lemma1", True)

@@ -1,6 +1,19 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from wderiv import build_table
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env():
+    """os.environ with ``src`` first on PYTHONPATH, for child interpreters."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
 
 # The first five rows are small enough to check by hand; rows 6..8 were
 # computed offline by an independent script (the explicit double sum over

@@ -30,7 +30,7 @@ from wderiv import (
     log_grid,
     pn_series_eval,
     poly_eval_exact,
-    rstirling_from_beta,
+    rstirling_from_beta_row,
     rstirling_shifted,
     table_to_json,
     w_derivative,
@@ -104,7 +104,7 @@ def test_criterion_4_identities():
         left, right = factorial_identity(n)
         if left != right:
             bad.append((n, "factorial"))
-        stirlings = [rstirling_from_beta(n, m, table) for m in range(n)]
+        stirlings = rstirling_from_beta_row(n, table)
         if any(s != rstirling_shifted(n - 1 + m, m, n)
                for m, s in enumerate(stirlings)):
             bad.append((n, "inversion"))

@@ -8,6 +8,7 @@ import pytest
 from wderiv import (ROUTE_NAMES, build_table, closed_forms, parse_table_csv,
                     properties, table_to_csv, table_to_json, verify)
 from wderiv.cli import main
+from conftest import src_env
 from test_tableio import BAD_CSV_TABLES, BAD_JSON_TABLES
 
 
@@ -61,9 +62,10 @@ class TestTableCommand:
     def test_stdout_bytes_equal_out_file(self, tmp_path, fmt, to_text):
         path = tmp_path / f"table.{fmt}"
         cmd = [sys.executable, "-m", "wderiv", "table", "--n-max", "30", "--format", fmt]
-        printed = subprocess.run(cmd, capture_output=True, timeout=60, check=True)
-        written = subprocess.run(cmd + ["--out", str(path)],
-                                 capture_output=True, timeout=60, check=True)
+        printed = subprocess.run(cmd, capture_output=True, timeout=60, check=True,
+                                 env=src_env())
+        written = subprocess.run(cmd + ["--out", str(path)], capture_output=True,
+                                 timeout=60, check=True, env=src_env())
         assert written.stdout == b""
         assert printed.stdout == path.read_bytes()
         assert printed.stdout == to_text(build_table(30)).encode("ascii")
@@ -161,7 +163,7 @@ class TestVerifyCommand:
         path.write_text(BAD_JSON_TABLES[name], encoding="ascii")
         proc = subprocess.run(
             [sys.executable, "-m", "wderiv", "verify", "--table", str(path)],
-            capture_output=True, text=True, timeout=60)
+            capture_output=True, text=True, timeout=60, env=src_env())
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
@@ -172,10 +174,26 @@ class TestVerifyCommand:
         path.write_text(BAD_CSV_TABLES[name], encoding="ascii")
         proc = subprocess.run(
             [sys.executable, "-m", "wderiv", "verify", "--table", str(path)],
-            capture_output=True, text=True, timeout=60)
+            capture_output=True, text=True, timeout=60, env=src_env())
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_table_with_horizon_below_one_is_usage_error(self, tmp_path, n_max):
+        path = tmp_path / "t5.csv"
+        path.write_text(table_to_csv(build_table(5)), encoding="ascii")
+        proc = subprocess.run(
+            [sys.executable, "-m", "wderiv", "verify", "--table", str(path),
+             "--n-max", n_max],
+            capture_output=True, text=True, timeout=60, env=src_env())
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: n_max must be >= 1, got {n_max}\n"
+
+    def test_built_table_with_horizon_zero_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--n-max", "0")
+        assert (code, out, err) == (2, "", "error: n_max must be >= 1\n")
 
     def test_missing_table_file(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--table", "/no/such/file.json")
@@ -270,13 +288,14 @@ class TestEvalCommand:
         assert "W(x) = 0.56714329040978384\n" in out
 
     def test_domain_error_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "eval", "--x", "-1", "--n", "1")
-        assert code == 2
-        code, _, err = run_cli(capsys, "eval", "--x", "0", "--n", "1")
-        assert code == 2  # closed form needs x > 0
-        code, _, err = run_cli(capsys, "eval", "--x", "1", "--n", "6",
-                               "--route", "finite_difference")
-        assert code == 2
+        for argv in (("--x", "-1", "--n", "1"),
+                     ("--x", "0", "--n", "1"),  # closed form needs x > 0
+                     ("--x", "1", "--n", "0"),
+                     ("--x", "1", "--n", "6", "--route", "finite_difference")):
+            code, out, err = run_cli(capsys, "eval", *argv)
+            assert code == 2, argv
+            assert out == "", argv  # nothing is written before the error
+            assert err.startswith("error: "), argv
 
 
 class TestBenchCommand:
@@ -323,13 +342,13 @@ class TestUsage:
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "wderiv", "table", "--n-max", "3"],
-            capture_output=True, text=True, timeout=60)
+            capture_output=True, text=True, timeout=60, env=src_env())
         assert proc.returncode == 0
         assert "3,1,8" in proc.stdout
 
     def test_module_entry_point_verify(self):
         proc = subprocess.run(
             [sys.executable, "-m", "wderiv", "verify", "--n-max", "4"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=src_env())
         assert proc.returncode == 0
         assert proc.stdout.startswith("OK")

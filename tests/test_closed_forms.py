@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from wderiv import (
     ROUTE_NAMES,
     ROUTE_ROWS,
+    CoefficientTable,
     ConsistencyError,
     beta_bernoulli_row,
     beta_carlitz_row,
@@ -14,11 +15,12 @@ from wderiv import (
     beta_forward_diff_row,
     beta_rstirling_row,
     bernoulli_higher,
+    build_table,
     carlitz_row,
     double_factorial,
     factorial_identity,
     forward_diff_power,
-    rstirling_from_beta,
+    rstirling_from_beta_row,
     rstirling_shifted,
 )
 from wderiv.closed_forms import _convolve
@@ -91,6 +93,33 @@ class TestForwardDiff:
         assert beta_forward_diff_row(1) == (1,)
 
 
+def ref_power_diff(m, p, r):
+    """Delta^m x^p at x = r, summed with comb as the formula is written."""
+    return sum((-1) ** (m - q) * comb(m, q) * (q + r) ** p for q in range(m + 1))
+
+
+class TestPowerSum:
+    """The three normalisations of Delta^m x^p against the literal sum."""
+
+    @given(st.integers(min_value=0, max_value=14), st.integers(min_value=0, max_value=20),
+           st.integers(min_value=0, max_value=12))
+    def test_rstirling_shifted(self, m, n, r):
+        assert rstirling_shifted(n, m, r) == Fraction(ref_power_diff(m, n, r),
+                                                      factorial(m))
+
+    @given(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=12),
+           st.one_of(st.integers(min_value=-6, max_value=12),
+                     st.fractions(min_value=-5, max_value=5, max_denominator=9)))
+    def test_bernoulli_higher(self, order, m, r):
+        want = Fraction(factorial(order), factorial(m + order)) * ref_power_diff(
+            m, m + order, r)
+        assert bernoulli_higher(order, m, r) == want
+
+    @given(st.integers(min_value=0, max_value=14), st.integers(min_value=1, max_value=20))
+    def test_forward_diff_power(self, m, n):
+        assert forward_diff_power(m, n) == ref_power_diff(m, m + n - 1, n)
+
+
 class TestCarlitz:
     def test_base_cases(self):
         assert carlitz_row(0, 9) == (1,)
@@ -150,21 +179,54 @@ class TestRouteRegistry:
             _convolve(2, [Fraction(1, 2), 0], "test")
 
 
+def ref_rstirling_from_beta(n, m, row):
+    """The inversion sum one entry at a time, with a comb per term."""
+    return sum((-1) ** k * b * comb(2 * n - 2 + m - k, 2 * n - 2)
+               for k, b in enumerate(row))
+
+
+def with_row(table, n, row):
+    """table with row n replaced."""
+    rows = table.rows[:n] + (tuple(row),) + table.rows[n + 1:]
+    return CoefficientTable(table.n_max, rows)
+
+
 class TestInversion:
     def test_examples(self, table8):
-        assert rstirling_from_beta(3, 1, table8) == 37
-        assert rstirling_from_beta(3, 0, table8) == 9
-        assert rstirling_from_beta(1, 0, table8) == 1
+        # 3^2, then (4^3 - 3^3) and (5^4 - 2*4^4 + 3^4)/2
+        assert rstirling_from_beta_row(3, table8) == [9, 37, 97]
+        assert rstirling_from_beta_row(1, table8) == [1]
 
     def test_matches_direct_values(self, table8):
         for n in range(1, 9):
-            for m in range(0, 6):
-                assert rstirling_from_beta(n, m, table8) == rstirling_shifted(
-                    n - 1 + m, m, n)
+            assert rstirling_from_beta_row(n, table8) == [
+                rstirling_shifted(n - 1 + m, m, n) for m in range(n)]
+
+    def test_matches_per_entry_sum(self):
+        table = build_table(60)
+        for n in range(1, 61):
+            row = table.rows[n]
+            assert rstirling_from_beta_row(n, table) == [
+                ref_rstirling_from_beta(n, m, row) for m in range(n)], n
+
+    def test_matches_per_entry_sum_on_bumped_rows(self, table40):
+        for n in (1, 2, 3, 7, 20, 40):
+            for j in sorted({0, n // 2, n - 1}):
+                for step in (1, -1):
+                    row = list(table40.rows[n])
+                    row[j] += step
+                    bumped = with_row(table40, n, row)
+                    assert rstirling_from_beta_row(n, bumped) == [
+                        ref_rstirling_from_beta(n, m, row) for m in range(n)], (n, j)
+
+    def test_rejects_rows_outside_the_table(self, table8):
+        for n in (0, 9):
+            with pytest.raises(ValueError):
+                rstirling_from_beta_row(n, table8)
 
     def test_round_trip_reproduces_rows(self, table8):
         for n in range(1, 9):
-            stirlings = [rstirling_from_beta(n, m, table8) for m in range(n)]
+            stirlings = rstirling_from_beta_row(n, table8)
             for k in range(n):
                 back = sum((-1) ** m * comb(2 * n - 1, k - m) * stirlings[m]
                            for m in range(k + 1))

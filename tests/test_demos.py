@@ -1,10 +1,11 @@
 """Every demo script runs to completion against the package in ``src/``."""
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -16,9 +17,6 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, timeout=120, env=env, cwd=ROOT)
+                          text=True, timeout=120, env=src_env(), cwd=ROOT)
     assert proc.returncode == 0, proc.stderr

@@ -284,6 +284,31 @@ def bumped(seq):
                 yield seq[:j] + [seq[j] + step] + seq[j + 1:]
 
 
+def lemma1_precondition_sequences():
+    """Positive sequences whose weighted row a_j = j! c_j has non-increasing
+    ratios p_j / D, so they meet the Lemma 1 precondition by construction.
+
+    a_0 = s (L-1)! D^(L-1) makes every a_j = a_0 p_1 ... p_j / D^j a
+    multiple of (L-1)!, hence c_j = a_j / j! an integer; equal p's give
+    exact ties.
+    """
+    return st.tuples(
+        st.lists(st.integers(min_value=1, max_value=60), max_size=11),
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=1, max_value=1000),
+    ).map(_precondition_row)
+
+
+def _precondition_row(args):
+    ratios, denom, scale = args
+    ratios = sorted(ratios, reverse=True)
+    length = len(ratios) + 1
+    a = [scale * factorial(length - 1) * denom ** (length - 1)]
+    for p in ratios:
+        a.append(a[-1] * p // denom)
+    return [a_j // factorial(j) for j, a_j in enumerate(a)]
+
+
 class TestScreenMatchesExactReference:
     @pytest.mark.parametrize("length", [1, 2, 3, 4, 9, 25])
     def test_exact_ties(self, length):
@@ -324,3 +349,11 @@ class TestScreenMatchesExactReference:
                     min_size=1, max_size=12))
     def test_random_positive_sequences(self, seq):
         assert_matches_reference(seq)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lemma1_precondition_sequences())
+    def test_lemma1_on_its_precondition(self, seq):
+        # every example meets the precondition, so the pair scan of the
+        # reference runs in full and must agree that the inequality holds
+        assert outcome(ref_is_log_concave_weighted, seq) == (True, None)
+        assert outcome(check_lemma1, seq) == outcome(ref_check_lemma1, seq) == (True, None)
