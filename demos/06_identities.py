@@ -33,7 +33,7 @@ for n in (1, 5, 8, 12):
     left, right = factorial_identity(n)
     print(f"  n={n:2d}: {left} == {right}: {left == right}")
 
-print("\ninversion round trip: row -> r-Stirling numbers -> compare direct:")
+print("\ninversion: row -> r-Stirling numbers -> compare direct:")
 for n in (3, 7, 15):
     inverted = rstirling_from_beta_row(n, table)
     direct = [rstirling_shifted(n - 1 + m, m, n) for m in range(n)]

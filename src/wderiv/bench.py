@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 
-from . import closed_forms, triangle
+from . import closed_forms, triangle, verify
 
 __all__ = ["run_bench"]
 
@@ -23,7 +23,7 @@ def run_bench(n_max: int, routes: tuple[str, ...], reps: int) -> str:
         raise ValueError("n_max must be >= 1")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    unknown = set(routes) - set(closed_forms.ROUTE_ROWS) - {"recurrence"}
+    unknown = set(routes) - set(verify.ROUTE_NAMES)
     if unknown:
         raise ValueError(f"unknown routes: {sorted(unknown)}")
 

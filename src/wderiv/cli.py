@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -34,10 +35,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the exact verification battery")
     p_verify.add_argument("--n-max", type=int, default=None,
-                          help="row limit for all checks (default: "
-                               f"{verify.DEFAULT_ROUTE_N_MAX} for route agreement, "
-                               f"{verify.DEFAULT_PROPERTY_N_MAX} for the "
-                               "recurrence-only property checks)")
+                          help="row limit for all checks, Carlitz kappa at most "
+                               f"{verify.DEFAULT_CARLITZ_KAPPA_MAX} (default: routes "
+                               f"{verify.DEFAULT_ROUTE_N_MAX}, properties "
+                               f"{verify.DEFAULT_PROPERTY_N_MAX}, identities "
+                               f"{verify.DEFAULT_ROUTE_N_MAX}, Carlitz kappa "
+                               f"{verify.DEFAULT_CARLITZ_KAPPA_MAX}; with --table, "
+                               "the table's n_max)")
     p_verify.add_argument("--table", default=None,
                           help="verify a table loaded from this CSV/JSON file "
                                "instead of a freshly built one")
@@ -66,12 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _open_out(out: str | None):
+    """The ``--out`` file opened for writing, or stdout (left open) if None."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(out, "w", encoding="ascii", newline="")
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -80,11 +83,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     # raise it before any output exists, so nothing is left half-written.
     for row in table.rows[1:]:
         str(max(map(abs, row)))
-    if args.out is None:
-        tableio.write_table(table, sys.stdout, args.format)
-    else:
-        with open(args.out, "w", encoding="ascii", newline="") as fh:
-            tableio.write_table(table, fh, args.format)
+    with _open_out(args.out) as fh:
+        tableio.write_table(table, fh, args.format)
     return 0
 
 
@@ -153,7 +153,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     routes = tuple(r for r in args.routes.split(",") if r)
-    _write_output(bench.run_bench(args.n_max, routes, args.reps), args.out)
+    csv = bench.run_bench(args.n_max, routes, args.reps)  # before --out exists
+    with _open_out(args.out) as fh:
+        fh.write(csv)
     return 0
 
 

@@ -16,15 +16,18 @@ Bernoulli polynomials of negative integer order and iterated forward
 differences of a power.  Each computes its n inner values once and shares
 one binomial convolution, so these four check the normalisation identities,
 not the kernel sum itself; the last three normalise one power sum,
-Delta^m x^p at x = r.  Every route returns a whole row; the convolution
-asserts that each entry is an integer, raising :class:`ConsistencyError`
-otherwise.  The inversion ``rstirling_from_beta_row`` runs the same
-triangular sum with the kernel of (1-w)^-(2n-1).
+Delta^m x^p at x = r.  Every route returns a whole row.  Each inner value
+is a signed r-Stirling number, so the convolution asserts that it is an
+integer, raising :class:`ConsistencyError` otherwise, and then works on
+integers alone.  The inversion ``rstirling_from_beta_row`` runs the same
+triangular sum with the kernel of (1-w)^-(2n-1); the two kernels are
+inverse power series, so convolving the inverted values back gives any
+integer row, and only the inverted values themselves are worth checking.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import mul
 from typing import Callable
 
@@ -52,7 +55,7 @@ class ConsistencyError(ArithmeticError):
     """An integer-valued sum came out with a denominator != 1 (a bug, not bad input)."""
 
 
-def _as_integer(total: Fraction, context: str) -> int:
+def _as_integer(total: int | Fraction, context: str) -> int:
     if total.denominator != 1:
         raise ConsistencyError(f"{context}: non-integer result {total}")
     return total.numerator
@@ -71,18 +74,12 @@ def _triangular(kernel: list[int], values: list[int]) -> list[int]:
 def _convolve(n: int, inner: list[int | Fraction], context: str) -> tuple[int, ...]:
     """Row n of the kernel sum: entry k is sum_{m<=k} C(2n-1, k-m) inner[m].
 
-    The inner values are brought to one denominator, so the row costs O(n^2)
-    integer operations; an entry that is not an integer raises
-    :class:`ConsistencyError`.
+    An inner value that is not an integer raises :class:`ConsistencyError`
+    naming its index m.  The kernel's diagonal entry C(2n-1, 0) is 1, so m is
+    also the first entry that would not be an integer.
     """
-    inner = [Fraction(v) for v in inner]
-    denom = lcm(*(v.denominator for v in inner))
-    scaled = [v.numerator * (denom // v.denominator) for v in inner]
-    binoms = [comb(2 * n - 1, j) for j in range(len(inner))]
-    return tuple(
-        _as_integer(Fraction(total, denom), f"{context}({n})[{k}]")
-        for k, total in enumerate(_triangular(binoms, scaled))
-    )
+    values = [_as_integer(v, f"{context}({n})[{m}]") for m, v in enumerate(inner)]
+    return tuple(_triangular([comb(2 * n - 1, j) for j in range(len(values))], values))
 
 
 def _power_diff(m: int, p: int, r: int | Fraction) -> int | Fraction:

@@ -2,19 +2,23 @@
 
 Every verdict here is exact: the property checks screen comparisons with
 bounded-error floats but decide every close call with integers (see
-``properties``).  The checks:
+``properties``).  Every check run here can fail on some table.  The checks:
 
 * route agreement: every table entry against the recurrence (always over
   the full table, so any corrupted entry is caught) and against the chosen
   closed-form routes up to a configurable row; when the table was itself
   built by the recurrence, that first comparison only checks determinism;
 * sequence properties per row: positivity, log-concavity of the row and of
-  k! times the row, unimodality, the strict ratio bound and the binomial
-  inequality (the latter two for n >= 3; the binomial inequality is decided
-  by its precondition, the k!-weighted log-concavity);
+  k! times the row, unimodality and the strict ratio bound (for n >= 3).
+  The weighted log-concavity decides the binomial inequality (Lemma 1), so
+  the Lemma 1 check is not run on top of it.  It also implies the plain
+  log-concavity, which in a positive row implies unimodality; those two can
+  still fail where it fails, so each is reported;
 * identities: the alternating row sum against (2n-3)!!, the factorial
-  identity for the last entry, and the inversion round trip
-  row -> r-Stirling values -> row, one row at a time;
+  identity for the last entry, and the inversion row -> r-Stirling values
+  against the direct r-Stirling values, one row at a time.  Convolving the
+  inverted values back gives the row for any integer row, so that round
+  trip is not run;
 * row sums of the Carlitz-style triangle against (2 kappa - 1)!! at several
   lambda values (checking lambda-independence empirically).
 
@@ -107,7 +111,11 @@ def verify_routes(
 def verify_properties(
     table: CoefficientTable, n_max: int | None = None
 ) -> list[CheckFailure]:
-    """Run every sequence-property check on each row up to n_max (default 200)."""
+    """Run the sequence-property checks on each row up to n_max (default 200).
+
+    The binomial inequality is decided by the k!-weighted log-concavity
+    reported here, so it gets no check of its own.
+    """
     n_max = _horizon(n_max, DEFAULT_PROPERTY_N_MAX, table.n_max)
     failures: list[CheckFailure] = []
     for n in range(1, n_max + 1):
@@ -116,12 +124,9 @@ def verify_properties(
         reports = [positive, properties.is_unimodal(row)]
         if positive.holds:
             reports.append(properties.is_log_concave(row))
-            weighted = properties.is_log_concave_weighted(row)
-            reports.append(weighted)
+            reports.append(properties.is_log_concave_weighted(row))
             if n >= 3:
                 reports.append(properties.check_ratio_bound(n, row))
-                if weighted.holds:
-                    reports.append(properties.check_lemma1(row))
         for report in reports:
             if not report.holds:
                 failures.append(CheckFailure(
@@ -133,7 +138,7 @@ def verify_properties(
 def verify_identities(
     table: CoefficientTable, n_max: int | None = None
 ) -> list[CheckFailure]:
-    """Alternating sum, factorial identity and inversion round trip per row.
+    """Alternating sum, factorial identity and inversion per row.
 
     Rows run up to n_max (default 40).
     """
@@ -154,38 +159,23 @@ def verify_identities(
                 n, None, "identity:factorial",
                 f"left {left} != (n-1)! = {right}"))
 
-        # round trip: row -> r-Stirling values -> row
         stirlings = closed_forms.rstirling_from_beta_row(n, table)
         for m, (s, direct) in enumerate(zip(stirlings, directs)):
             if s != direct:
                 failures.append(CheckFailure(
                     n, m, "identity:inversion",
                     f"inverted value {s} != direct r-Stirling {direct}"))
-        signed = [(-1) ** m * s for m, s in enumerate(stirlings)]
-        reassembled = closed_forms._convolve(n, signed, "inversion_roundtrip")
-        for k, (back, entry) in enumerate(zip(reassembled, table.rows[n])):
-            if back != entry:
-                failures.append(CheckFailure(
-                    n, k, "identity:inversion_roundtrip",
-                    f"reassembled {back} != table entry {entry}"))
     return failures
 
 
 def lambda_values(kappa: int, samples: int) -> list[int]:
-    """Deterministic distinct lambda values for the row-sum check."""
-    pool = [kappa + 1, 0, 7, 11, 13, -3, 17, 19, 23, -5]
-    out: list[int] = []
-    for lam in pool:
-        if lam not in out:
-            out.append(lam)
-        if len(out) == samples:
-            return out
-    base = 29
-    while len(out) < samples:
-        if base not in out:
-            out.append(base)
-        base += 2
-    return out
+    """Deterministic distinct lambda values for the row-sum check, samples >= 1.
+
+    kappa + 1 first, then a fixed pool, then the odd numbers from 29.
+    """
+    pool = (kappa + 1, 0, 7, 11, 13, -3, 17, 19, 23, -5,
+            *range(29, 31 + 2 * samples, 2))
+    return list(dict.fromkeys(pool))[:samples]
 
 
 def verify_carlitz_sums(kappa_max: int, samples: int = 3) -> list[CheckFailure]:

@@ -325,6 +325,24 @@ class TestBenchCommand:
         code, _, err = run_cli(capsys, "bench", "--n-max", "5", "--routes", "magic")
         assert code == 2
 
+    def test_unknown_route_leaves_no_out_file(self, capsys, tmp_path):
+        path = tmp_path / "bench.csv"
+        code, out, err = run_cli(capsys, "bench", "--n-max", "3",
+                                 "--routes", "nosuch", "--out", str(path))
+        assert code == 2
+        assert (out, err) == ("", "error: unknown routes: ['nosuch']\n")
+        assert not path.exists()
+
+    def test_out_file_holds_the_csv(self, capsys, tmp_path):
+        path = tmp_path / "bench.csv"
+        code, out, _ = run_cli(capsys, "bench", "--n-max", "2", "--reps", "1",
+                               "--routes", "recurrence", "--out", str(path))
+        assert (code, out) == (0, "")
+        lines = path.read_bytes().decode("ascii").split("\n")
+        assert lines[0] == "route,n,nanoseconds,max_bits"
+        assert [line.split(",")[:2] for line in lines[1:3]] == [
+            ["recurrence", "1"], ["recurrence", "2"]]
+
     def test_accepts_every_verify_route(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--n-max", "3", "--reps", "1",
                                "--routes", ",".join(ROUTE_NAMES))
@@ -338,6 +356,18 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_verify_help_names_every_default_horizon(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for stage, default in [("routes", verify.DEFAULT_ROUTE_N_MAX),
+                               ("properties", verify.DEFAULT_PROPERTY_N_MAX),
+                               ("identities", verify.DEFAULT_ROUTE_N_MAX),
+                               ("Carlitz kappa", verify.DEFAULT_CARLITZ_KAPPA_MAX)]:
+            assert f"{stage} {default}" in text, stage
+        assert "recurrence-only" not in text
 
     def test_module_entry_point(self):
         proc = subprocess.run(

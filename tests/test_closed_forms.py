@@ -178,6 +178,13 @@ class TestRouteRegistry:
         with pytest.raises(ConsistencyError, match=r"test\(2\)\[0\]"):
             _convolve(2, [Fraction(1, 2), 0], "test")
 
+    def test_non_integral_inner_value_is_named_by_its_index(self):
+        for m in range(5):
+            inner = [3, -1, 4, -1, 5]
+            inner[m] += Fraction(1, 2)
+            with pytest.raises(ConsistencyError, match=rf"test\(5\)\[{m}\]: "):
+                _convolve(5, inner, "test")
+
 
 def ref_rstirling_from_beta(n, m, row):
     """The inversion sum one entry at a time, with a comb per term."""
@@ -223,6 +230,20 @@ class TestInversion:
         for n in (0, 9):
             with pytest.raises(ValueError):
                 rstirling_from_beta_row(n, table8)
+
+    # The two kernels are inverse power series, so inverting any integer row
+    # and convolving the signed values back gives the row: this is why the
+    # round trip is no check of a table.
+    @settings(max_examples=200)
+    @given(st.integers(min_value=1, max_value=24).flatmap(
+        lambda n: st.lists(st.integers(min_value=-(10**40), max_value=10**40),
+                           min_size=n, max_size=n)))
+    def test_convolution_inverts_any_integer_row(self, row):
+        n = len(row)
+        table = with_row(build_table(n), n, row)
+        stirlings = rstirling_from_beta_row(n, table)
+        signed = [-s if m % 2 else s for m, s in enumerate(stirlings)]
+        assert _convolve(n, signed, "test") == tuple(row)
 
     def test_round_trip_reproduces_rows(self, table8):
         for n in range(1, 9):

@@ -1,9 +1,10 @@
 """Byte-stability of the CLI: outputs compared with committed expected bytes.
 
 The files under ``golden/`` were captured from the CLI before the
-closed-form routes moved to whole rows; any change to a route, a check, the
-failure order or the text formats shows up here as a diff.  The bench
-output has its ``nanoseconds`` column dropped, since wall times vary.
+closed-form routes moved to whole rows (the raised-entry pair before the
+battery dropped its checks that could not fail); any change to a route, a
+check, the failure order or the text formats shows up here as a diff.  The
+bench output has its ``nanoseconds`` column dropped, since wall times vary.
 """
 from pathlib import Path
 
@@ -39,6 +40,16 @@ def test_verify_bumped_table_lists_every_failure(capsys):
                     str(GOLDEN / "table12_bumped_9_4.json"))
     assert code == 1
     assert out == expected("verify_table_bumped_9_4.txt")
+
+
+def test_verify_table_breaking_log_concavity(capsys):
+    # entry (10, 7) of a 12-row table raised a millionfold: besides the routes
+    # and identities, plain and weighted log-concavity, unimodality and the
+    # ratio bound fail, so the binomial inequality is never reached
+    code, out = run(capsys, "verify", "--table",
+                    str(GOLDEN / "table12_raised_10_7.json"))
+    assert code == 1
+    assert out == expected("verify_table_raised_10_7.txt")
 
 
 def test_bench_rows_and_bits(capsys):

@@ -4,7 +4,7 @@ import re
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wderiv import (
     CoefficientTable,
@@ -157,6 +157,32 @@ LOAD_EDGES = {
     "empty": "",
     "whitespace_only": " \t\n\r\n\x0b ",
 }
+
+
+@st.composite
+def random_tables(draw):
+    """Tables of 1 to 12 rows with zero, negative and up-to-2^200 entries."""
+    n_max = draw(st.integers(min_value=1, max_value=12))
+    entry = st.integers(min_value=-(2**200), max_value=2**200)
+    rows = tuple(tuple(draw(st.lists(entry, min_size=n, max_size=n)))
+                 for n in range(1, n_max + 1))
+    return CoefficientTable(n_max, ((),) + rows)
+
+
+class TestRandomRoundTrip:
+    @settings(max_examples=150)
+    @given(random_tables())
+    def test_parse_inverts_both_writers(self, table):
+        assert parse_table(table_to_csv(table)) == table
+        assert parse_table(table_to_json(table)) == table
+
+    @settings(max_examples=100)
+    @given(random_tables(), st.sampled_from(["csv", "json"]))
+    def test_load_inverts_write_table(self, tmp_path_factory, table, fmt):
+        path = tmp_path_factory.getbasetemp() / f"random_table.{fmt}"
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            write_table(table, fh, fmt)
+        assert load_table(str(path)) == table
 
 
 class TestSniffAndLoad:
