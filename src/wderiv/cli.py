@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* ``table``  -- emit the coefficient triangle as CSV or JSON,
+* ``table``  -- emit the coefficient triangle as CSV or JSON, each row made
+  in exact decimal arithmetic and written as soon as it is made,
 * ``verify`` -- run the exact verification battery, exit 0 iff it all holds,
 * ``eval``   -- evaluate W(x) and one derivative, 17 significant digits,
 * ``bench``  -- time the routes row by row and report peak entry bit sizes.
@@ -78,13 +79,10 @@ def _open_out(out: str | None):
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    table = triangle.build_table(args.n_max)
-    # An entry past the interpreter's int-string limit makes str() raise;
-    # raise it before any output exists, so nothing is left half-written.
-    for row in table.rows[1:]:
-        str(max(map(abs, row)))
+    # raises before --out exists, e.g. past the int-string limit
+    chunks = tableio.built_table_chunks(args.n_max, args.format)
     with _open_out(args.out) as fh:
-        tableio.write_table(table, fh, args.format)
+        fh.writelines(chunks)
     return 0
 
 

@@ -252,9 +252,10 @@ def pn_series_eval(n: int, w: float, rel_tol: float = 1e-10) -> float:
             rational = Fraction(ns ** (ns - 1), factorial(s)) * w_exact**s
             try:
                 t = float(rational) * exp(ns * w)
-            except OverflowError as err:
-                raise ConvergenceError(
-                    f"series term overflow at n={n}, w={w}, s={s}") from err
+            except OverflowError:
+                t = math.inf
+            if not math.isfinite(t):  # the product overflows to inf without raising
+                raise ConvergenceError(f"series term overflow at n={n}, w={w}, s={s}")
             yield -t if (ns - 1) % 2 else t
 
     return (_settled_sum(terms(), rel_tol, f"series for p_{n}({w})")
@@ -283,11 +284,26 @@ def bernstein_scan(
 
 
 def log_grid(lo: float, hi: float, count: int) -> list[float]:
-    """count points spaced evenly in log10 between lo and hi inclusive."""
+    """count points spaced evenly in log10 between lo and hi inclusive.
+
+    The end points are ``lo`` and ``hi`` themselves; every point is finite
+    and lies in [lo, hi], also where 10**e rounds past either end.
+    """
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"lo and hi must be finite, got {lo}, {hi}")
     if not (lo > 0.0 and hi > lo):
         raise ValueError("need 0 < lo < hi")
     if count < 2:
         raise ValueError("count must be >= 2")
     e_lo = math.log10(lo)
     e_hi = math.log10(hi)
-    return [10.0 ** (e_lo + (e_hi - e_lo) * i / (count - 1)) for i in range(count)]
+
+    def inner(i: int) -> float:
+        try:
+            point = 10.0 ** (e_lo + (e_hi - e_lo) * i / (count - 1))
+        except OverflowError:  # only near the largest float, so past hi
+            return hi
+        return min(max(point, lo), hi)
+
+    return [lo] + [inner(i) for i in range(1, count - 1)] + [hi]

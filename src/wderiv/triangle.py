@@ -24,9 +24,11 @@ module rounds.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import TypeVar
 
 __all__ = [
     "CoefficientTable",
@@ -37,6 +39,9 @@ __all__ = [
     "alternating_sum",
     "double_factorial",
 ]
+
+_Entry = TypeVar("_Entry")  # int, or Decimal in an unrounded context
+
 
 @dataclass(frozen=True)
 class CoefficientTable:
@@ -91,14 +96,25 @@ def recurrence_step(n: int, row: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
+def _rows(n_max: int, first: _Entry) -> Iterator[tuple[_Entry, ...]]:
+    """Rows 1..n_max of the triangle, each made from the one before.
+
+    Row 1 is ``(first,)``: ``1`` gives int rows, ``Decimal(1)`` gives the
+    same entries as ``Decimal`` values (exact only in an unrounded context).
+    Only the current row is held.
+    """
+    row = (first,)
+    yield row
+    for n in range(1, n_max):
+        row = recurrence_step(n, row)
+        yield row
+
+
 def build_table(n_max: int) -> CoefficientTable:
     """Build the triangle for 1 <= n <= n_max by the recurrence route."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    rows: list[tuple[int, ...]] = [(), (1,)]
-    for n in range(1, n_max):
-        rows.append(recurrence_step(n, rows[n]))
-    return CoefficientTable(n_max=n_max, rows=tuple(rows))
+    return CoefficientTable(n_max=n_max, rows=((),) + tuple(_rows(n_max, 1)))
 
 
 def boundary_value(n: int, kind: str) -> int:

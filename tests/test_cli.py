@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,8 @@ from wderiv import (ROUTE_NAMES, build_table, closed_forms, parse_table_csv,
 from wderiv.cli import main
 from conftest import src_env
 from test_tableio import BAD_CSV_TABLES, BAD_JSON_TABLES
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -59,7 +63,7 @@ class TestTableCommand:
 
     @pytest.mark.parametrize("fmt, to_text", [("csv", table_to_csv),
                                               ("json", table_to_json)])
-    def test_stdout_bytes_equal_out_file(self, tmp_path, fmt, to_text):
+    def test_stdout_bytes_equal_out_file(self, capsys, tmp_path, fmt, to_text):
         path = tmp_path / f"table.{fmt}"
         cmd = [sys.executable, "-m", "wderiv", "table", "--n-max", "30", "--format", fmt]
         printed = subprocess.run(cmd, capture_output=True, timeout=60, check=True,
@@ -69,6 +73,30 @@ class TestTableCommand:
         assert written.stdout == b""
         assert printed.stdout == path.read_bytes()
         assert printed.stdout == to_text(build_table(30)).encode("ascii")
+        # the streamed decimal rows against the int table's writer, row by row
+        for n in range(1, 61):
+            argv = ["table", "--n-max", str(n), "--format", fmt]
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert run_cli(capsys, *argv, "--out", str(path)) == (0, "", "")
+            expected = to_text(build_table(n))
+            assert out == expected, n
+            assert path.read_bytes() == expected.encode("ascii"), n
+
+    @pytest.mark.parametrize("n_max", [1, 2, 30, 255, 400])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_golden_hashes(self, capsys, tmp_path, n_max, fmt):
+        # sha256 of each export as written before the rows were made in decimal
+        name = f"table_n{n_max}.{fmt}"
+        lines = (GOLDEN / "table_exports.sha256").read_text(encoding="ascii")
+        digest = dict(reversed(line.split()) for line in lines.splitlines())[name]
+        path = tmp_path / name
+        argv = ["table", "--n-max", str(n_max), "--format", fmt]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+        assert run_cli(capsys, *argv, "--out", str(path)) == (0, "", "")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestTableDigitLimit:
@@ -96,6 +124,26 @@ class TestTableDigitLimit:
                               "string conversion")
         assert out == ""
         assert not path.exists()
+
+    def test_message_is_cpythons(self, capsys, limit_640):
+        with pytest.raises(ValueError) as cpython:
+            str(10**640)
+        code, _, err = run_cli(capsys, "table", "--n-max", "256")
+        assert code == 2
+        assert err == f"error: {cpython.value}\n"
+
+    def test_limit_is_exact(self, capsys, limit_640):
+        # row 256's largest entry has 642 digits, no other entry more
+        table = build_table(256)
+        assert 10**641 <= max(table.rows[256]) < 10**642
+        sys.set_int_max_str_digits(641)
+        code, out, err = run_cli(capsys, "table", "--n-max", "256", "--format", "json")
+        assert (code, out) == (2, "")
+        assert "Exceeds the limit (641 digits)" in err
+        sys.set_int_max_str_digits(642)
+        code, out, _ = run_cli(capsys, "table", "--n-max", "256", "--format", "json")
+        assert code == 0
+        assert out == table_to_json(table)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_stdout_stays_empty(self, capsys, limit_640, fmt):

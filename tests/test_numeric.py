@@ -1,7 +1,10 @@
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wderiv import (
     MACHINE_EPS,
@@ -23,6 +26,15 @@ from wderiv import (
 # Omega constant: bisection on w*e^w = 1 to 1e-15, confirmed against an
 # independent multiprecision evaluation.
 OMEGA = 0.5671432904097838
+
+
+# log_grid bounds: any float, positive ones more often, and the edge cases
+BOUNDS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, 1e-310,
+                     sys.float_info.min, sys.float_info.max]),
+    st.floats(min_value=0.0),
+    st.floats(),
+)
 
 
 def rel_err(a, b):
@@ -185,6 +197,22 @@ class TestSeriesEvaluation:
         with pytest.raises(ConvergenceError):
             pn_series_eval(150, 0.2)
 
+    def test_infinite_term_faults_at_once(self):
+        # term s = 132 overflows to -inf without raising; summing on would
+        # build exact terms up to the 10^4 cap instead of returning
+        with pytest.raises(ConvergenceError,
+                           match=r"series term overflow at n=120, w=0\.2, s=132"):
+            pn_series_eval(120, 0.2)
+
+    def test_finite_values_unchanged_by_the_overflow_check(self):
+        # float.hex of each value before the check existed.  They pin the
+        # bits, not the accuracy: from n = 13 at w = 0.2 the cancellation
+        # between terms already costs more than rel_tol.
+        path = Path(__file__).parent / "golden" / "pn_series_grid.txt"
+        for line in path.read_text(encoding="ascii").splitlines():
+            n, w, value = line.split()
+            assert pn_series_eval(int(n), float(w)).hex() == value, (n, w)
+
 
 class TestBernsteinScan:
     def test_holds_on_small_scan(self, table8):
@@ -224,9 +252,29 @@ class TestLogGrid:
         assert grid[-1] == 1e6
 
     def test_validation(self):
+        for lo, hi in ((1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+                       (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                log_grid(lo, hi, 3)
         with pytest.raises(ValueError):
             log_grid(0.0, 1.0, 10)
         with pytest.raises(ValueError):
             log_grid(2.0, 1.0, 10)
         with pytest.raises(ValueError):
             log_grid(1.0, 2.0, 1)
+
+    def test_largest_float_as_hi(self):
+        top = 1.7976931348623157e308
+        assert log_grid(1.0, top, 3) == [1.0, 10.0 ** (math.log10(top) / 2), top]
+
+    @settings(max_examples=300)
+    @given(lo=BOUNDS, hi=BOUNDS, count=st.integers(min_value=2, max_value=40))
+    def test_points_stay_finite_and_inside(self, lo, hi, count):
+        if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
+            with pytest.raises(ValueError):
+                log_grid(lo, hi, count)
+            return
+        grid = log_grid(lo, hi, count)
+        assert len(grid) == count
+        assert grid[0] == lo and grid[-1] == hi
+        assert all(math.isfinite(x) and lo <= x <= hi for x in grid)

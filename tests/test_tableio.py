@@ -1,3 +1,4 @@
+import decimal
 import io
 import json
 import re
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from wderiv import (
     CoefficientTable,
     build_table,
+    built_table_chunks,
     load_table,
     parse_table,
     parse_table_csv,
@@ -66,6 +68,30 @@ class TestWriters:
         with pytest.raises(ValueError, match="table format must be 'csv' or 'json'"):
             write_table(build_table(2), fh, "xml")
         assert fh.getvalue() == ""
+
+
+class TestBuiltTableChunks:
+    """The decimal export: the same bytes as the int table's writer."""
+
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_bytes_match_the_int_table(self, fmt):
+        for n_max in (1, 2, 3, 45):
+            expected = FORMATS[fmt][0](build_table(n_max))
+            assert "".join(built_table_chunks(n_max, fmt)) == expected
+
+    def test_arguments_are_checked_before_it_returns(self):
+        with pytest.raises(ValueError, match="table format must be 'csv' or 'json'"):
+            built_table_chunks(3, "xml")
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            built_table_chunks(0, "csv")
+
+    def test_callers_decimal_context_is_left_alone(self):
+        # the exact context is entered only while a row is being made
+        with decimal.localcontext() as ctx:
+            ctx.prec = 7
+            for _ in built_table_chunks(40, "json"):
+                assert decimal.getcontext() is ctx
+            assert decimal.Decimal(1) / 3 == decimal.Decimal("0.3333333")
 
 
 class TestCsv:
