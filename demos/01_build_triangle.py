@@ -8,6 +8,8 @@ and p_n(w) = (-1)^(n-1) sum_k beta(n, k) w^k with positive integer
 coefficients beta(n, k).  This script builds the triangle row by row and
 shows the closed forms for its boundary entries.
 """
+import sys
+
 from wderiv import boundary_value, build_table
 
 N_MAX = 10
@@ -30,6 +32,7 @@ print("  beta(n, 0)   = n^(n-1)")
 print("  beta(n, 1)   = 3n^n - (n+1)^n - n^(n-1)")
 print("  beta(n, n-1) = (n-1)!")
 print("  beta(n, n-2) = (2n-2)(n-1)!\n")
+verdicts = []
 for n in (5, 8, 10):
     row = table.rows[n]
     checks = [
@@ -39,6 +42,7 @@ for n in (5, 8, 10):
         ("last", row[n - 1]),
     ]
     status = all(boundary_value(n, kind) == value for kind, value in checks)
+    verdicts.append(status)
     print(f"  n={n:2d}: closed forms match the row: {status}")
 
 print("\nentries grow fast; beta(n, 0) = n^(n-1) alone needs")
@@ -46,3 +50,4 @@ for n in (16, 64, 200):
     bits = (n ** (n - 1)).bit_length()
     print(f"  {bits:5d} bits at n = {n}")
 print("so the whole triangle is kept in exact integers.")
+sys.exit(0 if all(verdicts) else 1)

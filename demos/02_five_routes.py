@@ -10,6 +10,7 @@ kernel sum in four normalisations, so their agreement checks the
 normalisation identities, not the kernel sum itself.  All routes must agree
 bit for bit.
 """
+import sys
 import time
 
 from wderiv import ROUTE_ROWS, build_table
@@ -19,11 +20,13 @@ N = 12
 table = build_table(N)
 print(f"row {N} by the recurrence:\n  {list(table.rows[N])}\n")
 
+verdicts = []
 for name, row_of in ROUTE_ROWS.items():
     t0 = time.perf_counter()
     row = row_of(N)
     dt = (time.perf_counter() - t0) * 1e3
     match = row == table.rows[N]
+    verdicts.append(match)
     print(f"  {name:10s}: match={match}  ({dt:6.2f} ms)")
 
 print("\nchecking every row up to n = 20 against every route...")
@@ -34,3 +37,4 @@ for n in range(1, 21):
         mismatches += sum(got != want for got, want in zip(row_of(n), table.rows[n]))
 print(f"entries checked: {20 * 21 // 2}, route values compared: "
       f"{len(ROUTE_ROWS) * 20 * 21 // 2}, mismatches: {mismatches}")
+sys.exit(0 if all(verdicts) and mismatches == 0 else 1)

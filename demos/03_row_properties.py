@@ -1,15 +1,19 @@
 """Structural properties of the coefficient rows, checked exactly.
 
-Each row is positive, log-concave (also after weighting entry k by k!),
-and therefore unimodal; the ratios (k+1) beta(n,k+1) / beta(n,k) stay
-below n - 1; and the entries satisfy the binomial inequality
-c_k c_m >= C(k+m, k) c_0 c_{k+m}.  Floats with a stated error bound
-screen the log-concavity comparisons, and exact integers decide every
-close call, so a pass is a proof for the rows checked.  The binomial
-inequality needs no scan of its own: the k!-weighted row a_k = k! c_k is
-log-concave, so its ratios a_{k+1}/a_k do not increase, and that gives
-a_k a_m >= a_0 a_{k+m}, the inequality multiplied through by k! m!.
+Each row is positive and log-concave after weighting entry k by k!, which
+is checked on the row itself as (k+1) c_{k-1} c_{k+1} <= k c_k^2 (the
+weighted inequality divided by (k-1)! k!).  That one fact gives the rest:
+the row is log-concave, since (k+1)/k > 1, and therefore unimodal; and the
+entries satisfy the binomial inequality c_k c_m >= C(k+m, k) c_0 c_{k+m},
+because the ratios a_{k+1}/a_k of a_k = k! c_k do not increase, which gives
+a_k a_m >= a_0 a_{k+m}, the inequality multiplied through by k! m!.  The
+ratios (k+1) beta(n,k+1) / beta(n,k) also stay below n - 1.  Floats with a
+stated error bound screen the log-concavity comparisons, and exact integers
+decide every close call, so a pass is a proof for the rows checked.  The
+script exits 1 if any row fails a property.
 """
+import sys
+
 from wderiv import (
     build_table,
     check_lemma1,
@@ -58,3 +62,4 @@ clean = all(
     for n in range(1, 61)
 )
 print(f"  every property holds on every row: {clean}")
+sys.exit(0 if clean else 1)

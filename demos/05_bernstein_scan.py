@@ -6,6 +6,8 @@ W alternate in sign: (-1)^(n-1) d^nW/dx^n > 0.  That sign law follows from
 the positivity of the coefficient triangle, and this scan confirms the
 floating-point pipeline reproduces it on a grid.
 """
+import sys
+
 from wderiv import bernstein_scan, build_table, log_grid, w_derivative
 
 N_MAX = 12
@@ -30,3 +32,4 @@ values = [w_derivative(1, x, table).value for x in GRID]
 decreasing = all(a > b for a, b in zip(values, values[1:]))
 print(f"  W'({GRID[0]:g}) = {values[0]:.6f} > ... > W'({GRID[-1]:g}) = "
       f"{values[-1]:.6f}: {decreasing}")
+sys.exit(0 if report.holds and decreasing else 1)

@@ -78,6 +78,13 @@ def _open_out(out: str | None):
     return open(out, "w", encoding="ascii", newline="")
 
 
+def _routes(text: str) -> tuple[str, ...]:
+    """The names in a ``--routes`` comma list; naming none is a usage error."""
+    if not (routes := tuple(r for r in text.split(",") if r)):
+        raise ValueError(f"--routes names no route: {text!r}")
+    return routes
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
     # raises before --out exists, e.g. past the int-string limit
     chunks = tableio.built_table_chunks(args.n_max, args.format)
@@ -87,7 +94,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    routes = tuple(r for r in args.routes.split(",") if r)
+    routes = _routes(args.routes)
     # one horizon for every stage; None leaves each stage its own default
     horizon = args.n_max
     if args.table is not None:
@@ -150,8 +157,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    routes = tuple(r for r in args.routes.split(",") if r)
-    csv = bench.run_bench(args.n_max, routes, args.reps)  # before --out exists
+    csv = bench.run_bench(args.n_max, _routes(args.routes), args.reps)  # before --out exists
     with _open_out(args.out) as fh:
         fh.write(csv)
     return 0

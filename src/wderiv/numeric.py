@@ -177,8 +177,8 @@ def w_derivative_taylor(n: int, x: float, rel_tol: float = 1e-12) -> DerivativeV
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
+    if not 0.0 < rel_tol < math.inf:  # also false for nan
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     if not (math.isfinite(x) and abs(x) < 1.0 / math.e):
         raise ValueError(f"taylor route needs |x| < 1/e, got {x}")
     if x == 0.0:
@@ -238,8 +238,8 @@ def pn_series_eval(n: int, w: float, rel_tol: float = 1e-10) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
+    if not 0.0 < rel_tol < math.inf:  # also false for nan
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     if not (math.isfinite(w) and abs(w) <= _SERIES_W_BOUND):
         raise ValueError(f"series evaluation needs |w| <= {_SERIES_W_BOUND}, got {w}")
     if w == 0.0:

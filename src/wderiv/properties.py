@@ -4,20 +4,20 @@ Positivity, log-concavity (plain and k!-weighted), unimodality, the strict
 ratio bound (k+1) c_{k+1} < (n-1) c_k, and the binomial inequality
 c_k c_m >= C(k+m, k) c_0 c_{k+m}.  Inequalities that are usually written
 with ratios are decided in cross-multiplied integer form, never with
-rationals.  The log-concavity checks first screen each comparison with
-float logarithms whose error is bounded (see ``_screen``): a comparison
-whose float margin clears that bound holds for certain, and every closer
-call is decided by the exact integer test.  So a pass is still a proof,
-and each report is the one the exact tests alone give.  The binomial
-inequality follows from its checked precondition, the k!-weighted
-log-concavity, so it is decided by that check alone.
+rationals; the k!-weighted log-concavity of a row is decided on the row
+itself, so the far larger k!-scaled row is never built.  The log-concavity
+checks first screen each comparison with float logarithms whose error is
+bounded (see ``_log_concave``): a comparison whose float margin clears that
+bound holds for certain, and every closer call is decided by the exact
+integer test.  So a pass is still a proof, and each report is the one the
+exact tests alone give.  On a positive row the weighted log-concavity
+implies the plain one (hence unimodality) and the binomial inequality,
+which is therefore decided by it alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from math import log2
-from operator import mul
 from typing import Sequence
 
 __all__ = [
@@ -72,12 +72,12 @@ def is_positive(seq: Sequence[int]) -> PropertyReport:
     return PropertyReport("positive", True)
 
 
-def _screen(seq: Sequence[int]) -> tuple[list[float], float]:
-    """log2 of each (positive) entry, and the margin a float screen must clear.
-
-    The checks screen sums of four logs with coefficients +-1 or 2, such as
-    2 L[k] - L[k-1] - L[k+1].  A sum above the margin proves the strict
-    integer inequality; anything else goes to the exact test.
+def _log_concave(seq: Sequence[int], name: str, weighted: bool) -> PropertyReport:
+    """p c_{k-1} c_{k+1} <= q c_k^2 at every interior k: p = q = 1, or if
+    weighted p = k+1 and q = k, which is a_{k-1} a_{k+1} <= a_k^2 for
+    a_k = k! c_k divided through by (k-1)! k!.  With L = log2(c), a sum
+    2 L[k] - L[k-1] - L[k+1] - log2(p/q) above the margin 1e-9 max(1, M)
+    proves the strict inequality; anything else goes to the exact test.
 
     Error bound, with M = max |L| over the sequence.  math.log2 on an int
     below 2**1024 rounds it to a double (relative error 2**-53, so at most
@@ -85,41 +85,32 @@ def _screen(seq: Sequence[int]) -> tuple[list[float], float]:
     On a larger int it takes the 53-bit mantissa x of frexp (again at most
     2**-52 in the log), adds log2(x) in [-1, 0) (1 ulp, 2**-53) and the
     exact exponent (one rounding, 2**-53 |L|).  Either way one log is off
-    by at most 2**-51 (M + 1).  Four logs, 2 L[k] counting twice, and
-    three float roundings of values below 4M add at most
-    4 * 2**-51 (M + 1) + 3 * 2**-53 * 4M < 2**-48 (M + 1).  The margin
-    1e-9 max(1, M) > 2**-31 (M + 1) is over 10**5 times that bound.
+    by at most 2**-51 (M + 1).  The shift log2(p/q) is 0 or the log of a
+    rounded ratio in (1, 2], off by at most 2**-53 / ln 2 + 2**-52 < 2**-51.
+    Four logs, 2 L[k] counting twice, the shift and at most four float
+    roundings of values below 4M + 1 add at most 4 * 2**-51 (M + 1) +
+    2**-51 + 4 * 2**-53 (4M + 1) = 2**-49 (2M + 1.5) < 2**-48 (M + 1).  The
+    margin 1e-9 max(1, M) > 2**-31 (M + 1) is over 10**5 times that bound.
     """
+    _require_positive(seq)
     logs = list(map(log2, seq))
-    return logs, 1e-9 * max(1.0, max(map(abs, logs)))
-
-
-def _log_concave(
-    seq: Sequence[int], name: str, logs: list[float], tol: float
-) -> PropertyReport:
+    tol = 1e-9 * max(1.0, max(map(abs, logs)))
     for k in range(1, len(seq) - 1):
-        if (2 * logs[k] - logs[k - 1] - logs[k + 1] <= tol
-                and seq[k - 1] * seq[k + 1] > seq[k] * seq[k]):
+        p, q = (k + 1, k) if weighted else (1, 1)
+        if (2 * logs[k] - logs[k - 1] - logs[k + 1] - log2(p / q) <= tol
+                and p * seq[k - 1] * seq[k + 1] > q * seq[k] * seq[k]):
             return PropertyReport(name, False, first_violation=(k,))
     return PropertyReport(name, True)
 
 
-def _weighted(seq: Sequence[int]) -> list[int]:
-    """The row k! * c_k, with the factorials as a running product."""
-    return list(map(mul, accumulate(range(1, len(seq)), mul, initial=1), seq))
-
-
 def is_log_concave(seq: Sequence[int]) -> PropertyReport:
     """c_{k-1} c_{k+1} <= c_k^2 at every interior index (positive input only)."""
-    _require_positive(seq)
-    return _log_concave(seq, "log_concave", *_screen(seq))
+    return _log_concave(seq, "log_concave", weighted=False)
 
 
 def is_log_concave_weighted(seq: Sequence[int]) -> PropertyReport:
-    """Log-concavity of the weighted sequence k! * c_k."""
-    _require_positive(seq)
-    weighted = _weighted(seq)
-    return _log_concave(weighted, "log_concave_weighted", *_screen(weighted))
+    """Log-concavity of the weighted sequence k! * c_k (positive input only)."""
+    return _log_concave(seq, "log_concave_weighted", weighted=True)
 
 
 def is_unimodal(seq: Sequence[int]) -> PropertyReport:

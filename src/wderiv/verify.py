@@ -5,15 +5,16 @@ bounded-error floats but decide every close call with integers (see
 ``properties``).  Every check run here can fail on some table.  The checks:
 
 * route agreement: every table entry against the recurrence (always over
-  the full table, so any corrupted entry is caught) and against the chosen
-  closed-form routes up to a configurable row; when the table was itself
-  built by the recurrence, that first comparison only checks determinism;
-* sequence properties per row: positivity, log-concavity of the row and of
-  k! times the row, unimodality and the strict ratio bound (for n >= 3).
-  The weighted log-concavity decides the binomial inequality (Lemma 1), so
-  the Lemma 1 check is not run on top of it.  It also implies the plain
-  log-concavity, which in a positive row implies unimodality; those two can
-  still fail where it fails, so each is reported;
+  the full table, streamed one row at a time, so any corrupted entry is
+  caught) and against the chosen closed-form routes up to a configurable
+  row; when the table was itself built by the recurrence, that first
+  comparison only checks determinism;
+* sequence properties per row: positivity, log-concavity of k! times the
+  row (decided as (k+1) c_{k-1} c_{k+1} <= k c_k^2) and the strict ratio
+  bound (for n >= 3).  On a positive row that log-concavity decides the
+  binomial inequality (Lemma 1) and implies plain log-concavity, hence
+  unimodality; those two run only on rows where it fails (unimodality also
+  on rows that are not positive), which gives the failure list of all five;
 * identities: the alternating row sum against (2n-3)!!, the factorial
   identity for the last entry, and the inversion row -> r-Stirling values
   against the direct r-Stirling values, one row at a time.  Convolving the
@@ -78,14 +79,13 @@ def verify_routes(
 ) -> list[CheckFailure]:
     """Compare table rows against the requested routes.
 
-    The recurrence reference always covers every row of the table; the
-    closed-form routes are evaluated up to n_max (default 40), since each of
-    their rows costs O(n^2) big-integer operations.  The reference is a
-    fresh ``build_table``, so on a table built the same way it checks only
-    that the build is deterministic.
+    The recurrence reference always covers every row of the table, streamed
+    one row at a time; the closed-form routes are evaluated up to n_max
+    (default 40), since each of their rows costs O(n^2) big-integer
+    operations.  On a table built by the recurrence, the recurrence
+    comparison checks only that the build is deterministic.
     """
-    unknown = set(routes) - set(ROUTE_NAMES)
-    if unknown:
+    if unknown := set(routes) - set(ROUTE_NAMES):
         raise ValueError(f"unknown routes: {sorted(unknown)}")
     n_max = _horizon(n_max, DEFAULT_ROUTE_N_MAX, table.n_max)
     failures: list[CheckFailure] = []
@@ -97,9 +97,8 @@ def verify_routes(
                     n, k, f"route:{name}", f"table has {got}, {name} gives {want}"))
 
     if "recurrence" in routes:
-        reference = triangle.build_table(table.n_max)
-        for n in range(1, table.n_max + 1):
-            compare("recurrence", n, reference.rows[n])
+        for n, want_row in enumerate(triangle._rows(table.n_max, 1), 1):
+            compare("recurrence", n, want_row)
 
     for name, row_of in closed_forms.ROUTE_ROWS.items():
         if name in routes:
@@ -113,18 +112,22 @@ def verify_properties(
 ) -> list[CheckFailure]:
     """Run the sequence-property checks on each row up to n_max (default 200).
 
-    The binomial inequality is decided by the k!-weighted log-concavity
-    reported here, so it gets no check of its own.
+    Plain log-concavity and unimodality, implied on a positive row by the
+    k!-weighted log-concavity, run only where that fails.
     """
     n_max = _horizon(n_max, DEFAULT_PROPERTY_N_MAX, table.n_max)
     failures: list[CheckFailure] = []
     for n in range(1, n_max + 1):
         row = table.rows[n]
         positive = properties.is_positive(row)
-        reports = [positive, properties.is_unimodal(row)]
-        if positive.holds:
-            reports.append(properties.is_log_concave(row))
-            reports.append(properties.is_log_concave_weighted(row))
+        reports = [positive]
+        if not positive.holds:
+            reports.append(properties.is_unimodal(row))
+        else:
+            weighted = properties.is_log_concave_weighted(row)
+            if not weighted.holds:
+                reports += [properties.is_unimodal(row), properties.is_log_concave(row)]
+            reports.append(weighted)
             if n >= 3:
                 reports.append(properties.check_ratio_bound(n, row))
         for report in reports:

@@ -187,6 +187,12 @@ class TestVerifyCommand:
         assert code == 2
         assert "unknown routes" in err
 
+    @pytest.mark.parametrize("routes", ["", ",", ",,"])
+    def test_empty_route_list_is_usage_error(self, capsys, routes):
+        code, out, err = run_cli(capsys, "verify", "--n-max", "4", "--routes", routes)
+        assert (code, out) == (2, "")
+        assert err == f"error: --routes names no route: {routes!r}\n"
+
     def test_corrupted_table_detected(self, capsys, tmp_path):
         table = build_table(6)
         rows = [list(r) for r in table.rows]
@@ -345,6 +351,13 @@ class TestEvalCommand:
             assert out == "", argv  # nothing is written before the error
             assert err.startswith("error: "), argv
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-0.5"])
+    def test_bad_taylor_tolerance_exits_2(self, capsys, tol):
+        code, out, err = run_cli(capsys, "eval", "--x", "0.1", "--n", "3",
+                                 "--route", "taylor", "--tol-rel", tol)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: rel_tol must be finite and positive")
+
 
 class TestBenchCommand:
     def test_shape(self, capsys):
@@ -372,6 +385,15 @@ class TestBenchCommand:
     def test_unknown_route(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--n-max", "5", "--routes", "magic")
         assert code == 2
+
+    @pytest.mark.parametrize("routes", ["", ",,"])
+    def test_empty_route_list_leaves_no_out_file(self, capsys, tmp_path, routes):
+        path = tmp_path / "bench.csv"
+        code, out, err = run_cli(capsys, "bench", "--n-max", "3",
+                                 "--routes", routes, "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: --routes names no route: {routes!r}\n"
+        assert not path.exists()
 
     def test_unknown_route_leaves_no_out_file(self, capsys, tmp_path):
         path = tmp_path / "bench.csv"

@@ -140,6 +140,14 @@ class TestTaylorDerivative:
         with pytest.raises(ValueError):
             w_derivative_taylor(1, 0.1, rel_tol=0.0)
 
+    @pytest.mark.parametrize("x", [0.0, 0.1])
+    @pytest.mark.parametrize("rel_tol", [math.inf, math.nan, -math.inf])
+    def test_non_finite_tolerance_is_domain_error(self, x, rel_tol):
+        # inf used to stop the series after two terms (2.6 for 4.79 at n=3),
+        # nan to run it to the term cap
+        with pytest.raises(ValueError, match="finite and positive"):
+            w_derivative_taylor(3, x, rel_tol=rel_tol)
+
     def test_slow_convergence_near_radius_faults(self):
         with pytest.raises(ConvergenceError):
             w_derivative_taylor(1, 0.3678, 1e-12)
@@ -192,6 +200,13 @@ class TestSeriesEvaluation:
             pn_series_eval(0, 0.1)
         with pytest.raises(ValueError):
             pn_series_eval(1, 0.1, rel_tol=-1.0)
+
+    @pytest.mark.parametrize("w", [0.0, 0.1])
+    @pytest.mark.parametrize("rel_tol", [math.inf, math.nan, -math.inf])
+    def test_non_finite_tolerance_is_domain_error(self, w, rel_tol):
+        # inf used to return 4.189 for p_3(0.1) = 9.82
+        with pytest.raises(ValueError, match="finite and positive"):
+            pn_series_eval(3, w, rel_tol=rel_tol)
 
     def test_term_overflow_faults(self):
         with pytest.raises(ConvergenceError):

@@ -276,6 +276,19 @@ def log_concave_tie_row(length):
     return [2**j * 5**(length - 1 - j) * 3**1000 for j in range(length)]
 
 
+def weighted_unit_break_row(length):
+    """Plain log-concave, but (k+1) c_{k-1} c_{k+1} = k c_k^2 + 1 at
+    k = length - 2 (length >= 3): the (k+1)/k factor alone breaks the
+    weighted log-concavity there, by one unit.  Before k the weighted row is
+    geometric (exact ties); shorter lengths give a prefix of length 3.
+    """
+    k = max(length - 2, 1)
+    y = (k + 1) * 3**500 + 1  # y = 1 mod k+1, so k y^2 + 1 = 0 mod k+1
+    x = (k * y * y + 1) // (k + 1)
+    prefix = [x * factorial(k - 1) * 2**(k - 1 - j) // factorial(j) for j in range(k)]
+    return (prefix + [y, 1])[:length]
+
+
 def bumped(seq):
     """seq with one entry moved by +-1, for every entry that stays positive."""
     for j in range(len(seq)):
@@ -313,14 +326,16 @@ class TestScreenMatchesExactReference:
     @pytest.mark.parametrize("length", [1, 2, 3, 4, 9, 25])
     def test_exact_ties(self, length):
         for seq in (lemma1_tie_row(length, 1), lemma1_tie_row(length, 7),
-                    log_concave_tie_row(length)):
+                    log_concave_tie_row(length), weighted_unit_break_row(length)):
             assert_matches_reference(seq)
         assert check_lemma1(lemma1_tie_row(length, 7)).holds
         assert is_log_concave(log_concave_tie_row(length)).holds
+        assert is_log_concave(weighted_unit_break_row(length)).holds
 
     @pytest.mark.parametrize("length", [2, 3, 5, 12])
     def test_ties_bumped_in_the_last_bit(self, length):
-        for row in (lemma1_tie_row(length, 7), log_concave_tie_row(length)):
+        for row in (lemma1_tie_row(length, 7), log_concave_tie_row(length),
+                    weighted_unit_break_row(length)):
             for seq in bumped(row):
                 assert_matches_reference(seq)
 
@@ -343,6 +358,8 @@ class TestScreenMatchesExactReference:
         tie = lemma1_tie_row(4, 7)
         with pytest.raises(ValueError, match="log-concave"):
             check_lemma1(tie[:3] + [tie[3] + 1])
+        # the (k+1)/k factor alone, one unit past a tie, breaks k = 3
+        assert is_log_concave_weighted(weighted_unit_break_row(5)).first_violation == (3,)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=2**3000),
