@@ -95,28 +95,26 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     routes = _routes(args.routes)
-    # one horizon for every stage; None leaves each stage its own default
-    horizon = args.n_max
     if args.table is not None:
-        table = tableio.load_table(args.table)
-        if horizon is None:
-            horizon = table.n_max
+        n_max, failures = verify.verify_table_file(
+            args.table, routes, args.n_max, args.lambda_samples)
     else:
+        # one horizon for every stage; None leaves each stage its own default
         table = triangle.build_table(
-            verify.DEFAULT_PROPERTY_N_MAX if horizon is None else horizon)
-
-    failures = verify.run_verification(
-        table,
-        routes=routes,
-        route_n_max=horizon,
-        property_n_max=horizon,
-        identity_n_max=horizon,
-        lambda_samples=args.lambda_samples,
-    )
+            verify.DEFAULT_PROPERTY_N_MAX if args.n_max is None else args.n_max)
+        n_max = table.n_max
+        failures = verify.run_verification(
+            table,
+            routes=routes,
+            route_n_max=args.n_max,
+            property_n_max=args.n_max,
+            identity_n_max=args.n_max,
+            lambda_samples=args.lambda_samples,
+        )
     if args.format == "json":
         payload = {
             "passed": not failures,
-            "n_max": table.n_max,
+            "n_max": n_max,
             "failures": [
                 {"n": f.n, "k": f.k, "check": f.check, "detail": f.detail}
                 for f in failures
@@ -133,7 +131,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     f"FAIL n={f.n} k={f.k} check={f.check} {f.detail}\n")
         else:
             sys.stdout.write(
-                f"OK n_max={table.n_max} routes={','.join(routes)} "
+                f"OK n_max={n_max} routes={','.join(routes)} "
                 f"all checks passed\n")
     return 1 if failures else 0
 

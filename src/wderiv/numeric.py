@@ -51,6 +51,9 @@ ROUTE_TAYLOR = "taylor"
 ROUTE_FD = "finite_difference"
 
 _MAX_HALLEY_ITERATIONS = 50
+# Below this x the Halley step's products stay finite: from w0 = ln(1+x) <= 691,
+# |f| <= x*w0 and (w+2)*|f| < 5e305.  They overflow from about x = 3.6e302.
+_HALLEY_FINITE_X = 1e300
 _MAX_SERIES_TERMS = 10_000
 _SERIES_W_BOUND = 0.2  # |w| guard for the p_n series; term ratio ~ e|w|e^w < 1 here
 
@@ -96,7 +99,10 @@ def lambert_w(x: float) -> WEvaluation:
     """Principal-branch W(x) for finite x >= 0 by Halley's method.
 
     Start from w0 = ln(1+x); stop when the Halley step drops below
-    2*eps*(1+|w|) (or immediately on an exact root).  The converged value
+    2*eps*(1+|w|) (or immediately on an exact root).  Where the step's
+    products overflow (x from about 1e302) the step is taken with f and its
+    derivatives divided by e^w, so the whole float range converges; every
+    other step is left as it was.  The converged value
     is then nudged to whichever of its ulp neighbours minimises the
     measured defect |w*e^w - x|, so the reported residual is as small as
     binary64 permits.
@@ -105,13 +111,20 @@ def lambert_w(x: float) -> WEvaluation:
         raise ValueError(f"lambert_w needs finite x >= 0, got {x}")
     w = log1p(x)
     iterations = 0
+    large = x > _HALLEY_FINITE_X
     for _ in range(_MAX_HALLEY_ITERATIONS):
         ew = exp(w)
         f = w * ew - x
         if f == 0.0:
             break
         wp1 = w + 1.0
-        dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+        denominator = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
+        if large and not math.isfinite(denominator):
+            # the same step with f and the denominator divided by e^w
+            g = w - x * exp(-w)
+            dw = g / (wp1 - (w + 2.0) * g / (2.0 * wp1))
+        else:
+            dw = f / denominator
         w -= dw
         iterations += 1
         if abs(dw) <= 2.0 * MACHINE_EPS * (1.0 + abs(w)):

@@ -10,34 +10,40 @@ Both formats are written one row at a time: ``write_table`` hands a file
 one chunk per row, and ``table_to_csv`` / ``table_to_json`` join the same
 chunks into a string; these are the reference for any int table.
 ``built_table_chunks`` gives the same bytes for ``build_table(n_max)``
-without an int table: it runs the recurrence on ``Decimal`` rows in an
-unrounded context and formats each row as it is made, since the digits of a
-``Decimal`` cost a linear pass where ``str(int)`` is quadratic in CPython
-3.11.  A decimal string needs no JSON escaping, so the JSON
-bytes are those of ``json.dumps(payload, separators=(",", ":"))`` plus a
-newline.  ``load_table`` sniffs the format from the first character that
-is not whitespace; it feeds a CSV file to the parser line by line, and
-decodes a JSON file with ``json.load``, which frees the file's text before
-the entries are converted, row by row, to integers.
+without an int table: it formats the rows of ``triangle._exact_rows``, the
+recurrence run on ``Decimal`` rows in an unrounded context, as they are
+made, since the digits of a ``Decimal`` cost a linear pass where
+``str(int)`` is quadratic in CPython 3.11.  A decimal string needs no JSON
+escaping, so the JSON bytes are those of ``json.dumps(payload,
+separators=(",", ":"))`` plus a newline.
+
+Both formats are read by one streaming reader, ``read_table_rows``: it
+sniffs the format from the first character that is not whitespace, feeds a
+CSV file to the parser line by line, decodes a JSON file with ``json.load``
+(which frees the file's text before the first row), and yields each row as
+a tuple of validated decimal strings, never as ints, since ``int(str)`` is
+quadratic too.  ``load_table`` and the ``parse_table*`` functions convert
+those rows to ints, one row at a time; ``verify.verify_table_file`` compares
+them as text and converts only the rows its horizon reads.
 
 Parsing is strict: every CSV field and every JSON entry must be a decimal
 string matching ``-?[0-9]+``, ``n_max`` a JSON integer and ``rows`` a list
 of lists.  Anything else raises ``ValueError``.  Decimal strings are bound
 by the interpreter's int-string limit (``sys.set_int_max_str_digits``) in
-both directions; past it writing and parsing raise CPython's ``ValueError``
-(``built_table_chunks`` raises the same text, checked on int rows before it
-returns).
+both directions; past it writing and reading raise CPython's ``ValueError``
+(``built_table_chunks`` raises the same text before it returns, after a
+bound on the entries or, near the limit, the int rows themselves; the
+reader asks ``int`` only about a string longer than the limit).
 """
 from __future__ import annotations
 
 import json
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
-                     InvalidOperation, Overflow, Rounded, localcontext)
+from math import prod
 from typing import TextIO
 
-from .triangle import CoefficientTable, _rows
+from .triangle import CoefficientTable, _exact_rows, _rows
 
 __all__ = [
     "table_to_csv",
@@ -47,6 +53,7 @@ __all__ = [
     "parse_table_csv",
     "parse_table_json",
     "parse_table",
+    "read_table_rows",
     "load_table",
 ]
 
@@ -86,42 +93,32 @@ def write_table(table: CoefficientTable, fh: TextIO, fmt: str) -> None:
     fh.writelines(_writer(fmt)(table.n_max, table.rows[1:]))
 
 
-# Unrounded decimal arithmetic: sums and products of integers come out exact,
-# and anything that would round raises instead of being written.
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
-                 traps=[Inexact, Rounded, Overflow, InvalidOperation])
+def _digit_limit() -> int:
+    """The interpreter's int-string limit in digits; 0 (or no such limit) means none."""
+    return getattr(sys, "get_int_max_str_digits", int)()
 
 
 def _check_digit_limit(n_max: int) -> None:
     """Raise CPython's ``ValueError`` if ``str`` would refuse an entry of rows 1..n_max.
 
     ``str`` refuses exactly the ints of more than ``sys.get_int_max_str_digits()``
-    digits, i.e. those of absolute value at least 10**limit.
+    digits, i.e. those of absolute value at least 10**limit.  Summed over k,
+    the recurrence gives sum_k |beta(m+1, k)| <= (4m - 1) sum_k |beta(m, k)|
+    (the three coefficients of beta(m, j) add up to (3m - j - 1) + m + j),
+    so prod_{m<n_max} (4m - 1) bounds every entry; the exact pass over the
+    int rows runs only when that bound reaches 10**limit.
     """
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 (or absent): no limit
+    limit = _digit_limit()
     if limit == 0:
         return
     bound = 10**limit
+    if prod(range(3, 4 * n_max - 4, 4)) < bound:
+        return
     for row in _rows(n_max, 1):
         if max(map(abs, row)) >= bound:
             raise ValueError(f"Exceeds the limit ({limit} digits) for integer string "
                              "conversion; use sys.set_int_max_str_digits() to "
                              "increase the limit")
-
-
-def _exact_rows(n_max: int) -> Iterator[tuple[Decimal, ...]]:
-    """Rows 1..n_max as ``Decimal`` tuples, each computed in the exact context.
-
-    The context is entered around each step only, so the caller's code between
-    rows keeps its own.
-    """
-    rows = _rows(n_max, Decimal(1))
-    while True:
-        with localcontext(_EXACT):
-            row = next(rows, None)
-        if row is None:
-            return
-        yield row
 
 
 def built_table_chunks(n_max: int, fmt: str) -> Iterator[str]:
@@ -140,43 +137,77 @@ def built_table_chunks(n_max: int, fmt: str) -> Iterator[str]:
     return writer(n_max, _exact_rows(n_max))
 
 
-def _parse_entry(text: object) -> int:
-    """The integer written as a plain decimal string, in either format."""
+def _decimal(text: object, limit: int) -> str:
+    """``text`` if it is a plain decimal string that ``int`` accepts, in either format.
+
+    Past ``limit`` digits ``int`` itself is asked, so it raises CPython's own
+    ``ValueError``; a string within the limit is never converted here.
+    """
     if not (isinstance(text, str) and text.isascii()
             and text.removeprefix("-").encode().isdigit()):
         raise ValueError(f"table entry must be a decimal string, got {text!r:.40}")
-    return int(text)
+    if len(text) > limit:
+        int(text)
+    return text
 
 
-def _table_from_rows(n_max: int, rows: list) -> CoefficientTable:
-    if n_max != len(rows):
-        raise ValueError(f"n_max {n_max} does not match {len(rows)} rows")
-    return CoefficientTable(n_max=n_max, rows=((),) + tuple(tuple(r) for r in rows))
+def _parse_entry(text: object) -> int:
+    """The integer written as a plain decimal string, in either format."""
+    return int(_decimal(text, sys.maxsize))
 
 
-def _table_from_csv_lines(lines: Iterable[str]) -> CoefficientTable:
-    """The table in CSV ``lines`` given without their line ends; empty ones are skipped."""
-    lines = filter(None, lines)
-    if next(lines, None) != "n,k,beta":
-        raise ValueError("CSV table must start with the header 'n,k,beta'")
-    rows: list[list[int]] = []
-    for line in lines:
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"malformed CSV line: {line!r}")
-        n, k, beta = map(_parse_entry, parts)
-        if n == len(rows) + 1 and k == 0:
-            rows.append([])
-        if n != len(rows) or k != len(rows[-1]):
-            raise ValueError(f"CSV entries out of order at n={n}, k={k}")
-        rows[-1].append(beta)
-    if not rows:
-        raise ValueError("CSV table has no entries")
-    return _table_from_rows(len(rows), rows)
+def _whole(rows: Iterable[tuple[str, ...]], n_max: int | None) -> Iterator[tuple[str, ...]]:
+    """``rows`` as they come, then the checks that need all of them.
+
+    ``n_max`` is the count the file declares (None for CSV, which declares
+    none).  The checks raise in the order in which building a
+    ``CoefficientTable`` from the rows would.
+    """
+    count, wrong_length = 0, None
+    for count, row in enumerate(rows, 1):
+        if wrong_length is None and len(row) != count:
+            wrong_length = count
+        yield row
+    if n_max is not None and n_max != count:
+        raise ValueError(f"n_max {n_max} does not match {count} rows")
+    if count < 1:
+        raise ValueError("n_max must be >= 1")
+    if wrong_length is not None:
+        raise ValueError(f"row {wrong_length} must have exactly {wrong_length} entries")
 
 
-def _table_from_payload(payload: object) -> CoefficientTable:
-    """The table in a decoded JSON payload; each row's strings become ints in turn."""
+def _csv_rows(lines: Iterable[str]) -> Iterator[tuple[str, ...]]:
+    """The rows in CSV ``lines`` given without their line ends; empty ones are skipped."""
+    limit = _digit_limit() or sys.maxsize
+
+    def read() -> Iterator[tuple[str, ...]]:
+        nonblank = filter(None, lines)
+        if next(nonblank, None) != "n,k,beta":
+            raise ValueError("CSV table must start with the header 'n,k,beta'")
+        row: list[str] = []
+        n_rows = 0
+        for line in nonblank:
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise ValueError(f"malformed CSV line: {line!r}")
+            n, k = _parse_entry(parts[0]), _parse_entry(parts[1])
+            beta = _decimal(parts[2], limit)
+            if n == n_rows + 1 and k == 0:
+                if n_rows:
+                    yield tuple(row)
+                row, n_rows = [], n
+            if n < 1 or n != n_rows or k != len(row):
+                raise ValueError(f"CSV entries out of order at n={n}, k={k}")
+            row.append(beta)
+        if not n_rows:
+            raise ValueError("CSV table has no entries")
+        yield tuple(row)
+
+    return _whole(read(), None)
+
+
+def _json_rows(payload: object) -> Iterator[tuple[str, ...]]:
+    """The rows of a decoded JSON payload; each row is dropped from it as it is read."""
     if not isinstance(payload, dict) or set(payload) != {"n_max", "rows"}:
         raise ValueError("JSON table must be an object with keys n_max and rows")
     n_max, rows = payload["n_max"], payload["rows"]
@@ -184,26 +215,59 @@ def _table_from_payload(payload: object) -> CoefficientTable:
         raise ValueError(f"n_max must be an integer, got {n_max!r:.40}")
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("rows must be a list of lists")
-    for i, row in enumerate(rows):
-        rows[i] = tuple(map(_parse_entry, row))
-    return _table_from_rows(n_max, rows)
+    limit = _digit_limit() or sys.maxsize
+
+    def read() -> Iterator[tuple[str, ...]]:
+        for i, row in enumerate(rows):
+            rows[i] = None
+            yield tuple([_decimal(text, limit) for text in row])
+
+    return _whole(read(), n_max)
 
 
-def _table_from_json(decode: Callable, source) -> CoefficientTable:
-    """The table in ``decode(source)``: ``json.loads`` of a text, ``json.load`` of a file."""
+def _decoded(decode: Callable, source) -> object:
+    """``decode(source)``: ``json.loads`` of a text, ``json.load`` of a file."""
     try:
-        payload = decode(source)
+        return decode(source)
     except RecursionError:
         raise ValueError("JSON table is nested too deeply") from None
-    return _table_from_payload(payload)
+
+
+def _int_table(rows: Iterable[tuple[str, ...]]) -> CoefficientTable:
+    """The table of validated decimal-string ``rows``, each converted as it is read."""
+    int_rows = [tuple(map(int, row)) for row in rows]
+    return CoefficientTable(n_max=len(int_rows), rows=((),) + tuple(int_rows))
+
+
+def read_table_rows(path: str) -> Iterator[tuple[str, ...]]:
+    """Rows 1, 2, ... of the table file at ``path`` as validated decimal strings.
+
+    The format is sniffed from the first character that is not whitespace.
+    A CSV file is read line by line and each row is yielded once its last
+    entry is read; a JSON file is decoded with ``json.load``, which frees
+    the file's text before the first row is yielded.  Every entry is checked
+    as ``parse_table`` checks it, the int-string limit included, but none is
+    converted to ``int``; whatever is wrong with the file raises
+    ``ValueError`` by the time the rows run out, with ``parse_table``'s
+    message.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        while (first := fh.read(1)).isspace():
+            pass
+        fh.seek(0)
+        if first != "{":
+            yield from _csv_rows(line.rstrip("\n") for line in fh)
+            return
+        payload = _decoded(json.load, fh)
+    yield from _json_rows(payload)
 
 
 def parse_table_csv(text: str) -> CoefficientTable:
-    return _table_from_csv_lines(text.split("\n"))
+    return _int_table(_csv_rows(text.split("\n")))
 
 
 def parse_table_json(text: str) -> CoefficientTable:
-    return _table_from_json(json.loads, text)
+    return _int_table(_json_rows(_decoded(json.loads, text)))
 
 
 def parse_table(text: str) -> CoefficientTable:
@@ -216,10 +280,4 @@ def parse_table(text: str) -> CoefficientTable:
 
 def load_table(path: str) -> CoefficientTable:
     """Parse the file at ``path`` as ``parse_table`` parses its text, without holding it."""
-    with open(path, "r", encoding="ascii") as fh:
-        while (first := fh.read(1)).isspace():
-            pass
-        fh.seek(0)
-        if first == "{":
-            return _table_from_json(json.load, fh)
-        return _table_from_csv_lines(line.rstrip("\n") for line in fh)
+    return _int_table(read_table_rows(path))

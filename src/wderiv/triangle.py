@@ -19,15 +19,21 @@ which in coefficient form reads
     beta(n+1, k) = (3n - k - 1)*beta(n, k) + n*beta(n, k-1) - (k+1)*beta(n, k+1)
 
 applied at every 0 <= k <= n with out-of-range entries taken as zero.
-All arithmetic is exact (Python integers and fractions); nothing in this
-module rounds.
+All arithmetic is exact (Python integers and fractions, or ``Decimal`` in a
+context that raises rather than round); nothing in this module rounds.  The
+recurrence runs on ``Decimal`` rows wherever only the decimal strings of the
+entries are needed: writing a table, and checking a table file.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
+                     InvalidOperation, Overflow, Rounded, localcontext)
 from fractions import Fraction
+from itertools import count, repeat
 from math import factorial
+from operator import add, mul, sub
 from typing import TypeVar
 
 __all__ = [
@@ -78,35 +84,58 @@ class CoefficientTable:
         return row[k]
 
 
-def recurrence_step(n: int, row: tuple[int, ...]) -> tuple[int, ...]:
+def recurrence_step(n: int, row: tuple[_Entry, ...]) -> tuple[_Entry, ...]:
     """Derive row n+1 from row n of the beta triangle.
 
     Entries outside the row are zero, so the recurrence applies uniformly
-    at every index including the boundaries.
+    at every index including the boundaries.  Each of its three terms is a
+    ``map`` over the row shifted by one place, padded with zeros: the step
+    runs in C, for int rows and ``Decimal`` rows alike.
     """
     if len(row) != n:
         raise ValueError("row length must equal n")
-
-    def b(k: int) -> int:
-        return row[k] if 0 <= k < n else 0
-
-    return tuple(
-        (3 * n - k - 1) * b(k) + n * b(k - 1) - (k + 1) * b(k + 1)
-        for k in range(n + 1)
-    )
+    own = map(mul, range(3 * n - 1, 2 * n - 2, -1), row + (0,))  # (3n-k-1) b(k)
+    left = map(mul, repeat(n), (0,) + row)  # n b(k-1)
+    right = map(mul, range(1, n + 2), row[1:] + (0, 0))  # (k+1) b(k+1)
+    return tuple(map(sub, map(add, own, left), right))
 
 
-def _rows(n_max: int, first: _Entry) -> Iterator[tuple[_Entry, ...]]:
-    """Rows 1..n_max of the triangle, each made from the one before.
+def _rows(n_max: int | None, first: _Entry) -> Iterator[tuple[_Entry, ...]]:
+    """Rows 1..n_max of the triangle (every row if n_max is None), each made
+    from the one before.
 
     Row 1 is ``(first,)``: ``1`` gives int rows, ``Decimal(1)`` gives the
     same entries as ``Decimal`` values (exact only in an unrounded context).
     Only the current row is held.
     """
     row = (first,)
-    yield row
-    for n in range(1, n_max):
+    for n in count(1):
+        yield row
+        if n_max is not None and n >= n_max:
+            return
         row = recurrence_step(n, row)
+
+
+# Unrounded decimal arithmetic: sums and products of integers come out exact,
+# and anything that would round raises instead of being written.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                 traps=[Inexact, Rounded, Overflow, InvalidOperation])
+
+
+def _exact_rows(n_max: int | None) -> Iterator[tuple[Decimal, ...]]:
+    """Rows 1..n_max (every row if None) as ``Decimal`` tuples, each computed
+    in the exact context.
+
+    ``str`` of each entry is its plain decimal string, a linear pass where
+    ``str(int)`` is quadratic in CPython 3.11.  The context is entered
+    around each step only, so the caller's code between rows keeps its own.
+    """
+    rows = _rows(n_max, Decimal(1))
+    while True:
+        with localcontext(_EXACT):
+            row = next(rows, None)
+        if row is None:
+            return
         yield row
 
 

@@ -8,7 +8,11 @@ bounded-error floats but decide every close call with integers (see
   the full table, streamed one row at a time, so any corrupted entry is
   caught) and against the chosen closed-form routes up to a configurable
   row; when the table was itself built by the recurrence, that first
-  comparison only checks determinism;
+  comparison only checks determinism.  ``verify_table_file`` checks a
+  table file without converting it whole: the recurrence comparison runs
+  on the file's decimal text, against ``str`` of exact-decimal recurrence
+  rows, and only the rows up to the horizon become ints for the other
+  checks;
 * sequence properties per row: positivity, log-concavity of k! times the
   row (decided as (k+1) c_{k-1} c_{k+1} <= k c_k^2) and the strict ratio
   bound (for n >= 3).  On a positive row that log-concavity decides the
@@ -28,9 +32,12 @@ to parallel workers, but results are reported in (n, k) order regardless.
 """
 from __future__ import annotations
 
+import math
+from collections import deque
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from . import closed_forms, properties, triangle
+from . import closed_forms, properties, tableio, triangle
 from .triangle import CoefficientTable
 
 __all__ = [
@@ -41,6 +48,7 @@ __all__ = [
     "verify_identities",
     "verify_carlitz_sums",
     "run_verification",
+    "verify_table_file",
 ]
 
 ROUTE_NAMES = ("recurrence",) + tuple(closed_forms.ROUTE_ROWS)
@@ -72,6 +80,25 @@ class CheckFailure:
         return (self.n, 10**9 if self.k is None else self.k, self.check)
 
 
+def _route_failures(name: str, pairs: Iterable[tuple[Sequence, Sequence]]) -> list[CheckFailure]:
+    """The entries where a table row and route ``name``'s row differ.
+
+    ``pairs`` holds (table row, route row) for n = 1, 2, ...  Entries are
+    ints, or decimal strings; two strings that differ are decided by their
+    values, so "007" equals 7 and "-0" equals 0.
+    """
+    failures: list[CheckFailure] = []
+    for n, (got_row, want_row) in enumerate(pairs, 1):
+        if got_row == want_row:
+            continue
+        for k, (got, want) in enumerate(zip(got_row, want_row)):
+            if got != want and int(got) != int(want):
+                failures.append(CheckFailure(
+                    n, k, f"route:{name}",
+                    f"table has {int(got)}, {name} gives {int(want)}"))
+    return failures
+
+
 def verify_routes(
     table: CoefficientTable,
     routes: tuple[str, ...] = ROUTE_NAMES,
@@ -83,27 +110,20 @@ def verify_routes(
     one row at a time; the closed-form routes are evaluated up to n_max
     (default 40), since each of their rows costs O(n^2) big-integer
     operations.  On a table built by the recurrence, the recurrence
-    comparison checks only that the build is deterministic.
+    comparison checks only that the build is deterministic.  The comparison
+    loop is shared with ``verify_table_file``, which feeds it text rows.
     """
     if unknown := set(routes) - set(ROUTE_NAMES):
         raise ValueError(f"unknown routes: {sorted(unknown)}")
     n_max = _horizon(n_max, DEFAULT_ROUTE_N_MAX, table.n_max)
     failures: list[CheckFailure] = []
-
-    def compare(name: str, n: int, want_row: tuple[int, ...]) -> None:
-        for k, (got, want) in enumerate(zip(table.rows[n], want_row)):
-            if got != want:
-                failures.append(CheckFailure(
-                    n, k, f"route:{name}", f"table has {got}, {name} gives {want}"))
-
     if "recurrence" in routes:
-        for n, want_row in enumerate(triangle._rows(table.n_max, 1), 1):
-            compare("recurrence", n, want_row)
-
+        failures += _route_failures(
+            "recurrence", zip(table.rows[1:], triangle._rows(table.n_max, 1)))
     for name, row_of in closed_forms.ROUTE_ROWS.items():
         if name in routes:
-            for n in range(1, n_max + 1):
-                compare(name, n, row_of(n))
+            failures += _route_failures(
+                name, ((table.rows[n], row_of(n)) for n in range(1, n_max + 1)))
     return failures
 
 
@@ -217,3 +237,50 @@ def run_verification(
                          DEFAULT_CARLITZ_KAPPA_MAX)
     failures += verify_carlitz_sums(kappa_max, lambda_samples)
     return sorted(failures, key=CheckFailure.sort_key)
+
+
+def verify_table_file(
+    path: str,
+    routes: tuple[str, ...] = ROUTE_NAMES,
+    n_max: int | None = None,
+    lambda_samples: int = 3,
+) -> tuple[int, list[CheckFailure]]:
+    """The file's n_max and ``run_verification`` of ``load_table(path)`` with
+    every horizon n_max (the file's n_max if None), reading the file once.
+
+    The recurrence route runs on the file's decimal text: each row, as
+    ``tableio.read_table_rows`` reads it, is compared with ``str`` of the
+    exact-decimal recurrence row (``triangle._exact_rows``), so a row
+    beyond the horizon is never converted to ``int``.  Rows 1..n_max are
+    converted as they are read and hold the table that the closed-form
+    routes, the properties, the identities and the Carlitz sums check.  A
+    file that ``load_table`` rejects raises the same ``ValueError``, and so
+    does a bad argument, after the file is read as it would be there.
+    """
+    keep = math.inf if n_max is None else max(n_max, 1)
+    head: list[tuple[int, ...]] = []
+    read = 0
+
+    def rows() -> Iterator[tuple[str, ...]]:
+        nonlocal read
+        for read, row in enumerate(tableio.read_table_rows(path), 1):
+            if read <= keep:
+                head.append(tuple(map(int, row)))
+            yield row
+
+    failures: list[CheckFailure] = []
+    if "recurrence" in routes:
+        want = (tuple(map(str, row)) for row in triangle._exact_rows(None))
+        failures += _route_failures("recurrence", zip(rows(), want))
+    else:
+        deque(rows(), maxlen=0)
+    horizon = read if n_max is None else n_max
+    failures += run_verification(
+        CoefficientTable(n_max=len(head), rows=((),) + tuple(head)),
+        routes=tuple(route for route in routes if route != "recurrence"),
+        route_n_max=horizon,
+        property_n_max=horizon,
+        identity_n_max=horizon,
+        lambda_samples=lambda_samples,
+    )
+    return read, sorted(failures, key=CheckFailure.sort_key)

@@ -36,6 +36,8 @@ BREAKERS = {
     "01_build_triangle.py": ("boundary_value", lambda n, kind: -1),
     "02_five_routes.py": ("ROUTE_ROWS", {"broken": lambda n: (0,) * n}),
     "03_row_properties.py": ("is_log_concave_weighted", _broken_report),
+    "04_w_and_derivatives.py": ("w_derivative_fd", lambda n, x: SimpleNamespace(
+        value=0.0)),
     "05_bernstein_scan.py": ("bernstein_scan", lambda *args: SimpleNamespace(
         violations=[(1, 1.0)], holds=False)),
     "06_identities.py": ("alternating_sum", lambda n, table: 0),

@@ -72,6 +72,56 @@ class TestLambertW:
             reference = float(scipy_special.lambertw(x).real)
             assert rel_err(lambert_w(x).w, reference) < 1e-14
 
+    def test_grid_unchanged_where_the_step_never_overflowed(self):
+        # float.hex of x, w and the residual, and the iteration count, on a
+        # log grid over [0, 3.6e302] taken before the overflow fix; only the
+        # points where every Halley denominator was finite are kept
+        path = Path(__file__).parent / "golden" / "lambert_w_grid.txt"
+        for line in path.read_text(encoding="ascii").splitlines():
+            x, w, residual, iterations = line.split()
+            ev = lambert_w(float.fromhex(x))
+            assert (ev.w.hex(), ev.residual.hex(), ev.iterations) == (
+                w, residual, int(iterations)), x
+
+    @pytest.mark.parametrize("x", [1e303, 1e306, 1.79e308, sys.float_info.max])
+    def test_top_of_the_range(self, x):
+        # the step's products overflowed here: 697.68 for 691.14 at 1e303,
+        # and ConvergenceError from 1e306
+        ev = lambert_w(x)
+        assert math.isfinite(ev.residual)
+        assert abs(ev.w + math.log(ev.w) - math.log(x)) <= 4 * MACHINE_EPS * ev.w
+
+
+def mpmath_w(x):
+    """W(x) by mpmath at 60 digits, rounded to the nearest float."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 60
+    return float(mpmath.lambertw(mpmath.mpf(x)).real)
+
+
+def assert_within_one_ulp(w, reference):
+    """w is the correctly rounded reference or one of its float neighbours."""
+    assert w in (reference, math.nextafter(reference, math.inf),
+                 math.nextafter(reference, -math.inf)), (w, reference)
+
+
+class TestLambertWAgainstMpmath:
+    @pytest.mark.parametrize("x", [0.0, 5e-324, 1e-300, 1e-5, 0.5, 1.0, math.e, 1e6,
+                                   1e100, 3.6e302, 1e303, 1e305, 1e306, 1e307,
+                                   1.79e308, sys.float_info.max])
+    def test_points(self, x):
+        assert_within_one_ulp(lambert_w(x).w, mpmath_w(x))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1.79e308))
+    def test_whole_range(self, x):
+        assert_within_one_ulp(lambert_w(x).w, mpmath_w(x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=1e300, max_value=1.79e308))
+    def test_top_of_the_range(self, x):
+        assert_within_one_ulp(lambert_w(x).w, mpmath_w(x))
+
 
 class TestClosedFormDerivative:
     def test_first_derivative_at_e(self, table8):

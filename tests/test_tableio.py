@@ -2,6 +2,7 @@ import decimal
 import io
 import json
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -19,8 +20,9 @@ from wderiv import (
     table_to_json,
     write_table,
 )
+from wderiv import tableio
 from wderiv.cli import main
-from wderiv.tableio import _parse_entry
+from wderiv.tableio import _check_digit_limit, _parse_entry
 
 EXPECTED_CSV_3 = "n,k,beta\n1,0,1\n2,0,2\n2,1,1\n3,0,9\n3,1,8\n3,2,2\n"
 
@@ -92,6 +94,40 @@ class TestBuiltTableChunks:
             for _ in built_table_chunks(40, "json"):
                 assert decimal.getcontext() is ctx
             assert decimal.Decimal(1) / 3 == decimal.Decimal("0.3333333")
+
+
+class TestDigitLimitBound:
+    """``_check_digit_limit`` skips its exact pass while prod_{m<n}(4m - 1),
+    a bound on every entry of rows 1..n, stays below 10**limit; it must
+    still raise exactly where the exact pass over the int rows does."""
+
+    def test_raises_exactly_where_the_exact_pass_does(self, monkeypatch):
+        maxima = [max(row) for row in build_table(300).rows[1:]]
+        # The exact pass compares each row's largest entry with 10**limit;
+        # serving it only that entry keeps some 4,700 passes cheap.
+        monkeypatch.setattr(tableio, "_rows",
+                            lambda n_max, first: ((m,) for m in maxima[:n_max]))
+        passes = 0
+        for limit in range(600, 701):
+            # below 640 the interpreter refuses the limit, so it is only reported
+            monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+            first_too_long = next(
+                (n for n, m in enumerate(maxima, 1) if m >= 10**limit), 301)
+            refusal = (ValueError, f"Exceeds the limit ({limit} digits) for integer "
+                       "string conversion; use sys.set_int_max_str_digits() to "
+                       "increase the limit")
+            for n_max in range(1, 301):
+                expected = refusal if n_max >= first_too_long else None
+                assert outcome(_check_digit_limit, n_max) == expected, (limit, n_max)
+            passes += first_too_long <= 300
+        assert passes == 101  # every limit is reached by some row <= 300
+
+    def test_bound_alone_decides_far_from_the_limit(self, monkeypatch):
+        # at the default 4300 digits the bound settles n <= 1309 alone: no
+        # int row is made
+        monkeypatch.setattr(tableio, "_rows", None)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        _check_digit_limit(1309)
 
 
 class TestCsv:
@@ -259,6 +295,7 @@ BAD_CSV_TABLES = {
     "float_entry": "n,k,beta\n1,0,1.0\n",
     "padded_index": "n,k,beta\n 1,0,1\n",
     "plus_sign": "n,k,beta\n1,0,+1\n",
+    "row_zero": "n,k,beta\n0,0,1\n",  # used to escape as IndexError
 }
 
 

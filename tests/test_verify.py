@@ -1,10 +1,15 @@
 """Helpers of the verification battery not reached through the CLI tests."""
+import contextlib
+import io
+import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from wderiv import CoefficientTable, build_table, load_table, properties, triangle
+from test_tableio import BAD_CSV_TABLES, BAD_JSON_TABLES, LOAD_EDGES
+from wderiv import (CoefficientTable, ROUTE_NAMES, build_table, load_table, properties,
+                    run_verification, table_to_csv, table_to_json, triangle, verify)
 from wderiv.cli import main
 from wderiv.verify import CheckFailure, lambda_values, verify_properties
 
@@ -99,3 +104,137 @@ def test_default_verify_builds_the_table_once(monkeypatch, capsys):
                         lambda n_max: calls.append(n_max) or build(n_max))
     assert main(["verify"]) == 0
     assert calls == [200]
+
+
+def reference_table_file(path, routes=ROUTE_NAMES, n_max=None, lambda_samples=3):
+    """What ``verify --table`` ran before it read the file's text: the whole
+    file converted by ``load_table``, then ``run_verification``."""
+    table = load_table(path)
+    horizon = table.n_max if n_max is None else n_max
+    return table.n_max, run_verification(table, routes, horizon, horizon, horizon,
+                                         lambda_samples)
+
+
+def cli_outcome(argv):
+    """Exit code, stdout and stderr of ``wderiv`` run in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_verify_matches_reference(path, *options):
+    argv = ["verify", "--table", str(path), *options]
+    got = cli_outcome(argv)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "verify_table_file", reference_table_file)
+        want = cli_outcome(argv)
+    assert got == want
+
+
+TABLE60 = build_table(60)
+TOO_LONG = "9" * 5000  # past the default int-string limit of 4300 digits
+
+
+def spelled(value, kind):
+    """The file text of an entry whose true value is ``value``, after an edit."""
+    return {"bump": str(value + 1), "drop": str(value - 1), "zero": "0",
+            "negative": str(-value), "minus_zero": "-0", "padded": "00" + str(value),
+            "too_long": TOO_LONG}[kind]
+
+
+def table_text(rows, fmt):
+    """``rows`` (row 1 first, entries as strings) written as ``table`` writes them."""
+    if fmt == "json":
+        return json.dumps({"n_max": len(rows), "rows": rows}, separators=(",", ":")) + "\n"
+    return "n,k,beta\n" + "".join(f"{n},{k},{b}\n" for n, row in enumerate(rows, 1)
+                                   for k, b in enumerate(row))
+
+
+@st.composite
+def edited_table60(draw):
+    """The rows of build_table(60) as text, with up to three entries edited."""
+    rows = [[str(b) for b in row] for row in TABLE60.rows[1:]]
+    kinds = st.sampled_from(["bump", "drop", "zero", "negative", "minus_zero",
+                             "padded", "too_long"])
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        n = draw(st.integers(min_value=1, max_value=60))
+        k = draw(st.integers(min_value=0, max_value=n - 1))
+        rows[n - 1][k] = spelled(TABLE60.rows[n][k], draw(kinds))
+    return rows
+
+
+# every file of TestStrictParsing and TestSniffAndLoad in tests/test_tableio.py
+PARSER_INPUTS = {
+    **{f"bad_json_{name}": text for name, text in BAD_JSON_TABLES.items()},
+    **{f"bad_csv_{name}": text for name, text in BAD_CSV_TABLES.items()},
+    **{f"edge_{name}": text for name, text in LOAD_EDGES.items()},
+    "negative_json": '{"n_max":2,"rows":[["1"],["-2","1"]]}',
+    "negative_csv": "n,k,beta\n1,0,-1\n",
+    "table8_csv": table_to_csv(build_table(8)),
+    "table8_json": table_to_json(build_table(8)),
+}
+
+
+class TestTableFileMatchesLoadThenVerify:
+    """``verify --table`` reads the file's text once and converts only the
+    rows its horizon reads; exit code, stdout and stderr stay those of
+    ``load_table`` followed by ``run_verification``."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=edited_table60(), fmt=st.sampled_from(["csv", "json"]),
+           n_max=st.sampled_from([*range(1, 21), 65]),
+           out=st.sampled_from(["text", "json"]))
+    def test_edited_table60(self, tmp_path, rows, fmt, n_max, out):
+        path = tmp_path / f"t60.{fmt}"
+        path.write_text(table_text(rows, fmt), encoding="ascii")
+        options = ["--format", out, "--n-max", str(n_max)]
+        assert_verify_matches_reference(path, *options)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n_max", [None, 5])
+    def test_every_kind_of_edit_at_once(self, tmp_path, fmt, n_max):
+        rows = [[str(b) for b in row] for row in TABLE60.rows[1:]]
+        for (n, k), kind in {(3, 1): "bump", (4, 0): "padded", (9, 2): "zero",
+                             (20, 5): "negative", (33, 0): "minus_zero",
+                             (41, 40): "drop", (60, 59): "padded"}.items():
+            rows[n - 1][k] = spelled(TABLE60.rows[n][k], kind)
+        path = tmp_path / f"t60.{fmt}"
+        path.write_text(table_text(rows, fmt), encoding="ascii")
+        options = [] if n_max is None else ["--n-max", str(n_max)]
+        assert_verify_matches_reference(path, *options)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_entry_past_the_digit_limit_beyond_the_horizon(self, tmp_path, fmt):
+        rows = [[str(b) for b in row] for row in TABLE60.rows[1:]]
+        rows[49][3] = TOO_LONG
+        path = tmp_path / f"t60.{fmt}"
+        path.write_text(table_text(rows, fmt), encoding="ascii")
+        with pytest.raises(ValueError) as cpython:
+            int(TOO_LONG)
+        assert cli_outcome(["verify", "--table", str(path), "--n-max", "5"]) == (
+            2, "", f"error: {cpython.value}\n")
+        assert_verify_matches_reference(path, "--n-max", "5")
+
+    @pytest.mark.parametrize("name", sorted(PARSER_INPUTS))
+    @pytest.mark.parametrize("n_max", [None, 1])
+    def test_parser_inputs(self, tmp_path, name, n_max):
+        path = tmp_path / "table"
+        path.write_bytes(PARSER_INPUTS[name].encode("ascii"))
+        assert_verify_matches_reference(path, *([] if n_max is None else ["--n-max", "1"]))
+
+    @pytest.mark.parametrize("text", ["n,k,beta\n1,0,\u00e91\n",
+                                      '{"n_max":1,"rows":[["\u00e9"]]}'])
+    def test_non_ascii_inputs(self, tmp_path, text):
+        path = tmp_path / "table"
+        path.write_bytes(text.encode("utf-8"))
+        assert_verify_matches_reference(path)
+
+
+def test_route_failures_decide_differing_strings_by_value():
+    pairs = [(("-0", "007", "12"), ("0", "7", "13")), ((5, 6), (5, 7))]
+    assert verify._route_failures("recurrence", pairs) == [
+        CheckFailure(1, 2, "route:recurrence", "table has 12, recurrence gives 13"),
+        CheckFailure(2, 1, "route:recurrence", "table has 6, recurrence gives 7"),
+    ]
