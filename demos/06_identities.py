@@ -8,18 +8,21 @@
   behind row n are recovered from the row by one binomial convolution, the
   same triangular sum the routes use, with the kernel C(2n-2+j, 2n-2);
 * the rows of the Carlitz-style triangle B(kappa, j, lam) sum to
-  (2 kappa - 1)!! no matter what lam is.
+  (2 kappa - 1)!! no matter what lam is.  Each entry of row kappa is a
+  polynomial of degree <= kappa in lam, so the row sum is too, and
+  ``verify_carlitz_sums`` proves the identity from the kappa + 1 points
+  lam = 0..kappa.
 """
 import sys
 
 from wderiv import (
     alternating_sum,
     build_table,
-    carlitz_row,
     double_factorial,
     factorial_identity,
     rstirling_from_beta_row,
     rstirling_shifted,
+    verify_carlitz_sums,
 )
 
 table = build_table(30)
@@ -45,12 +48,10 @@ for n in (3, 7, 15):
     print(f"  n={n:2d}: {inverted[:4]} ... all {n} equal the direct values: "
           f"{verdicts[-1]}")
 
-print("\nCarlitz row sums are independent of lambda:")
+print("\nCarlitz row sums, proved for every lambda from lambda = 0..kappa:")
+failures = verify_carlitz_sums(10)
 for kappa in (0, 1, 3, 10):
-    sums = {lam: sum(carlitz_row(kappa, lam)) for lam in (kappa + 1, 0, 7, -4)}
-    expected = double_factorial(2 * kappa - 1)
-    ok = all(value == expected for value in sums.values())
-    verdicts.append(ok)
-    print(f"  kappa={kappa:2d}: sums {sorted(set(sums.values()))} "
-          f"== (2k-1)!! = {expected}: {ok}")
+    verdicts.append(all(f.n != kappa for f in failures))
+    print(f"  kappa={kappa:2d}: the sum is (2k-1)!! = "
+          f"{double_factorial(2 * kappa - 1)} at lambda = 0..{kappa}: {verdicts[-1]}")
 sys.exit(0 if all(verdicts) else 1)

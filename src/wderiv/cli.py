@@ -36,19 +36,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the exact verification battery")
     p_verify.add_argument("--n-max", type=int, default=None,
-                          help="row limit for all checks, Carlitz kappa at most "
-                               f"{verify.DEFAULT_CARLITZ_KAPPA_MAX} (default: routes "
+                          help="row limit for all checks (default: routes "
                                f"{verify.DEFAULT_ROUTE_N_MAX}, properties "
                                f"{verify.DEFAULT_PROPERTY_N_MAX}, identities "
-                               f"{verify.DEFAULT_ROUTE_N_MAX}, Carlitz kappa "
-                               f"{verify.DEFAULT_CARLITZ_KAPPA_MAX}; with --table, "
+                               f"{verify.DEFAULT_ROUTE_N_MAX}; with --table, "
                                "the table's n_max)")
     p_verify.add_argument("--table", default=None,
                           help="verify a table loaded from this CSV/JSON file "
                                "instead of a freshly built one")
     p_verify.add_argument("--routes", default=",".join(verify.ROUTE_NAMES),
                           help="comma list from: " + ", ".join(verify.ROUTE_NAMES))
-    p_verify.add_argument("--lambda-samples", type=int, default=3)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
     p_eval = sub.add_parser("eval", help="evaluate W and one derivative")
@@ -96,21 +93,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     routes = _routes(args.routes)
     if args.table is not None:
-        n_max, failures = verify.verify_table_file(
-            args.table, routes, args.n_max, args.lambda_samples)
+        n_max, failures = verify.verify_table_file(args.table, routes, args.n_max)
     else:
         # one horizon for every stage; None leaves each stage its own default
         table = triangle.build_table(
             verify.DEFAULT_PROPERTY_N_MAX if args.n_max is None else args.n_max)
         n_max = table.n_max
+        # the table is the recurrence route, so it is not compared with itself
         failures = verify.run_verification(
-            table,
-            routes=routes,
-            route_n_max=args.n_max,
-            property_n_max=args.n_max,
-            identity_n_max=args.n_max,
-            lambda_samples=args.lambda_samples,
-        )
+            table, tuple(route for route in routes if route != "recurrence"), args.n_max)
     if args.format == "json":
         payload = {
             "passed": not failures,

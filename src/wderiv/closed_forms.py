@@ -239,12 +239,7 @@ def factorial_identity(n: int) -> tuple[int, int]:
     The left side is the last entry of the r-Stirling row.  Returns
     (left, right); they agree for every n >= 1.
     """
-    return _factorial_identity(rstirling_values(n))
-
-
-def _factorial_identity(stirlings: list[int]) -> tuple[int, int]:
-    """factorial_identity(n) from the r-Stirling values of row n."""
-    n = len(stirlings)
+    stirlings = rstirling_values(n)
     left = sum(
         (-1) ** m * comb(2 * n - 1, n - 1 - m) * s for m, s in enumerate(stirlings)
     )

@@ -2,30 +2,32 @@
 
 Every verdict here is exact: the property checks screen comparisons with
 bounded-error floats but decide every close call with integers (see
-``properties``).  Every check run here can fail on some table.  The checks:
+``properties``).  Every check in the battery reads the table and can fail
+on some table.  The checks:
 
 * route agreement: every table entry against the recurrence (always over
   the full table, streamed one row at a time, so any corrupted entry is
   caught) and against the chosen closed-form routes up to a configurable
-  row; when the table was itself built by the recurrence, that first
-  comparison only checks determinism.  ``verify_table_file`` checks a
-  table file without converting it whole: the recurrence comparison runs
-  on the file's decimal text, against ``str`` of exact-decimal recurrence
-  rows, and only the rows up to the horizon become ints for the other
-  checks;
+  row.  A table built by the recurrence is that route, so ``wderiv verify``
+  does not compare the table it builds with it.  ``verify_table_file``
+  checks a table file without converting it whole: the recurrence
+  comparison runs on the file's decimal text, against ``str`` of
+  exact-decimal recurrence rows, and only the rows up to the horizon become
+  ints for the other checks;
 * sequence properties per row: positivity, log-concavity of k! times the
   row (decided as (k+1) c_{k-1} c_{k+1} <= k c_k^2) and the strict ratio
   bound (for n >= 3).  On a positive row that log-concavity decides the
-  binomial inequality (Lemma 1) and implies plain log-concavity, hence
-  unimodality; those two run only on rows where it fails (unimodality also
-  on rows that are not positive), which gives the failure list of all five;
-* identities: the alternating row sum against (2n-3)!!, the factorial
-  identity for the last entry, and the inversion row -> r-Stirling values
-  against the direct r-Stirling values, one row at a time.  Convolving the
-  inverted values back gives the row for any integer row, so that round
-  trip is not run;
-* row sums of the Carlitz-style triangle against (2 kappa - 1)!! at several
-  lambda values (checking lambda-independence empirically).
+  binomial inequality (Lemma 1), implies plain log-concavity, hence
+  unimodality, and reduces the ratio bound to its first comparison; the
+  full checks run only on rows where it fails (unimodality also on rows
+  that are not positive), which gives the failure list of all five;
+* identities: the alternating row sum against (2n-3)!!, and the inversion
+  row -> r-Stirling values against the direct r-Stirling values, one row at
+  a time.  Convolving the inverted values back gives the row for any
+  integer row, so that round trip is not run.
+
+``verify_carlitz_sums`` proves the Carlitz row-sum identity up to a given
+kappa.  It reads no table, so the battery does not run it.
 
 Checks are pure functions of an immutable table; rows could be fanned out
 to parallel workers, but results are reported in (n, k) order regardless.
@@ -55,7 +57,6 @@ ROUTE_NAMES = ("recurrence",) + tuple(closed_forms.ROUTE_ROWS)
 
 DEFAULT_ROUTE_N_MAX = 40
 DEFAULT_PROPERTY_N_MAX = 200
-DEFAULT_CARLITZ_KAPPA_MAX = 30
 
 
 def _horizon(n_max: int | None, default: int, limit: int) -> int:
@@ -109,9 +110,8 @@ def verify_routes(
     The recurrence reference always covers every row of the table, streamed
     one row at a time; the closed-form routes are evaluated up to n_max
     (default 40), since each of their rows costs O(n^2) big-integer
-    operations.  On a table built by the recurrence, the recurrence
-    comparison checks only that the build is deterministic.  The comparison
-    loop is shared with ``verify_table_file``, which feeds it text rows.
+    operations.  The comparison loop is shared with ``verify_table_file``,
+    which feeds it text rows.
     """
     if unknown := set(routes) - set(ROUTE_NAMES):
         raise ValueError(f"unknown routes: {sorted(unknown)}")
@@ -133,7 +133,12 @@ def verify_properties(
     """Run the sequence-property checks on each row up to n_max (default 200).
 
     Plain log-concavity and unimodality, implied on a positive row by the
-    k!-weighted log-concavity, run only where that fails.
+    k!-weighted log-concavity, run only where that fails.  Where it holds,
+    the ratios r_k = (k+1) c_{k+1} / c_k do not increase, since
+    r_k / r_{k-1} = (k+1) c_{k-1} c_{k+1} / (k c_k^2) <= 1.  So the ratio
+    bound r_k < n-1 holds for every k iff c_1 < (n-1) c_0, and if it fails,
+    it fails first at (0, 1); ``check_ratio_bound`` scans the row only where
+    the weighted check or that one comparison fails.
     """
     n_max = _horizon(n_max, DEFAULT_PROPERTY_N_MAX, table.n_max)
     failures: list[CheckFailure] = []
@@ -148,7 +153,7 @@ def verify_properties(
             if not weighted.holds:
                 reports += [properties.is_unimodal(row), properties.is_log_concave(row)]
             reports.append(weighted)
-            if n >= 3:
+            if n >= 3 and not (weighted.holds and row[1] < (n - 1) * row[0]):
                 reports.append(properties.check_ratio_bound(n, row))
         for report in reports:
             if not report.holds:
@@ -161,10 +166,7 @@ def verify_properties(
 def verify_identities(
     table: CoefficientTable, n_max: int | None = None
 ) -> list[CheckFailure]:
-    """Alternating sum, factorial identity and inversion per row.
-
-    Rows run up to n_max (default 40).
-    """
+    """Alternating sum and inversion per row, up to n_max (default 40)."""
     n_max = _horizon(n_max, DEFAULT_ROUTE_N_MAX, table.n_max)
     failures: list[CheckFailure] = []
     for n in range(1, n_max + 1):
@@ -176,12 +178,6 @@ def verify_identities(
                 f"sum {alt} != (2n-3)!! = {want}"))
 
         directs = closed_forms.rstirling_values(n)
-        left, right = closed_forms._factorial_identity(directs)
-        if left != right:
-            failures.append(CheckFailure(
-                n, None, "identity:factorial",
-                f"left {left} != (n-1)! = {right}"))
-
         stirlings = closed_forms.rstirling_from_beta_row(n, table)
         for m, (s, direct) in enumerate(zip(stirlings, directs)):
             if s != direct:
@@ -191,24 +187,18 @@ def verify_identities(
     return failures
 
 
-def lambda_values(kappa: int, samples: int) -> list[int]:
-    """Deterministic distinct lambda values for the row-sum check, samples >= 1.
+def verify_carlitz_sums(kappa_max: int) -> list[CheckFailure]:
+    """Row sums of the Carlitz triangle against (2 kappa - 1)!!, kappa <= kappa_max.
 
-    kappa + 1 first, then a fixed pool, then the odd numbers from 29.
+    Each entry of row kappa is a polynomial of degree <= kappa in lambda
+    (every step of the recurrence multiplies by a linear factor), so the
+    row sum is too.  Agreeing with the constant at the kappa + 1 points
+    lambda = 0..kappa, as checked here, proves it equal for every lambda.
     """
-    pool = (kappa + 1, 0, 7, 11, 13, -3, 17, 19, 23, -5,
-            *range(29, 31 + 2 * samples, 2))
-    return list(dict.fromkeys(pool))[:samples]
-
-
-def verify_carlitz_sums(kappa_max: int, samples: int = 3) -> list[CheckFailure]:
-    """Row sums of the Carlitz triangle equal (2 kappa - 1)!! for every lambda."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     failures: list[CheckFailure] = []
     for kappa in range(kappa_max + 1):
         want = triangle.double_factorial(2 * kappa - 1)
-        for lam in lambda_values(kappa, samples):
+        for lam in range(kappa + 1):
             got = sum(closed_forms.carlitz_row(kappa, lam))
             if got != want:
                 failures.append(CheckFailure(
@@ -220,22 +210,13 @@ def verify_carlitz_sums(kappa_max: int, samples: int = 3) -> list[CheckFailure]:
 def run_verification(
     table: CoefficientTable,
     routes: tuple[str, ...] = ROUTE_NAMES,
-    route_n_max: int | None = None,
-    property_n_max: int | None = None,
-    identity_n_max: int | None = None,
-    lambda_samples: int = 3,
+    n_max: int | None = None,
 ) -> list[CheckFailure]:
-    """Run the full battery and return all failures sorted by (n, k, check).
-
-    The Carlitz sums run to kappa <= 30 and the identity horizon; they do not
-    read the table, so only a horizon of None is capped at it.
-    """
-    failures = verify_routes(table, routes, route_n_max)
-    failures += verify_properties(table, property_n_max)
-    failures += verify_identities(table, identity_n_max)
-    kappa_max = _horizon(identity_n_max, min(DEFAULT_ROUTE_N_MAX, table.n_max),
-                         DEFAULT_CARLITZ_KAPPA_MAX)
-    failures += verify_carlitz_sums(kappa_max, lambda_samples)
+    """Run the full battery to row n_max and return all failures sorted by
+    (n, k, check).  A horizon of None leaves each stage its own default."""
+    failures = verify_routes(table, routes, n_max)
+    failures += verify_properties(table, n_max)
+    failures += verify_identities(table, n_max)
     return sorted(failures, key=CheckFailure.sort_key)
 
 
@@ -243,19 +224,18 @@ def verify_table_file(
     path: str,
     routes: tuple[str, ...] = ROUTE_NAMES,
     n_max: int | None = None,
-    lambda_samples: int = 3,
 ) -> tuple[int, list[CheckFailure]]:
-    """The file's n_max and ``run_verification`` of ``load_table(path)`` with
-    every horizon n_max (the file's n_max if None), reading the file once.
+    """The file's n_max and ``run_verification`` of ``load_table(path)`` to
+    row n_max (the file's n_max if None), reading the file once.
 
     The recurrence route runs on the file's decimal text: each row, as
     ``tableio.read_table_rows`` reads it, is compared with ``str`` of the
     exact-decimal recurrence row (``triangle._exact_rows``), so a row
     beyond the horizon is never converted to ``int``.  Rows 1..n_max are
     converted as they are read and hold the table that the closed-form
-    routes, the properties, the identities and the Carlitz sums check.  A
-    file that ``load_table`` rejects raises the same ``ValueError``, and so
-    does a bad argument, after the file is read as it would be there.
+    routes, the properties and the identities check.  A file that
+    ``load_table`` rejects raises the same ``ValueError``, and so does a bad
+    argument, after the file is read as it would be there.
     """
     keep = math.inf if n_max is None else max(n_max, 1)
     head: list[tuple[int, ...]] = []
@@ -274,13 +254,8 @@ def verify_table_file(
         failures += _route_failures("recurrence", zip(rows(), want))
     else:
         deque(rows(), maxlen=0)
-    horizon = read if n_max is None else n_max
     failures += run_verification(
         CoefficientTable(n_max=len(head), rows=((),) + tuple(head)),
-        routes=tuple(route for route in routes if route != "recurrence"),
-        route_n_max=horizon,
-        property_n_max=horizon,
-        identity_n_max=horizon,
-        lambda_samples=lambda_samples,
-    )
+        tuple(route for route in routes if route != "recurrence"),
+        read if n_max is None else n_max)
     return read, sorted(failures, key=CheckFailure.sort_key)

@@ -245,6 +245,12 @@ class TestVerifyCommand:
         assert proc.stdout == ""
         assert proc.stderr == f"error: n_max must be >= 1, got {n_max}\n"
 
+    def test_lambda_samples_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n-max", "4", "--lambda-samples", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --lambda-samples 3" in capsys.readouterr().err
+
     def test_built_table_with_horizon_zero_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--n-max", "0")
         assert (code, out, err) == (2, "", "error: n_max must be >= 1\n")
@@ -265,7 +271,7 @@ class TestVerifyCommand:
 
 
 class TestVerifyHorizons:
-    """The last row (or kappa) each verify stage reaches, seen through spies.
+    """The last row each verify stage reaches, seen through spies.
 
     The spies only watch: every check runs for real, so the default run is
     the whole battery and must pass.
@@ -273,7 +279,7 @@ class TestVerifyHorizons:
 
     @pytest.fixture
     def reached(self, monkeypatch):
-        seen = {"routes": 0, "properties": 0, "identities": 0, "carlitz": 0}
+        seen = {"routes": 0, "properties": 0, "identities": 0}
 
         def spy(stage, func, at):
             def wrapped(*args, **kwargs):
@@ -286,36 +292,32 @@ class TestVerifyHorizons:
                                 spy("routes", row_of, lambda n: n))
         monkeypatch.setattr(properties, "is_positive",
                             spy("properties", properties.is_positive, len))
-        monkeypatch.setattr(closed_forms, "_factorial_identity",
-                            spy("identities", closed_forms._factorial_identity,
-                                len))
-        monkeypatch.setattr(verify, "verify_carlitz_sums",
-                            spy("carlitz", verify.verify_carlitz_sums,
-                                lambda kappa_max, *rest: kappa_max))
+        monkeypatch.setattr(closed_forms, "rstirling_from_beta_row",
+                            spy("identities", closed_forms.rstirling_from_beta_row,
+                                lambda n, table: n))
         return seen
 
     @staticmethod
     def horizons(seen):
-        return (seen["routes"], seen["properties"], seen["identities"],
-                seen["carlitz"])
+        return (seen["routes"], seen["properties"], seen["identities"])
 
     def test_defaults(self, capsys, reached):
         code, out, _ = run_cli(capsys, "verify")
         assert code == 0
-        assert self.horizons(reached) == (40, 200, 40, 30)
+        assert self.horizons(reached) == (40, 200, 40)
 
     def test_n_max_sets_every_stage(self, capsys, reached):
         code, out, _ = run_cli(capsys, "verify", "--n-max", "12")
         assert code == 0
-        assert self.horizons(reached) == (12, 12, 12, 12)
+        assert self.horizons(reached) == (12, 12, 12)
 
-    def test_table_caps_all_but_carlitz(self, capsys, reached, tmp_path):
+    def test_table_caps_every_stage(self, capsys, reached, tmp_path):
         path = tmp_path / "t12.json"
         path.write_text(table_to_json(build_table(12)), encoding="ascii")
         code, out, _ = run_cli(capsys, "verify", "--table", str(path),
                                "--n-max", "100")
         assert code == 0
-        assert self.horizons(reached) == (12, 12, 12, 30)
+        assert self.horizons(reached) == (12, 12, 12)
 
 
 class TestEvalCommand:
@@ -434,10 +436,10 @@ class TestUsage:
         text = " ".join(capsys.readouterr().out.split())
         for stage, default in [("routes", verify.DEFAULT_ROUTE_N_MAX),
                                ("properties", verify.DEFAULT_PROPERTY_N_MAX),
-                               ("identities", verify.DEFAULT_ROUTE_N_MAX),
-                               ("Carlitz kappa", verify.DEFAULT_CARLITZ_KAPPA_MAX)]:
+                               ("identities", verify.DEFAULT_ROUTE_N_MAX)]:
             assert f"{stage} {default}" in text, stage
         assert "recurrence-only" not in text
+        assert "Carlitz" not in text
 
     def test_module_entry_point(self):
         proc = subprocess.run(

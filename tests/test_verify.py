@@ -2,42 +2,20 @@
 import contextlib
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from test_tableio import BAD_CSV_TABLES, BAD_JSON_TABLES, LOAD_EDGES
-from wderiv import (CoefficientTable, ROUTE_NAMES, build_table, load_table, properties,
-                    run_verification, table_to_csv, table_to_json, triangle, verify)
+from wderiv import (CoefficientTable, ROUTE_NAMES, build_table, closed_forms, load_table,
+                    properties, run_verification, table_to_csv, table_to_json, triangle,
+                    verify)
 from wderiv.cli import main
-from wderiv.verify import CheckFailure, lambda_values, verify_properties
+from wderiv.verify import CheckFailure, verify_carlitz_sums, verify_properties
 
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def ref_lambda_values(kappa, samples):
-    """The pool-then-odd-numbers loop that lambda_values replaced."""
-    pool = [kappa + 1, 0, 7, 11, 13, -3, 17, 19, 23, -5]
-    out = []
-    for lam in pool:
-        if lam not in out:
-            out.append(lam)
-        if len(out) == samples:
-            return out
-    base = 29
-    while len(out) < samples:
-        if base not in out:
-            out.append(base)
-        base += 2
-    return out
-
-
-def test_lambda_values_match_the_reference_loop():
-    for kappa in range(80):
-        for samples in range(1, 60):
-            assert lambda_values(kappa, samples) == ref_lambda_values(kappa, samples), (
-                kappa, samples)
 
 
 def ref_verify_properties(table, n_max):
@@ -90,11 +68,30 @@ class TestPropertiesMatchEveryCheckOnEveryRow:
 
     def test_implied_checks_skip_a_clean_table(self, monkeypatch):
         calls = []
-        for name in ("is_log_concave", "is_unimodal"):
+        for name in ("is_log_concave", "is_unimodal", "check_ratio_bound"):
             monkeypatch.setattr(properties, name,
-                                lambda row, name=name: calls.append(name))
+                                lambda *args, name=name: calls.append(name))
         assert verify_properties(build_table(200)) == []
         assert calls == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.integers(min_value=3, max_value=40),
+                           st.tuples(st.integers(min_value=1, max_value=6),
+                                     st.integers(min_value=1, max_value=6),
+                                     st.integers(min_value=1, max_value=10**6)),
+                           min_size=1, max_size=6))
+    def test_binomial_rows(self, replaced):
+        """Row n replaced by c_k = s C(n-1, k) p^k q^(n-1-k): k!-weighted
+        log-concave, with (k+1) c_{k+1} / c_k = (n-1-k) p/q, so the ratio
+        bound fails first at (0, 1) exactly when p >= q."""
+        rows = list(TABLE40.rows)
+        for n, (p, q, scale) in replaced.items():
+            rows[n] = tuple(scale * math.comb(n - 1, k) * p**k * q**(n - 1 - k)
+                            for k in range(n))
+        table = CoefficientTable(n_max=40, rows=tuple(rows))
+        got = verify_properties(table)
+        assert got == ref_verify_properties(table, 40)
+        assert {f.n for f in got} == {n for n, (p, q, _) in replaced.items() if p >= q}
 
 
 def test_default_verify_builds_the_table_once(monkeypatch, capsys):
@@ -106,13 +103,47 @@ def test_default_verify_builds_the_table_once(monkeypatch, capsys):
     assert calls == [200]
 
 
-def reference_table_file(path, routes=ROUTE_NAMES, n_max=None, lambda_samples=3):
+def test_only_a_given_table_meets_the_recurrence(monkeypatch, tmp_path):
+    """The table ``verify`` builds is the recurrence route; a file is not."""
+    names = []
+    compare = verify._route_failures
+    monkeypatch.setattr(verify, "_route_failures",
+                        lambda name, pairs: names.append(name) or compare(name, pairs))
+    assert main(["verify"]) == 0
+    assert "recurrence" not in names and "explicit" in names
+    names.clear()
+    path = tmp_path / "t12.json"
+    path.write_text(table_to_json(build_table(12)), encoding="ascii")
+    assert main(["verify", "--table", str(path)]) == 0
+    assert "recurrence" in names
+
+
+class TestCarlitzSums:
+    def test_identity_holds_to_kappa_60(self):
+        assert verify_carlitz_sums(60) == []
+
+    def test_a_lambda_dependent_sum_is_reported(self, monkeypatch):
+        """At kappa = 5 the sum gains lam (lam-1) ... (lam-4), which vanishes
+        at every lambda checked but the last."""
+        row_of = closed_forms.carlitz_row
+
+        def mutant(kappa, lam):
+            row = row_of(kappa, lam)
+            if kappa == 5:
+                row = (row[0] + math.prod(lam - i for i in range(5)),) + row[1:]
+            return row
+
+        monkeypatch.setattr(closed_forms, "carlitz_row", mutant)
+        assert verify_carlitz_sums(8) == [CheckFailure(
+            5, None, "identity:carlitz_row_sum", "sum 1065 at lambda=5 != (2k-1)!! = 945")]
+
+
+def reference_table_file(path, routes=ROUTE_NAMES, n_max=None):
     """What ``verify --table`` ran before it read the file's text: the whole
     file converted by ``load_table``, then ``run_verification``."""
     table = load_table(path)
     horizon = table.n_max if n_max is None else n_max
-    return table.n_max, run_verification(table, routes, horizon, horizon, horizon,
-                                         lambda_samples)
+    return table.n_max, run_verification(table, routes, horizon)
 
 
 def cli_outcome(argv):
