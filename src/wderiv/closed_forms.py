@@ -1,34 +1,45 @@
 """Closed-form routes to the triangle rows, and the identities among them.
 
-Three independent computations of beta(n, k) exist in the package:
+Four independent computations of beta(n, k) exist in the package:
 
 * the row recurrence (``triangle.build_table``),
 * the forward-difference kernel sum
 
       beta(n, k) = sum_{m=0}^{k} C(2n-1, k-m) (-1)^m Delta^m x^(m+n-1)|_(x=n) / m!,
 
+  whose power sums Delta^m x^(m+n-1) at x = n are made for a whole row in
+  one pass (``_power_sums``),
+* the same kernel sum with its inner values, the shifted r-Stirling numbers
+  {2n-1+m brace n+m}_n, made by their own triangle recurrence
+  (``rstirling_values``) instead of by the power sum,
 * a triangular-recurrence family of integer polynomials evaluated at an
   integer point (``beta_carlitz_row``).
 
 The kernel sum has four routes, one per normalisation of its inner values:
-the explicit double sum, shifted r-Stirling numbers of the second kind,
-Bernoulli polynomials of negative integer order and iterated forward
-differences of a power.  Each computes its n inner values once and shares
-one binomial convolution, so these four check the normalisation identities,
-not the kernel sum itself; the last three normalise one power sum,
-Delta^m x^p at x = r.  Every route returns a whole row.  Each inner value
-is a signed r-Stirling number, so the convolution asserts that it is an
-integer, raising :class:`ConsistencyError` otherwise, and then works on
-integers alone.  The inversion ``rstirling_from_beta_row`` runs the same
-triangular sum with the kernel of (1-w)^-(2n-1); the two kernels are
-inverse power series, so convolving the inverted values back gives any
-integer row, and only the inverted values themselves are worth checking.
+the explicit double sum as written, shifted r-Stirling numbers, Bernoulli
+polynomials of negative integer order and iterated forward differences of a
+power.  ``bernoulli`` and ``fdiff`` normalise the one row of power sums, so
+they check their normalisation identities, not the power sum itself;
+``explicit`` is the literal double sum with ``comb`` and ``pow``.  Every
+route returns a whole row; each kernel-sum route builds it in O(n) passes
+of ``map``, ``sum`` or ``accumulate``.  Each inner value is a signed
+r-Stirling number: a route that divides asserts that the quotient is exact,
+raising :class:`ConsistencyError` naming the route, the row and the index m
+otherwise, and the binomial convolution then works on integers alone.  The
+inversion ``rstirling_from_beta_row`` runs the same triangular sum with the
+kernel of (1-w)^-(2n-1); the two kernels are inverse power series, so
+convolving the inverted values back gives any integer row, and only the
+inverted values themselves are worth checking.  Both kernels are unit
+lower-triangular, so the inverted values match ``rstirling_values`` exactly
+where the row matches ``beta_rstirling_row``.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import comb, factorial
-from operator import mul
+from operator import attrgetter, mul, neg, sub
 from typing import Callable
 
 from .triangle import CoefficientTable
@@ -66,6 +77,35 @@ def _check_n(n: int) -> None:
         raise ValueError("n must be >= 1")
 
 
+def _alternating(values: list[int]) -> list[int]:
+    """values with its odd-indexed entries negated, in place."""
+    values[1::2] = map(neg, values[1::2])
+    return values
+
+
+def _factorials(n: int) -> Iterable[int]:
+    """0!, 1!, ..., (n-1)!."""
+    return accumulate(range(1, n), mul, initial=1)
+
+
+def _exact_quotients(
+    n: int, nums: Iterable[int], dens: Iterable[int], context: str
+) -> list[int]:
+    """nums[m] / dens[m] for each m, which must be integers.
+
+    The first quotient that is not raises :class:`ConsistencyError` naming
+    ``context(n)[m]``.
+    """
+    quotients = []
+    for m, (num, den) in enumerate(zip(nums, dens)):
+        quotient, remainder = divmod(num, den)
+        if remainder:
+            raise ConsistencyError(
+                f"{context}({n})[{m}]: non-integer result {Fraction(num, den)}")
+        quotients.append(quotient)
+    return quotients
+
+
 def _triangular(kernel: list[int], values: list[int]) -> list[int]:
     """Entry k is sum_{j<=k} kernel[k-j] values[j], for 0 <= k < len(values)."""
     return [sum(map(mul, kernel[k::-1], values)) for k in range(len(values))]
@@ -78,8 +118,10 @@ def _convolve(n: int, inner: list[int | Fraction], context: str) -> tuple[int, .
     naming its index m.  The kernel's diagonal entry C(2n-1, 0) is 1, so m is
     also the first entry that would not be an integer.
     """
-    values = [_as_integer(v, f"{context}({n})[{m}]") for m, v in enumerate(inner)]
-    return tuple(_triangular([comb(2 * n - 1, j) for j in range(len(values))], values))
+    values = _exact_quotients(n, map(attrgetter("numerator"), inner),
+                              map(attrgetter("denominator"), inner), context)
+    return tuple(_triangular(list(map(comb, repeat(2 * n - 1), range(len(values)))),
+                             values))
 
 
 def _power_diff(m: int, p: int, r: int | Fraction) -> int | Fraction:
@@ -91,19 +133,39 @@ def _power_diff(m: int, p: int, r: int | Fraction) -> int | Fraction:
     return total
 
 
+def _power_sums(n: int) -> list[int]:
+    """Delta^m x^(m+n-1) at x = n for 0 <= m < n: row n's power sums.
+
+    Step m holds the powers (n+q)^(n-1+m), q < n, and the signed binomials
+    (-1)^(m-q) C(m, q), q <= m, as lists.  The next step multiplies the
+    powers by n+q and steps the binomials by Pascal's rule, each in one
+    ``map``.  Entry m equals ``_power_diff(m, m+n-1, n)``.
+    """
+    powers = list(map(pow, range(n, 2 * n), repeat(n - 1)))
+    signed = [1]
+    sums = [powers[0]]
+    for _ in range(1, n):
+        powers = list(map(mul, powers, range(n, 2 * n)))
+        signed = list(map(sub, [0] + signed, signed + [0]))
+        sums.append(sum(map(mul, signed, powers)))
+    return sums
+
+
 def beta_explicit_row(n: int) -> tuple[int, ...]:
     """Row n by the explicit double sum
 
         beta(n, k) = sum_{m=0}^{k} (1/m!) C(2n-1, k-m) sum_{q=0}^{m} C(m, q) (-1)^q (q+n)^(m+n-1).
+
+    The inner sum is taken term by term as written, with ``comb`` and
+    ``pow``; the division by m! must be exact.
     """
     _check_n(n)
-    inner = [
-        Fraction(
-            sum(comb(m, q) * (-1) ** q * (q + n) ** (m + n - 1) for q in range(m + 1)),
-            factorial(m),
-        )
-        for m in range(n)
-    ]
+    sums = []
+    for m in range(n):
+        terms = list(map(mul, map(comb, repeat(m), range(m + 1)),
+                         map(pow, range(n, n + m + 1), repeat(m + n - 1))))
+        sums.append(sum(terms[::2]) - sum(terms[1::2]))
+    inner = _exact_quotients(n, sums, _factorials(n), "beta_explicit_row")
     return _convolve(n, inner, "beta_explicit_row")
 
 
@@ -121,15 +183,25 @@ def rstirling_shifted(n: int, m: int, r: int) -> int:
 
 
 def rstirling_values(n: int) -> list[int]:
-    """The n values {2n-1+m brace n+m}_n, 0 <= m < n, behind row n."""
+    """The n values {2n-1+m brace n+m}_n, 0 <= m < n, behind row n.
+
+    Made by the r-Stirling triangle recurrence, not by a power sum.  With
+    S(e, K) = {K+e brace K}_n, the recurrence reads
+    S(e, K) = S(e, K-1) + K S(e-1, K), with S(e, n) = n^e and S(0, K) = 1.
+    Each excess e = 1..n-1 is one ``accumulate`` over K = n..2n-1, and the
+    values are S(n-1, n+m).
+    """
     _check_n(n)
-    return [rstirling_shifted(n - 1 + m, m, n) for m in range(n)]
+    column = [1] * n
+    for e in range(1, n):
+        column = list(accumulate(map(mul, range(n + 1, 2 * n), column[1:]),
+                                 initial=n**e))
+    return column
 
 
 def beta_rstirling_row(n: int) -> tuple[int, ...]:
     """Row n as alternating binomial sums of shifted r-Stirling numbers."""
-    inner = [(-1) ** m * s for m, s in enumerate(rstirling_values(n))]
-    return _convolve(n, inner, "beta_rstirling_row")
+    return _convolve(n, _alternating(rstirling_values(n)), "beta_rstirling_row")
 
 
 def bernoulli_higher(order: int, m: int, r: int | Fraction) -> Fraction:
@@ -145,13 +217,16 @@ def bernoulli_higher(order: int, m: int, r: int | Fraction) -> Fraction:
 
 
 def beta_bernoulli_row(n: int) -> tuple[int, ...]:
-    """Row n via Bernoulli polynomials of negative order."""
+    """Row n via Bernoulli polynomials of negative order.
+
+    Inner value m is (-1)^m C(m+n-1, n-1) B_(n-1)^(-m)(n): the power sum
+    times C(m+n-1, n-1), divided exactly by (m+n-1)!/(n-1)!.
+    """
     _check_n(n)
-    inner = [
-        (-1) ** m * comb(m + n - 1, n - 1) * bernoulli_higher(n - 1, m, n)
-        for m in range(n)
-    ]
-    return _convolve(n, inner, "beta_bernoulli_row")
+    nums = map(mul, map(comb, range(n - 1, 2 * n - 1), repeat(n - 1)), _power_sums(n))
+    dens = accumulate(range(n, 2 * n - 1), mul, initial=1)
+    inner = _exact_quotients(n, nums, dens, "beta_bernoulli_row")
+    return _convolve(n, _alternating(inner), "beta_bernoulli_row")
 
 
 def forward_diff_power(m: int, n: int) -> int:
@@ -167,12 +242,11 @@ def forward_diff_power(m: int, n: int) -> int:
 
 
 def beta_forward_diff_row(n: int) -> tuple[int, ...]:
-    """Row n via iterated forward differences."""
+    """Row n via iterated forward differences: inner value m is
+    (-1)^m Delta^m x^(m+n-1) at x = n, divided exactly by m!."""
     _check_n(n)
-    inner = [
-        Fraction((-1) ** m * forward_diff_power(m, n), factorial(m)) for m in range(n)
-    ]
-    return _convolve(n, inner, "beta_forward_diff_row")
+    inner = _exact_quotients(n, _power_sums(n), _factorials(n), "beta_forward_diff_row")
+    return _convolve(n, _alternating(inner), "beta_forward_diff_row")
 
 
 def carlitz_row(kappa: int, lam: int) -> tuple[int, ...]:
@@ -228,7 +302,7 @@ def rstirling_from_beta_row(n: int, table: CoefficientTable) -> list[int]:
     """
     row = table.row(n)
     kernel = [comb(2 * n - 2 + j, 2 * n - 2) for j in range(n)]
-    return _triangular(kernel, [-b if k % 2 else b for k, b in enumerate(row)])
+    return _triangular(kernel, _alternating(list(row)))
 
 
 def factorial_identity(n: int) -> tuple[int, int]:

@@ -228,13 +228,19 @@ def w_derivative_fd(n: int, x: float) -> DerivativeValue:
     Central difference with step h = max(x, 1)*eps^(1/(n+2)), extrapolated
     once against the doubled step: (4 D(h) - D(2h)) / 3.  Above n = 5 the
     cancellation noise in binary64 makes the estimate meaningless, so that
-    is a domain error.  The stencil spans x +- n*h, which must stay > 0.
+    is a domain error.  The stencil spans x +- n*h, whose low point x - n*h
+    must not be negative; where it is, this raises ValueError before
+    evaluating W anywhere.
     """
     if not 1 <= n <= 5:
         raise ValueError("finite-difference oracle is limited to 1 <= n <= 5")
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"finite-difference route needs x > 0, got {x}")
     h = max(x, 1.0) * MACHINE_EPS ** (1.0 / (n + 2))
+    if (low := x - n * h) < 0.0:
+        raise ValueError(
+            f"finite-difference stencil x +- n*h = {x} +- {n}*{h} reaches "
+            f"below 0: its low point is {low}")
     value = (4.0 * _central_diff(n, x, h) - _central_diff(n, x, 2.0 * h)) / 3.0
     return DerivativeValue(n=n, x=x, value=value, route=ROUTE_FD)
 

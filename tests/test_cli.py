@@ -343,6 +343,14 @@ class TestEvalCommand:
         assert code == 0
         assert "W(x) = 0.56714329040978384\n" in out
 
+    def test_fd_stencil_below_zero_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--x=1e-300", "--n", "2",
+                                 "--route", "finite_difference")
+        assert (code, out) == (2, "")
+        assert err == ("error: finite-difference stencil x +- n*h = 1e-300 +- "
+                       "2*0.0001220703125 reaches below 0: its low point is "
+                       "-0.000244140625\n")
+
     def test_domain_error_exits_2(self, capsys):
         for argv in (("--x", "-1", "--n", "1"),
                      ("--x", "0", "--n", "1"),  # closed form needs x > 0

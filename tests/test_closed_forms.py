@@ -22,8 +22,10 @@ from wderiv import (
     forward_diff_power,
     rstirling_from_beta_row,
     rstirling_shifted,
+    rstirling_values,
 )
-from wderiv.closed_forms import _convolve
+from wderiv import closed_forms
+from wderiv.closed_forms import _convolve, _power_diff, _power_sums
 
 
 class TestExplicit:
@@ -157,10 +159,37 @@ class TestCarlitz:
 
 
 class TestRouteAgreement:
-    def test_all_routes_match_recurrence(self, table8):
-        for n in range(1, 9):
+    def test_all_routes_match_recurrence(self):
+        table = build_table(80)
+        for n in range(1, 81):
             for name, row_of in ROUTE_ROWS.items():
-                assert row_of(n) == table8.rows[n], (name, n)
+                assert row_of(n) == table.rows[n], (name, n)
+
+    def test_rstirling_recurrence_matches_the_power_sum(self):
+        # rstirling_values runs the r-Stirling triangle recurrence;
+        # rstirling_shifted is the closed power sum over m!
+        for n in range(1, 81):
+            assert rstirling_values(n) == [
+                rstirling_shifted(n - 1 + m, m, n) for m in range(n)], n
+
+    def test_row_of_power_sums_matches_the_scalar_sum(self):
+        for n in range(1, 61):
+            assert _power_sums(n) == [_power_diff(m, m + n - 1, n) for m in range(n)], n
+
+    @pytest.mark.parametrize("route", ["beta_bernoulli_row", "beta_forward_diff_row"])
+    def test_a_power_sum_off_by_one_is_named(self, monkeypatch, route):
+        # m! (or (m+n-1)!/(n-1)! / C(m+n-1, n-1), the same) divides the power
+        # sum, and from m = 2 on it no longer divides the sum plus one
+        power_sums = closed_forms._power_sums
+        n = 7
+        for m in range(2, n):
+            def off_by_one(n, m=m):
+                sums = power_sums(n)
+                sums[m] += 1
+                return sums
+            monkeypatch.setattr(closed_forms, "_power_sums", off_by_one)
+            with pytest.raises(ConsistencyError, match=rf"^{route}\({n}\)\[{m}\]: "):
+                getattr(closed_forms, route)(n)
 
 
 class TestRouteRegistry:

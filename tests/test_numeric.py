@@ -229,6 +229,30 @@ class TestFiniteDifference:
         with pytest.raises(ValueError):
             w_derivative_fd(1, 0.0)
 
+    @staticmethod
+    def stencil(n, x):
+        """Every point the two central differences evaluate W at."""
+        h = max(x, 1.0) * MACHINE_EPS ** (1.0 / (n + 2))
+        return [x + (n / 2 - i) * step for step in (h, 2.0 * h) for i in range(n + 1)]
+
+    def test_rejects_exactly_where_the_stencil_goes_negative(self):
+        xs = [10.0 ** e for e in range(-300, 1, 3)]
+        for n in range(1, 6):
+            h = MACHINE_EPS ** (1.0 / (n + 2))
+            for x in xs + [n * h, math.nextafter(n * h, 0.0), math.nextafter(n * h, 1.0)]:
+                if min(self.stencil(n, x)) < 0.0:
+                    with pytest.raises(ValueError, match="stencil x [+]- n[*]h = "):
+                        w_derivative_fd(n, x)
+                else:
+                    assert math.isfinite(w_derivative_fd(n, x).value), (n, x)
+
+    def test_rejection_names_the_low_point(self):
+        with pytest.raises(ValueError) as exc:
+            w_derivative_fd(2, 1e-300)
+        assert str(exc.value) == (
+            "finite-difference stencil x +- n*h = 1e-300 +- 2*0.0001220703125 "
+            "reaches below 0: its low point is -0.000244140625")
+
 
 class TestSeriesEvaluation:
     def test_examples(self, table8):

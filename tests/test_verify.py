@@ -3,6 +3,8 @@ import contextlib
 import io
 import json
 import math
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -101,6 +103,35 @@ def test_default_verify_builds_the_table_once(monkeypatch, capsys):
                         lambda n_max: calls.append(n_max) or build(n_max))
     assert main(["verify"]) == 0
     assert calls == [200]
+
+
+def test_kernel_routes_build_each_row_in_one_pass(monkeypatch):
+    """Per-row helpers, not per-entry sums: a guard that times nothing.
+
+    ``bernoulli`` and ``fdiff`` each take one row of power sums per row, the
+    ``rstirling`` route and the identities one row of r-Stirling values, and
+    nothing calls the scalar power sum ``_power_diff``.
+    """
+    calls = []
+
+    def spy(name):
+        func = getattr(closed_forms, name)
+
+        def wrapped(*args):
+            calls.append((name, sys._getframe(1).f_code.co_name))
+            return func(*args)
+        return wrapped
+
+    for name in ("_power_diff", "_power_sums", "rstirling_values"):
+        monkeypatch.setattr(closed_forms, name, spy(name))
+    routes = tuple(closed_forms.ROUTE_ROWS)
+    assert run_verification(build_table(40), routes) == []
+    assert Counter(calls) == {
+        ("_power_sums", "beta_bernoulli_row"): 40,
+        ("_power_sums", "beta_forward_diff_row"): 40,
+        ("rstirling_values", "beta_rstirling_row"): 40,
+        ("rstirling_values", "verify_identities"): 40,
+    }
 
 
 def test_only_a_given_table_meets_the_recurrence(monkeypatch, tmp_path):
