@@ -20,26 +20,30 @@ the explicit double sum as written, shifted r-Stirling numbers, Bernoulli
 polynomials of negative integer order and iterated forward differences of a
 power.  ``bernoulli`` and ``fdiff`` normalise the one row of power sums, so
 they check their normalisation identities, not the power sum itself;
-``explicit`` is the literal double sum with ``comb`` and ``pow``.  Every
-route returns a whole row; each kernel-sum route builds it in O(n) passes
-of ``map``, ``sum`` or ``accumulate``.  Each inner value is a signed
-r-Stirling number: a route that divides asserts that the quotient is exact,
-raising :class:`ConsistencyError` naming the route, the row and the index m
-otherwise, and the binomial convolution then works on integers alone.  The
-inversion ``rstirling_from_beta_row`` runs the same triangular sum with the
-kernel of (1-w)^-(2n-1); the two kernels are inverse power series, so
-convolving the inverted values back gives any integer row, and only the
-inverted values themselves are worth checking.  Both kernels are unit
-lower-triangular, so the inverted values match ``rstirling_values`` exactly
-where the row matches ``beta_rstirling_row``.
+``explicit`` is the literal double sum with ``comb`` binomials and the sign
+(-1)^q, its powers stepped from one m to the next by one multiplication.
+Every route returns a whole row; each kernel-sum route makes its n inner
+values in a private helper, in O(n) passes of ``map``, ``sum`` or
+``accumulate``, and its row is ``_convolve`` of them.  Each inner value is a
+signed r-Stirling number: a route that divides asserts that the quotient is
+exact, raising :class:`ConsistencyError` naming the route, the row and the
+index m otherwise, and the binomial convolution then works on integers
+alone.  The inversion ``rstirling_from_beta_row`` runs the same triangular
+sum with the kernel of (1-w)^-(2n-1); the two kernels are inverse power
+series, so convolving the inverted values back gives any integer row, and
+only the inverted values themselves are worth checking.  Both kernels are
+unit lower-triangular, so a kernel-sum route's row equals a table row
+exactly where its inner values equal the table row's signed inverted values;
+``verify`` decides the routes that way, row by row
+(``_kernel_inner_values``), and convolves only where they differ.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable, Iterator
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, factorial
-from operator import attrgetter, mul, neg, sub
+from operator import add, attrgetter, mul, neg, sub
 from typing import Callable
 
 from .triangle import CoefficientTable
@@ -151,22 +155,32 @@ def _power_sums(n: int) -> list[int]:
     return sums
 
 
+def _explicit_inner(n: int) -> list[int]:
+    """Row n's inner values by the explicit double sum: entry m is
+    (1/m!) sum_{q=0}^{m} C(m, q) (-1)^q (q+n)^(m+n-1).
+
+    The sum is taken as written, with ``comb`` binomials and the sign
+    (-1)^q; the powers (q+n)^(m+n-1) come from step m-1's by one
+    multiplication each, plus one new ``pow`` for q = m.  The division by m!
+    must be exact.
+    """
+    powers: list[int] = []
+    sums = []
+    for m in range(n):
+        powers = list(map(mul, powers, range(n, n + m)))
+        powers.append((n + m) ** (m + n - 1))
+        terms = list(map(mul, map(comb, repeat(m), range(m + 1)), powers))
+        sums.append(sum(terms[::2]) - sum(terms[1::2]))
+    return _exact_quotients(n, sums, _factorials(n), "beta_explicit_row")
+
+
 def beta_explicit_row(n: int) -> tuple[int, ...]:
     """Row n by the explicit double sum
 
         beta(n, k) = sum_{m=0}^{k} (1/m!) C(2n-1, k-m) sum_{q=0}^{m} C(m, q) (-1)^q (q+n)^(m+n-1).
-
-    The inner sum is taken term by term as written, with ``comb`` and
-    ``pow``; the division by m! must be exact.
     """
     _check_n(n)
-    sums = []
-    for m in range(n):
-        terms = list(map(mul, map(comb, repeat(m), range(m + 1)),
-                         map(pow, range(n, n + m + 1), repeat(m + n - 1))))
-        sums.append(sum(terms[::2]) - sum(terms[1::2]))
-    inner = _exact_quotients(n, sums, _factorials(n), "beta_explicit_row")
-    return _convolve(n, inner, "beta_explicit_row")
+    return _convolve(n, _explicit_inner(n), "beta_explicit_row")
 
 
 def rstirling_shifted(n: int, m: int, r: int) -> int:
@@ -199,9 +213,14 @@ def rstirling_values(n: int) -> list[int]:
     return column
 
 
+def _rstirling_inner(n: int) -> list[int]:
+    """Row n's inner values, (-1)^m {2n-1+m brace n+m}_n, by the r-Stirling recurrence."""
+    return _alternating(rstirling_values(n))
+
+
 def beta_rstirling_row(n: int) -> tuple[int, ...]:
     """Row n as alternating binomial sums of shifted r-Stirling numbers."""
-    return _convolve(n, _alternating(rstirling_values(n)), "beta_rstirling_row")
+    return _convolve(n, _rstirling_inner(n), "beta_rstirling_row")
 
 
 def bernoulli_higher(order: int, m: int, r: int | Fraction) -> Fraction:
@@ -216,17 +235,19 @@ def bernoulli_higher(order: int, m: int, r: int | Fraction) -> Fraction:
     return scale * _power_diff(m, m + order, r)
 
 
-def beta_bernoulli_row(n: int) -> tuple[int, ...]:
-    """Row n via Bernoulli polynomials of negative order.
-
-    Inner value m is (-1)^m C(m+n-1, n-1) B_(n-1)^(-m)(n): the power sum
-    times C(m+n-1, n-1), divided exactly by (m+n-1)!/(n-1)!.
-    """
-    _check_n(n)
-    nums = map(mul, map(comb, range(n - 1, 2 * n - 1), repeat(n - 1)), _power_sums(n))
+def _bernoulli_inner(n: int, sums: list[int]) -> list[int]:
+    """Row n's inner values from its power sums ``sums``: entry m is
+    (-1)^m C(m+n-1, n-1) B_(n-1)^(-m)(n), the power sum times
+    C(m+n-1, n-1), divided exactly by (m+n-1)!/(n-1)!."""
+    nums = map(mul, map(comb, range(n - 1, 2 * n - 1), repeat(n - 1)), sums)
     dens = accumulate(range(n, 2 * n - 1), mul, initial=1)
-    inner = _exact_quotients(n, nums, dens, "beta_bernoulli_row")
-    return _convolve(n, _alternating(inner), "beta_bernoulli_row")
+    return _alternating(_exact_quotients(n, nums, dens, "beta_bernoulli_row"))
+
+
+def beta_bernoulli_row(n: int) -> tuple[int, ...]:
+    """Row n via Bernoulli polynomials of negative order."""
+    _check_n(n)
+    return _convolve(n, _bernoulli_inner(n, _power_sums(n)), "beta_bernoulli_row")
 
 
 def forward_diff_power(m: int, n: int) -> int:
@@ -241,12 +262,17 @@ def forward_diff_power(m: int, n: int) -> int:
     return _power_diff(m, m + n - 1, n)
 
 
-def beta_forward_diff_row(n: int) -> tuple[int, ...]:
-    """Row n via iterated forward differences: inner value m is
+def _forward_diff_inner(n: int, sums: list[int]) -> list[int]:
+    """Row n's inner values from its power sums ``sums``: entry m is
     (-1)^m Delta^m x^(m+n-1) at x = n, divided exactly by m!."""
+    return _alternating(
+        _exact_quotients(n, sums, _factorials(n), "beta_forward_diff_row"))
+
+
+def beta_forward_diff_row(n: int) -> tuple[int, ...]:
+    """Row n via iterated forward differences of a power."""
     _check_n(n)
-    inner = _exact_quotients(n, _power_sums(n), _factorials(n), "beta_forward_diff_row")
-    return _convolve(n, _alternating(inner), "beta_forward_diff_row")
+    return _convolve(n, _forward_diff_inner(n, _power_sums(n)), "beta_forward_diff_row")
 
 
 def carlitz_row(kappa: int, lam: int) -> tuple[int, ...]:
@@ -263,11 +289,9 @@ def carlitz_row(kappa: int, lam: int) -> tuple[int, ...]:
         raise ValueError("kappa must be nonnegative")
     row: tuple[int, ...] = (1,)
     for kk in range(1, kappa + 1):
-        padded = (0,) + row + (0,)
-        row = tuple(
-            (kk + j - lam) * padded[j + 1] + (kk - j + lam) * padded[j]
-            for j in range(kk + 1)
-        )
+        own = map(mul, range(kk - lam, 2 * kk - lam + 1), row + (0,))  # (k+j-lam) B(k-1, j)
+        left = map(mul, range(kk + lam, lam - 1, -1), (0,) + row)  # (k-j+lam) B(k-1, j-1)
+        row = tuple(map(add, own, left))
     return row
 
 
@@ -287,6 +311,27 @@ ROUTE_ROWS: dict[str, Callable[[int], tuple[int, ...]]] = {
     "fdiff": beta_forward_diff_row,
     "carlitz": beta_carlitz_row,
 }
+
+
+def _kernel_inner_values(
+    n: int, names: Collection[str]
+) -> Iterator[tuple[str, str, list[int]]]:
+    """(route name, row function name, inner values) of row n for each
+    kernel-sum route in ``names``, in ``ROUTE_ROWS`` order.
+
+    ``_convolve(n, inner, row function name)`` is the route's row.
+    ``bernoulli`` and ``fdiff`` normalise one row of ``_power_sums``.
+    """
+    if "explicit" in names:
+        yield "explicit", "beta_explicit_row", _explicit_inner(n)
+    if "rstirling" in names:
+        yield "rstirling", "beta_rstirling_row", _rstirling_inner(n)
+    if "bernoulli" in names or "fdiff" in names:
+        sums = _power_sums(n)
+        if "bernoulli" in names:
+            yield "bernoulli", "beta_bernoulli_row", _bernoulli_inner(n, sums)
+        if "fdiff" in names:
+            yield "fdiff", "beta_forward_diff_row", _forward_diff_inner(n, sums)
 
 
 def rstirling_from_beta_row(n: int, table: CoefficientTable) -> list[int]:

@@ -213,13 +213,13 @@ def w_derivative_taylor(n: int, x: float, rel_tol: float = 1e-12) -> DerivativeV
     return DerivativeValue(n=n, x=x, value=value, route=ROUTE_TAYLOR)
 
 
-def _central_diff(n: int, x: float, h: float) -> float:
-    """Order-n central difference of W at x with step h."""
+def _central_diff(n: int, x: float, h: float, h_n: float) -> float:
+    """Order-n central difference of W at x with step h, where h_n = h**n."""
     vals = [
         (-1) ** i * comb(n, i) * lambert_w(x + (n / 2 - i) * h).w
         for i in range(n + 1)
     ]
-    return fsum(vals) / h**n
+    return fsum(vals) / h_n
 
 
 def w_derivative_fd(n: int, x: float) -> DerivativeValue:
@@ -229,7 +229,9 @@ def w_derivative_fd(n: int, x: float) -> DerivativeValue:
     once against the doubled step: (4 D(h) - D(2h)) / 3.  Above n = 5 the
     cancellation noise in binary64 makes the estimate meaningless, so that
     is a domain error.  The stencil spans x +- n*h, whose low point x - n*h
-    must not be negative; where it is, this raises ValueError before
+    must not be negative, and (2h)^n must not overflow binary64, which it
+    does for n >= 2 at large x (from about x = 5.5e157 at n = 2 and 3.9e63
+    at n = 5).  Where either fails, this raises ValueError before
     evaluating W anywhere.
     """
     if not 1 <= n <= 5:
@@ -241,7 +243,13 @@ def w_derivative_fd(n: int, x: float) -> DerivativeValue:
         raise ValueError(
             f"finite-difference stencil x +- n*h = {x} +- {n}*{h} reaches "
             f"below 0: its low point is {low}")
-    value = (4.0 * _central_diff(n, x, h) - _central_diff(n, x, 2.0 * h)) / 3.0
+    try:
+        h_n, h2_n = h**n, (2.0 * h) ** n
+    except OverflowError:
+        raise ValueError(
+            f"finite-difference route at x = {x}, n = {n}: (2h)^n overflows "
+            f"binary64 for the step h = {h}") from None
+    value = (4.0 * _central_diff(n, x, h, h_n) - _central_diff(n, x, 2.0 * h, h2_n)) / 3.0
     return DerivativeValue(n=n, x=x, value=value, route=ROUTE_FD)
 
 

@@ -8,12 +8,15 @@ on some table.  The checks:
 * route agreement: every table entry against the recurrence (always over
   the full table, streamed one row at a time, so any corrupted entry is
   caught) and against the chosen closed-form routes up to a configurable
-  row.  A table built by the recurrence is that route, so ``wderiv verify``
-  does not compare the table it builds with it.  ``verify_table_file``
-  checks a table file without converting it whole: the recurrence
-  comparison runs on the file's decimal text, against ``str`` of
-  exact-decimal recurrence rows, and only the rows up to the horizon become
-  ints for the other checks;
+  row.  The four kernel-sum routes are decided row by row on their inner
+  values, against the table row inverted once (convolution only on a
+  mismatch, to name the entries); ``bernoulli`` and ``fdiff`` share one row
+  of power sums per row.  A table built by the recurrence is that route, so
+  ``wderiv verify`` does not compare the table it builds with it.
+  ``verify_table_file`` checks a table file without converting it whole:
+  the recurrence comparison runs on the file's decimal text, against
+  ``str`` of exact-decimal recurrence rows, and only the rows up to the
+  horizon become ints for the other checks;
 * sequence properties per row: positivity, log-concavity of k! times the
   row (decided as (k+1) c_{k-1} c_{k+1} <= k c_k^2) and the strict ratio
   bound (for n >= 3).  On a positive row that log-concavity decides the
@@ -110,8 +113,16 @@ def verify_routes(
     The recurrence reference always covers every row of the table, streamed
     one row at a time; the closed-form routes are evaluated up to n_max
     (default 40), since each of their rows costs O(n^2) big-integer
-    operations.  The comparison loop is shared with ``verify_table_file``,
-    which feeds it text rows.
+    operations.  The kernel-sum routes are decided row by row on their
+    inner values: row n of the table is inverted once
+    (``rstirling_from_beta_row``), and a route's row equals the table row
+    iff its inner values equal the signed inverted ones, since both kernels
+    are unit lower-triangular and inverse to each other.  Only a route whose
+    inner values differ is convolved, to name the entries that differ.
+    Failures come route by route, in ``ROUTE_NAMES`` order; a route that
+    raises ``ConsistencyError`` does so on the first row where any route
+    does.  The comparison loop is shared with ``verify_table_file``, which
+    feeds it text rows.
     """
     if unknown := set(routes) - set(ROUTE_NAMES):
         raise ValueError(f"unknown routes: {sorted(unknown)}")
@@ -120,10 +131,25 @@ def verify_routes(
     if "recurrence" in routes:
         failures += _route_failures(
             "recurrence", zip(table.rows[1:], triangle._rows(table.n_max, 1)))
+    # kernel-sum route -> {n: its row n} on the rows where it differs
+    differing: dict[str, dict[int, tuple[int, ...]]] = {}
+    for n in range(1, n_max + 1):
+        inverted = None
+        for name, context, inner in closed_forms._kernel_inner_values(n, routes):
+            if inverted is None:
+                inverted = closed_forms._alternating(
+                    closed_forms.rstirling_from_beta_row(n, table))
+            rows_of = differing.setdefault(name, {})
+            if inner != inverted:
+                rows_of[n] = closed_forms._convolve(n, inner, context)
+    rows = table.rows[1:n_max + 1]
     for name, row_of in closed_forms.ROUTE_ROWS.items():
-        if name in routes:
+        if name in differing:
+            rows_of = differing[name]
             failures += _route_failures(
-                name, ((table.rows[n], row_of(n)) for n in range(1, n_max + 1)))
+                name, ((row, rows_of.get(n, row)) for n, row in enumerate(rows, 1)))
+        elif name in routes:
+            failures += _route_failures(name, zip(rows, map(row_of, range(1, n_max + 1))))
     return failures
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from wderiv import (ROUTE_NAMES, build_table, closed_forms, parse_table_csv,
+from wderiv import (ROUTE_NAMES, build_table, closed_forms, numeric, parse_table_csv,
                     properties, table_to_csv, table_to_json, verify)
 from wderiv.cli import main
 from conftest import src_env
@@ -290,6 +290,10 @@ class TestVerifyHorizons:
         for name, row_of in closed_forms.ROUTE_ROWS.items():
             monkeypatch.setitem(closed_forms.ROUTE_ROWS, name,
                                 spy("routes", row_of, lambda n: n))
+        # the kernel-sum routes are decided on their inner values
+        monkeypatch.setattr(closed_forms, "_kernel_inner_values",
+                            spy("routes", closed_forms._kernel_inner_values,
+                                lambda n, names: n))
         monkeypatch.setattr(properties, "is_positive",
                             spy("properties", properties.is_positive, len))
         monkeypatch.setattr(closed_forms, "rstirling_from_beta_row",
@@ -310,6 +314,14 @@ class TestVerifyHorizons:
         code, out, _ = run_cli(capsys, "verify", "--n-max", "12")
         assert code == 0
         assert self.horizons(reached) == (12, 12, 12)
+
+    @pytest.mark.parametrize("n_max, want", [(None, (40, 200, 40)), ("12", (12, 12, 12))])
+    def test_kernel_sum_routes_alone(self, capsys, reached, n_max, want):
+        options = [] if n_max is None else ["--n-max", n_max]
+        code, out, _ = run_cli(capsys, "verify", "--routes",
+                               "explicit,rstirling,bernoulli,fdiff", *options)
+        assert code == 0
+        assert self.horizons(reached) == want
 
     def test_table_caps_every_stage(self, capsys, reached, tmp_path):
         path = tmp_path / "t12.json"
@@ -350,6 +362,23 @@ class TestEvalCommand:
         assert err == ("error: finite-difference stencil x +- n*h = 1e-300 +- "
                        "2*0.0001220703125 reaches below 0: its low point is "
                        "-0.000244140625\n")
+
+    @pytest.mark.parametrize("x, n, h", [("1e70", 5, "5.804665191941207e+67"),
+                                         ("1e300", 3, "7.40095979741405e+296")])
+    def test_fd_step_power_overflow_exits_2(self, capsys, monkeypatch, x, n, h):
+        monkeypatch.setattr(numeric, "lambert_w", None)  # rejected before any W
+        code, out, err = run_cli(capsys, "eval", f"--x={x}", "--n", str(n),
+                                 "--route", "finite_difference")
+        assert (code, out) == (2, "")
+        assert err == (f"error: finite-difference route at x = {float(x)}, n = {n}: "
+                       f"(2h)^n overflows binary64 for the step h = {h}\n")
+
+    def test_taylor_below_zero(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--x=-1e-3", "--n", "2",
+                                 "--route", "taylor")
+        assert (code, err) == (0, "")
+        want = numeric.w_derivative_taylor(2, -1e-3).value
+        assert out == f"d^2W/dx^2 (taylor) = {want:.17g}\n"
 
     def test_domain_error_exits_2(self, capsys):
         for argv in (("--x", "-1", "--n", "1"),

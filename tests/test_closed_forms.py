@@ -28,7 +28,17 @@ from wderiv import closed_forms
 from wderiv.closed_forms import _convolve, _power_diff, _power_sums
 
 
+def ref_explicit_inner(n):
+    """The explicit inner sums with one ``pow`` per term, divided by m!."""
+    return [sum(comb(m, q) * (-1) ** q * (q + n) ** (m + n - 1) for q in range(m + 1))
+            // factorial(m) for m in range(n)]
+
+
 class TestExplicit:
+    def test_stepped_powers_match_one_pow_per_term(self):
+        for n in range(1, 41):
+            assert closed_forms._explicit_inner(n) == ref_explicit_inner(n), n
+
     def test_examples(self, table8):
         assert beta_explicit_row(5)[2] == 622
         assert beta_explicit_row(7)[0] == 117649  # 7^6: only the m=0, q=0 term
@@ -122,7 +132,23 @@ class TestPowerSum:
         assert forward_diff_power(m, n) == ref_power_diff(m, m + n - 1, n)
 
 
+def ref_carlitz_row(kappa, lam):
+    """The three-term recurrence one entry at a time, on a zero-padded row."""
+    row = (1,)
+    for kk in range(1, kappa + 1):
+        padded = (0,) + row + (0,)
+        row = tuple((kk + j - lam) * padded[j + 1] + (kk - j + lam) * padded[j]
+                    for j in range(kk + 1))
+    return row
+
+
 class TestCarlitz:
+    @settings(max_examples=60)
+    @given(st.integers(min_value=0, max_value=60),
+           st.integers(min_value=-70, max_value=70))
+    def test_matches_the_entry_by_entry_recurrence(self, kappa, lam):
+        assert carlitz_row(kappa, lam) == ref_carlitz_row(kappa, lam)
+
     def test_base_cases(self):
         assert carlitz_row(0, 9) == (1,)
         # B(1, 0, lam) is the rising factorial (1 - lam),

@@ -253,6 +253,17 @@ class TestFiniteDifference:
             "finite-difference stencil x +- n*h = 1e-300 +- 2*0.0001220703125 "
             "reaches below 0: its low point is -0.000244140625")
 
+    def test_large_x_is_a_value_or_a_domain_error(self):
+        """Where (2h)^n overflows, a ValueError, never a bare OverflowError."""
+        for n in range(1, 6):
+            for x in [10.0 ** e for e in range(0, 308, 7)] + [1.7e308]:
+                h = max(x, 1.0) * MACHINE_EPS ** (1.0 / (n + 2))
+                if math.log2(2.0 * h) * n >= 1024.0:
+                    with pytest.raises(ValueError, match="[(]2h[)]\\^n overflows"):
+                        w_derivative_fd(n, x)
+                else:
+                    assert math.isfinite(w_derivative_fd(n, x).value), (n, x)
+
 
 class TestSeriesEvaluation:
     def test_examples(self, table8):

@@ -1,10 +1,12 @@
 """Helpers of the verification battery not reached through the CLI tests."""
 import contextlib
 import io
+import itertools
 import json
 import math
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -41,19 +43,20 @@ def ref_verify_properties(table, n_max):
 
 
 TABLE40 = build_table(40)
+TABLE50 = build_table(50)
 
 
 @st.composite
-def changed_tables(draw):
-    """build_table(40) with one entry moved by +-1 or scaled up."""
-    n = draw(st.integers(min_value=1, max_value=40))
+def changed_tables(draw, base=TABLE40):
+    """``base`` with one entry moved by +-1 or scaled up."""
+    n = draw(st.integers(min_value=1, max_value=base.n_max))
     k = draw(st.integers(min_value=0, max_value=n - 1))
-    old = TABLE40.rows[n][k]
+    old = base.rows[n][k]
     new = draw(st.one_of(st.sampled_from([old + 1, old - 1]),
                          st.integers(min_value=2, max_value=10**6).map(old.__mul__)))
-    rows = list(TABLE40.rows)
+    rows = list(base.rows)
     rows[n] = rows[n][:k] + (new,) + rows[n][k + 1:]
-    return CoefficientTable(n_max=40, rows=tuple(rows))
+    return CoefficientTable(n_max=base.n_max, rows=tuple(rows))
 
 
 class TestPropertiesMatchEveryCheckOnEveryRow:
@@ -108,9 +111,11 @@ def test_default_verify_builds_the_table_once(monkeypatch, capsys):
 def test_kernel_routes_build_each_row_in_one_pass(monkeypatch):
     """Per-row helpers, not per-entry sums: a guard that times nothing.
 
-    ``bernoulli`` and ``fdiff`` each take one row of power sums per row, the
-    ``rstirling`` route and the identities one row of r-Stirling values, and
-    nothing calls the scalar power sum ``_power_diff``.
+    On a clean table ``verify_routes`` convolves nothing: each kernel-sum
+    route is decided on its inner values.  ``bernoulli`` and ``fdiff``
+    share one row of power sums per row, the ``rstirling`` route and the
+    identities take one row of r-Stirling values each, and nothing calls
+    the scalar power sum ``_power_diff``.
     """
     calls = []
 
@@ -122,31 +127,152 @@ def test_kernel_routes_build_each_row_in_one_pass(monkeypatch):
             return func(*args)
         return wrapped
 
-    for name in ("_power_diff", "_power_sums", "rstirling_values"):
+    for name in ("_convolve", "_power_diff", "_power_sums", "rstirling_values"):
         monkeypatch.setattr(closed_forms, name, spy(name))
     routes = tuple(closed_forms.ROUTE_ROWS)
     assert run_verification(build_table(40), routes) == []
     assert Counter(calls) == {
-        ("_power_sums", "beta_bernoulli_row"): 40,
-        ("_power_sums", "beta_forward_diff_row"): 40,
-        ("rstirling_values", "beta_rstirling_row"): 40,
+        ("_power_sums", "_kernel_inner_values"): 40,
+        ("rstirling_values", "_rstirling_inner"): 40,
         ("rstirling_values", "verify_identities"): 40,
     }
 
 
 def test_only_a_given_table_meets_the_recurrence(monkeypatch, tmp_path):
-    """The table ``verify`` builds is the recurrence route; a file is not."""
+    """The table ``verify`` builds is the recurrence route; a file is not.
+
+    Every route reports its failures through ``_route_failures``, once per
+    run, also where no row of it was convolved."""
     names = []
     compare = verify._route_failures
     monkeypatch.setattr(verify, "_route_failures",
                         lambda name, pairs: names.append(name) or compare(name, pairs))
     assert main(["verify"]) == 0
-    assert "recurrence" not in names and "explicit" in names
+    assert names == list(closed_forms.ROUTE_ROWS)
     names.clear()
     path = tmp_path / "t12.json"
     path.write_text(table_to_json(build_table(12)), encoding="ascii")
     assert main(["verify", "--table", str(path)]) == 0
-    assert "recurrence" in names
+    assert names == ["recurrence", *closed_forms.ROUTE_ROWS]
+
+
+def ref_verify_routes(table, routes, n_max):
+    """The route-major loop verify_routes replaced: each route's rows built
+    whole by its row function and compared with the table, route by route."""
+    n_max = min(n_max, table.n_max)
+    failures = []
+    if "recurrence" in routes:
+        failures += verify._route_failures(
+            "recurrence", zip(table.rows[1:], triangle._rows(table.n_max, 1)))
+    for name, row_of in closed_forms.ROUTE_ROWS.items():
+        if name in routes:
+            failures += verify._route_failures(
+                name, ((table.rows[n], row_of(n)) for n in range(1, n_max + 1)))
+    return failures
+
+
+# the private helper behind each kernel-sum route's inner values
+INNER_HELPERS = {"explicit": "_explicit_inner", "rstirling": "_rstirling_inner",
+                 "bernoulli": "_bernoulli_inner", "fdiff": "_forward_diff_inner"}
+ROW_FUNCTIONS = {"explicit": "beta_explicit_row", "rstirling": "beta_rstirling_row",
+                 "bernoulli": "beta_bernoulli_row", "fdiff": "beta_forward_diff_row"}
+route_subsets = st.sets(st.sampled_from(ROUTE_NAMES), min_size=1).map(
+    lambda chosen: tuple(name for name in ROUTE_NAMES if name in chosen))
+horizons = st.sampled_from([1, 12, 40, 50])
+
+
+@st.composite
+def inner_mutants(draw):
+    """(route, n, m): a kernel-sum route and an inner value of row n <= 50."""
+    route = draw(st.sampled_from(sorted(INNER_HELPERS)))
+    n = draw(st.integers(min_value=1, max_value=50))
+    return route, n, draw(st.integers(min_value=0, max_value=n - 1))
+
+
+def outcome(func, *args):
+    """func(*args), or the message of the ``ConsistencyError`` it raises."""
+    try:
+        return func(*args)
+    except closed_forms.ConsistencyError as err:
+        return ("ConsistencyError", str(err))
+
+
+class TestRoutesMatchRouteByRouteRows:
+    """``verify_routes`` decides the kernel-sum routes on inner values, row
+    by row; it gives the failure list of building every route's rows."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(changed_tables(TABLE50), route_subsets, horizons)
+    def test_changed_entry(self, table, routes, horizon):
+        assert verify.verify_routes(table, routes, horizon) == ref_verify_routes(
+            table, routes, horizon)
+
+    def test_every_subset_on_a_bumped_table(self):
+        rows = list(TABLE40.rows)
+        rows[9] = rows[9][:4] + (rows[9][4] + 1,) + rows[9][5:]
+        table = CoefficientTable(n_max=40, rows=tuple(rows))
+        for size in range(1, len(ROUTE_NAMES) + 1):
+            for routes in itertools.combinations(ROUTE_NAMES, size):
+                got = verify.verify_routes(table, routes, 12)
+                assert got == ref_verify_routes(table, routes, 12), routes
+                assert {f.check for f in got} == {f"route:{r}" for r in routes}
+
+    @settings(max_examples=40, deadline=None)
+    @given(inner_mutants(), route_subsets, horizons)
+    def test_inner_value_off_by_one(self, mutant, routes, horizon):
+        route, n, m = mutant
+        helper = getattr(closed_forms, INNER_HELPERS[route])
+
+        def off_by_one(row, *args):
+            inner = helper(row, *args)
+            if row == n:
+                inner[m] += 1
+            return inner
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(closed_forms, INNER_HELPERS[route], off_by_one)
+            got = verify.verify_routes(TABLE50, routes, horizon)
+            want = ref_verify_routes(TABLE50, routes, horizon)
+        assert got == want
+        assert bool(got) == (route in routes and n <= horizon)
+
+    @settings(max_examples=40, deadline=None)
+    @given(inner_mutants().filter(lambda mutant: mutant[2] >= 2), st.booleans(),
+           route_subsets, horizons)
+    def test_inexact_quotient(self, mutant, in_helper, routes, horizon):
+        """A quotient with a remainder raises the route's ConsistencyError,
+        inside the helper (from m = 2 on, the divisor of inner value m is at
+        least 2, so the dividend plus one leaves a remainder) or in the
+        convolution (a half added to the inner value).  The r-Stirling
+        route divides nothing, so it gets only the latter."""
+        route, n, m = mutant
+        context = ROW_FUNCTIONS[route]
+        exact = closed_forms._exact_quotients
+        helper = getattr(closed_forms, INNER_HELPERS[route])
+
+        def inexact_dividend(row, nums, dens, where):
+            nums = list(nums)
+            if (row, where) == (n, context):
+                nums[m] += 1
+            return exact(row, nums, dens, where)
+
+        def half_off(row, *args):
+            inner = helper(row, *args)
+            if row == n:
+                inner[m] += Fraction(1, 2)
+            return inner
+
+        with pytest.MonkeyPatch.context() as mp:
+            if in_helper and route != "rstirling":
+                mp.setattr(closed_forms, "_exact_quotients", inexact_dividend)
+            else:
+                mp.setattr(closed_forms, INNER_HELPERS[route], half_off)
+            got = outcome(verify.verify_routes, TABLE50, routes, horizon)
+            want = outcome(ref_verify_routes, TABLE50, routes, horizon)
+        assert got == want
+        if route in routes and n <= horizon:
+            assert got[0] == "ConsistencyError"
+            assert got[1].startswith(f"{context}({n})[{m}]: non-integer result ")
 
 
 class TestCarlitzSums:
