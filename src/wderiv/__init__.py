@@ -13,20 +13,39 @@ and binomial inequalities) by exhaustive checks that integers decide (floats
 of bounded error only pass the clear cases), and verifies
 numerically that the alternating-sign law of the derivatives holds, i.e.
 that W is a Bernstein function.
+
+Names resolve on first use (PEP 562), so importing a submodule loads only
+that submodule and what it imports.  A submodule name imports just that
+submodule.  Any other public name is looked up in the ``__all__`` of the
+exporting modules, in order, and bound here once found.
 """
-from . import closed_forms, numeric, properties, tableio, triangle, verify
-from .closed_forms import *
-from .numeric import *
-from .properties import *
-from .tableio import *
-from .triangle import *
-from .verify import *
+from importlib import import_module
 
 __version__ = "0.1.0"
 
 # each module's __all__ is the one list of its public names
-__all__ = [
-    name
-    for module in (triangle, closed_forms, properties, numeric, tableio, verify)
-    for name in module.__all__
-] + ["__version__"]
+_EXPORTING = ("triangle", "closed_forms", "properties", "numeric", "tableio", "verify")
+_SUBMODULES = _EXPORTING + ("bench", "cli")
+
+
+def _module(name: str):
+    return import_module(f"{__name__}.{name}")
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return _module(name)
+    if name == "__all__":
+        value = [n for module in _EXPORTING for n in _module(module).__all__]
+        value.append("__version__")
+    else:
+        module = next((m for m in map(_module, _EXPORTING) if name in m.__all__), None)
+        if module is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__getattr__("__all__")))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count, islice
 from math import comb, exp, factorial, fsum, log1p
 from typing import Iterator
@@ -259,9 +258,11 @@ def pn_series_eval(n: int, w: float, rel_tol: float = 1e-10) -> float:
         p_n(w) = (1+w)^(2n-1) sum_{s>=0} (-1)^(n+s-1) (n+s)^(n+s-1) w^s e^((n+s)w) / s!
 
     Each term's rational part (n+s)^(n+s-1) w^s / s! is built exactly from
-    the binary64 value of w and only then rounded, which keeps the heavy
-    cancellation at positive w from eating into the tolerance.  Stops after
-    two consecutive terms below rel_tol times the running sum.
+    the binary64 value of w = M / D and only then rounded, as the one
+    correctly rounded int division (n+s)^(n+s-1) M^s / (s! D^s), which
+    keeps the heavy cancellation at positive w from eating into the
+    tolerance.  Stops after two consecutive terms below rel_tol times the
+    running sum.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -271,14 +272,13 @@ def pn_series_eval(n: int, w: float, rel_tol: float = 1e-10) -> float:
         raise ValueError(f"series evaluation needs |w| <= {_SERIES_W_BOUND}, got {w}")
     if w == 0.0:
         return float((-1) ** (n - 1) * n ** (n - 1))
-    w_exact = Fraction(w)
+    num, den = w.as_integer_ratio()
 
     def terms() -> Iterator[float]:
         for s in count():
             ns = n + s
-            rational = Fraction(ns ** (ns - 1), factorial(s)) * w_exact**s
             try:
-                t = float(rational) * exp(ns * w)
+                t = ns ** (ns - 1) * num**s / (factorial(s) * den**s) * exp(ns * w)
             except OverflowError:
                 t = math.inf
             if not math.isfinite(t):  # the product overflows to inf without raising

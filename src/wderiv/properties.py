@@ -96,10 +96,11 @@ def _log_concave(seq: Sequence[int], name: str, weighted: bool) -> PropertyRepor
     logs = list(map(log2, seq))
     tol = 1e-9 * max(1.0, max(map(abs, logs)))
     for k in range(1, len(seq) - 1):
-        p, q = (k + 1, k) if weighted else (1, 1)
-        if (2 * logs[k] - logs[k - 1] - logs[k + 1] - log2(p / q) <= tol
-                and p * seq[k - 1] * seq[k + 1] > q * seq[k] * seq[k]):
-            return PropertyReport(name, False, first_violation=(k,))
+        shift = log2((k + 1) / k) if weighted else 0.0
+        if 2 * logs[k] - logs[k - 1] - logs[k + 1] - shift <= tol:
+            p, q = (k + 1, k) if weighted else (1, 1)
+            if p * seq[k - 1] * seq[k + 1] > q * seq[k] * seq[k]:
+                return PropertyReport(name, False, first_violation=(k,))
     return PropertyReport(name, True)
 
 

@@ -27,7 +27,9 @@ on some table.  The checks:
 * identities: the alternating row sum against (2n-3)!!, and the inversion
   row -> r-Stirling values against the direct r-Stirling values, one row at
   a time.  Convolving the inverted values back gives the row for any
-  integer row, so that round trip is not run.
+  integer row, so that round trip is not run.  ``run_verification`` checks
+  the identities in the kernel-sum routes' pass over the rows, so each row
+  is inverted and its r-Stirling values made once.
 
 ``verify_carlitz_sums`` proves the Carlitz row-sum identity up to a given
 kappa.  It reads no table, so the battery does not run it.
@@ -103,6 +105,67 @@ def _route_failures(name: str, pairs: Iterable[tuple[Sequence, Sequence]]) -> li
     return failures
 
 
+def _table_checks(
+    table: CoefficientTable,
+    routes: tuple[str, ...],
+    n_max: int | None,
+    identities: bool,
+) -> list[CheckFailure]:
+    """The route failures for ``routes``, then, if ``identities``, the
+    identity failures row by row; the rows of both share one pass.
+
+    Row n of the table is inverted once (``rstirling_from_beta_row``) and
+    its r-Stirling values (``rstirling_values``) are made once: the
+    ``rstirling`` route's inner values and the inversion identity's direct
+    values are the same list, signed.
+    """
+    if unknown := set(routes) - set(ROUTE_NAMES):
+        raise ValueError(f"unknown routes: {sorted(unknown)}")
+    n_max = _horizon(n_max, DEFAULT_ROUTE_N_MAX, table.n_max)
+    failures: list[CheckFailure] = []
+    if "recurrence" in routes:
+        failures += _route_failures(
+            "recurrence", zip(table.rows[1:], triangle._rows(table.n_max, 1)))
+    # kernel-sum route -> {n: its row n} on the rows where it differs
+    differing: dict[str, dict[int, tuple[int, ...]]] = {}
+    identity_failures: list[CheckFailure] = []
+    kernel_routes = set(routes) | ({"rstirling"} if identities else set())
+    for n in range(1, n_max + 1):
+        if identities:
+            alt = triangle.alternating_sum(n, table)
+            want = triangle.double_factorial(2 * n - 3)
+            if alt != want:
+                identity_failures.append(CheckFailure(
+                    n, None, "identity:alternating_sum",
+                    f"sum {alt} != (2n-3)!! = {want}"))
+        inverted = None
+        for name, context, inner in closed_forms._kernel_inner_values(n, kernel_routes):
+            if inverted is None:
+                inverted = closed_forms._alternating(
+                    closed_forms.rstirling_from_beta_row(n, table))
+            if identities and name == "rstirling":
+                # entry m of both lists carries the sign (-1)^m
+                identity_failures += [
+                    CheckFailure(n, m, "identity:inversion",
+                                 f"inverted value {-s if m % 2 else s} != "
+                                 f"direct r-Stirling {-direct if m % 2 else direct}")
+                    for m, (s, direct) in enumerate(zip(inverted, inner))
+                    if s != direct]
+            if name in routes:
+                rows_of = differing.setdefault(name, {})
+                if inner != inverted:
+                    rows_of[n] = closed_forms._convolve(n, inner, context)
+    rows = table.rows[1:n_max + 1]
+    for name, row_of in closed_forms.ROUTE_ROWS.items():
+        if name in differing:
+            rows_of = differing[name]
+            failures += _route_failures(
+                name, ((row, rows_of.get(n, row)) for n, row in enumerate(rows, 1)))
+        elif name in routes:
+            failures += _route_failures(name, zip(rows, map(row_of, range(1, n_max + 1))))
+    return failures + identity_failures
+
+
 def verify_routes(
     table: CoefficientTable,
     routes: tuple[str, ...] = ROUTE_NAMES,
@@ -124,33 +187,7 @@ def verify_routes(
     does.  The comparison loop is shared with ``verify_table_file``, which
     feeds it text rows.
     """
-    if unknown := set(routes) - set(ROUTE_NAMES):
-        raise ValueError(f"unknown routes: {sorted(unknown)}")
-    n_max = _horizon(n_max, DEFAULT_ROUTE_N_MAX, table.n_max)
-    failures: list[CheckFailure] = []
-    if "recurrence" in routes:
-        failures += _route_failures(
-            "recurrence", zip(table.rows[1:], triangle._rows(table.n_max, 1)))
-    # kernel-sum route -> {n: its row n} on the rows where it differs
-    differing: dict[str, dict[int, tuple[int, ...]]] = {}
-    for n in range(1, n_max + 1):
-        inverted = None
-        for name, context, inner in closed_forms._kernel_inner_values(n, routes):
-            if inverted is None:
-                inverted = closed_forms._alternating(
-                    closed_forms.rstirling_from_beta_row(n, table))
-            rows_of = differing.setdefault(name, {})
-            if inner != inverted:
-                rows_of[n] = closed_forms._convolve(n, inner, context)
-    rows = table.rows[1:n_max + 1]
-    for name, row_of in closed_forms.ROUTE_ROWS.items():
-        if name in differing:
-            rows_of = differing[name]
-            failures += _route_failures(
-                name, ((row, rows_of.get(n, row)) for n, row in enumerate(rows, 1)))
-        elif name in routes:
-            failures += _route_failures(name, zip(rows, map(row_of, range(1, n_max + 1))))
-    return failures
+    return _table_checks(table, routes, n_max, identities=False)
 
 
 def verify_properties(
@@ -193,24 +230,7 @@ def verify_identities(
     table: CoefficientTable, n_max: int | None = None
 ) -> list[CheckFailure]:
     """Alternating sum and inversion per row, up to n_max (default 40)."""
-    n_max = _horizon(n_max, DEFAULT_ROUTE_N_MAX, table.n_max)
-    failures: list[CheckFailure] = []
-    for n in range(1, n_max + 1):
-        alt = triangle.alternating_sum(n, table)
-        want = triangle.double_factorial(2 * n - 3)
-        if alt != want:
-            failures.append(CheckFailure(
-                n, None, "identity:alternating_sum",
-                f"sum {alt} != (2n-3)!! = {want}"))
-
-        directs = closed_forms.rstirling_values(n)
-        stirlings = closed_forms.rstirling_from_beta_row(n, table)
-        for m, (s, direct) in enumerate(zip(stirlings, directs)):
-            if s != direct:
-                failures.append(CheckFailure(
-                    n, m, "identity:inversion",
-                    f"inverted value {s} != direct r-Stirling {direct}"))
-    return failures
+    return _table_checks(table, (), n_max, identities=True)
 
 
 def verify_carlitz_sums(kappa_max: int) -> list[CheckFailure]:
@@ -240,9 +260,8 @@ def run_verification(
 ) -> list[CheckFailure]:
     """Run the full battery to row n_max and return all failures sorted by
     (n, k, check).  A horizon of None leaves each stage its own default."""
-    failures = verify_routes(table, routes, n_max)
+    failures = _table_checks(table, routes, n_max, identities=True)
     failures += verify_properties(table, n_max)
-    failures += verify_identities(table, n_max)
     return sorted(failures, key=CheckFailure.sort_key)
 
 

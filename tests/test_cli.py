@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from wderiv import (ROUTE_NAMES, build_table, closed_forms, numeric, parse_table_csv,
-                    properties, table_to_csv, table_to_json, verify)
+                    properties, table_to_csv, table_to_json, triangle, verify)
 from wderiv.cli import main
 from conftest import src_env
 from test_tableio import BAD_CSV_TABLES, BAD_JSON_TABLES
@@ -296,8 +296,10 @@ class TestVerifyHorizons:
                                 lambda n, names: n))
         monkeypatch.setattr(properties, "is_positive",
                             spy("properties", properties.is_positive, len))
-        monkeypatch.setattr(closed_forms, "rstirling_from_beta_row",
-                            spy("identities", closed_forms.rstirling_from_beta_row,
+        # the inversion shares the routes' pass; the alternating sum is the
+        # identities' own
+        monkeypatch.setattr(triangle, "alternating_sum",
+                            spy("identities", triangle.alternating_sum,
                                 lambda n, table: n))
         return seen
 

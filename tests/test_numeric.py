@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -16,6 +17,7 @@ from wderiv import (
     bernstein_scan,
     lambert_w,
     log_grid,
+    numeric,
     pn_series_eval,
     poly_eval_exact,
     w_derivative,
@@ -265,7 +267,33 @@ class TestFiniteDifference:
                     assert math.isfinite(w_derivative_fd(n, x).value), (n, x)
 
 
+def fraction_form_pn_series_eval(n, w, rel_tol):
+    """``pn_series_eval`` with each term's rational part built as a Fraction
+    and then rounded, as the series evaluation was first written."""
+    w_exact = Fraction(w)
+
+    def terms():
+        for s in itertools.count():
+            ns = n + s
+            rational = Fraction(ns ** (ns - 1), math.factorial(s)) * w_exact**s
+            t = float(rational) * math.exp(ns * w)
+            yield -t if (ns - 1) % 2 else t
+
+    return (numeric._settled_sum(terms(), rel_tol, "reference series")
+            * (1.0 + w) ** (2 * n - 1))
+
+
 class TestSeriesEvaluation:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=10),
+           st.floats(min_value=-0.2, max_value=0.2).filter(bool),
+           st.sampled_from([1e-6, 1e-10, 1e-13]))
+    def test_int_division_matches_the_fraction_form(self, n, w, rel_tol):
+        """One int true division rounds the term's exact rational part just
+        as ``float`` of the Fraction does, so the bits are the same."""
+        got = pn_series_eval(n, w, rel_tol)
+        assert got.hex() == fraction_form_pn_series_eval(n, w, rel_tol).hex()
+
     def test_examples(self, table8):
         assert abs(pn_series_eval(1, 0.1, 1e-10) - 1.0) < 1e-9
         assert rel_err(pn_series_eval(3, 0.1, 1e-10), 9.82) < 1e-9

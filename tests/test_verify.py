@@ -114,8 +114,8 @@ def test_kernel_routes_build_each_row_in_one_pass(monkeypatch):
     On a clean table ``verify_routes`` convolves nothing: each kernel-sum
     route is decided on its inner values.  ``bernoulli`` and ``fdiff``
     share one row of power sums per row, the ``rstirling`` route and the
-    identities take one row of r-Stirling values each, and nothing calls
-    the scalar power sum ``_power_diff``.
+    identities share one row of r-Stirling values and one inverted table
+    row, and nothing calls the scalar power sum ``_power_diff``.
     """
     calls = []
 
@@ -127,14 +127,15 @@ def test_kernel_routes_build_each_row_in_one_pass(monkeypatch):
             return func(*args)
         return wrapped
 
-    for name in ("_convolve", "_power_diff", "_power_sums", "rstirling_values"):
+    for name in ("_convolve", "_power_diff", "_power_sums", "rstirling_values",
+                 "rstirling_from_beta_row"):
         monkeypatch.setattr(closed_forms, name, spy(name))
     routes = tuple(closed_forms.ROUTE_ROWS)
     assert run_verification(build_table(40), routes) == []
     assert Counter(calls) == {
         ("_power_sums", "_kernel_inner_values"): 40,
         ("rstirling_values", "_rstirling_inner"): 40,
-        ("rstirling_values", "verify_identities"): 40,
+        ("rstirling_from_beta_row", "_table_checks"): 40,
     }
 
 
@@ -273,6 +274,70 @@ class TestRoutesMatchRouteByRouteRows:
         if route in routes and n <= horizon:
             assert got[0] == "ConsistencyError"
             assert got[1].startswith(f"{context}({n})[{m}]: non-integer result ")
+
+
+def ref_verify_identities(table, n_max):
+    """The loop verify_identities ran before it shared the routes' pass."""
+    failures = []
+    for n in range(1, min(n_max, table.n_max) + 1):
+        alt = triangle.alternating_sum(n, table)
+        want = triangle.double_factorial(2 * n - 3)
+        if alt != want:
+            failures.append(CheckFailure(n, None, "identity:alternating_sum",
+                                         f"sum {alt} != (2n-3)!! = {want}"))
+        directs = closed_forms.rstirling_values(n)
+        stirlings = closed_forms.rstirling_from_beta_row(n, table)
+        for m, (got, direct) in enumerate(zip(stirlings, directs)):
+            if got != direct:
+                failures.append(CheckFailure(
+                    n, m, "identity:inversion",
+                    f"inverted value {got} != direct r-Stirling {direct}"))
+    return failures
+
+
+class TestIdentitiesShareTheRoutePass:
+    """``run_verification`` checks the identities in the routes' pass over
+    the rows; it gives the failures of running the three stages apart."""
+
+    @staticmethod
+    def apart(table, routes, horizon):
+        failures = (ref_verify_routes(table, routes, horizon)
+                    + ref_verify_properties(table, min(horizon, table.n_max))
+                    + ref_verify_identities(table, horizon))
+        return sorted(failures, key=CheckFailure.sort_key)
+
+    @settings(max_examples=40, deadline=None)
+    @given(changed_tables(TABLE50), route_subsets, horizons)
+    def test_changed_entry(self, table, routes, horizon):
+        assert verify.verify_identities(table, horizon) == ref_verify_identities(
+            table, horizon)
+        assert run_verification(table, routes, horizon) == self.apart(
+            table, routes, horizon)
+
+    @settings(max_examples=40, deadline=None)
+    @given(inner_mutants().filter(lambda mutant: mutant[0] == "rstirling"),
+           route_subsets, horizons)
+    def test_direct_value_off_by_one(self, mutant, routes, horizon):
+        """A wrong r-Stirling value fails the inversion identity, whose
+        message gives both values unsigned, and the ``rstirling`` route."""
+        _, n, m = mutant
+        values_of = closed_forms.rstirling_values
+
+        def off_by_one(row):
+            values = values_of(row)
+            if row == n:
+                values[m] += 1
+            return values
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(closed_forms, "rstirling_values", off_by_one)
+            got = run_verification(TABLE50, routes, horizon)
+            assert verify.verify_identities(TABLE50, horizon) == ref_verify_identities(
+                TABLE50, horizon)
+            assert got == self.apart(TABLE50, routes, horizon)
+        checks = {f.check for f in got}
+        assert ("identity:inversion" in checks) == (n <= horizon)
+        assert ("route:rstirling" in checks) == (n <= horizon and "rstirling" in routes)
 
 
 class TestCarlitzSums:
