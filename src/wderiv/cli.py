@@ -137,6 +137,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     elif args.route == numeric.ROUTE_FD:
         deriv = numeric.w_derivative_fd(args.n, args.x)
     else:
+        if args.n < 1:  # or build_table would name its n_max, not eval's --n
+            raise ValueError(f"n must be >= 1, got {args.n}")
         table = triangle.build_table(args.n)
         deriv = numeric.w_derivative(args.n, args.x, table)
     # lambert_w covers x >= 0; the Taylor route also reaches -1/e < x < 0

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import count, islice
 from math import comb, exp, factorial, fsum, log1p
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .triangle import CoefficientTable
+if TYPE_CHECKING:
+    from .triangle import CoefficientTable
 
 __all__ = [
     "MACHINE_EPS",
@@ -61,8 +61,7 @@ class ConvergenceError(ArithmeticError):
     """An iteration or series hit its cap without meeting its tolerance."""
 
 
-@dataclass(frozen=True)
-class WEvaluation:
+class WEvaluation(NamedTuple):
     """W(x) on the principal branch plus its round-trip defect w*e^w - x."""
 
     x: float
@@ -71,8 +70,7 @@ class WEvaluation:
     iterations: int
 
 
-@dataclass(frozen=True)
-class DerivativeValue:
+class DerivativeValue(NamedTuple):
     """d^nW/dx^n at x, tagged with the route that produced it."""
 
     n: int
@@ -81,8 +79,7 @@ class DerivativeValue:
     route: str
 
 
-@dataclass(frozen=True)
-class BernsteinScanReport:
+class BernsteinScanReport(NamedTuple):
     """Result of the alternating-sign scan; violations hold (n, x, value)."""
 
     n_max: int
@@ -106,6 +103,12 @@ def lambert_w(x: float) -> WEvaluation:
     measured defect |w*e^w - x|, so the reported residual is as small as
     binary64 permits.
     """
+    w, iterations = _lambert(x)
+    return WEvaluation(x, w, w * exp(w) - x, iterations)
+
+
+def _lambert(x: float) -> tuple[float, int]:
+    """W(x) as ``lambert_w`` finds it, and the Halley iterations it took."""
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"lambert_w needs finite x >= 0, got {x}")
     w = log1p(x)
@@ -136,16 +139,20 @@ def lambert_w(x: float) -> WEvaluation:
         resid = abs(cand * exp(cand) - x)
         if resid < best_resid:
             best, best_resid = cand, resid
-    return WEvaluation(x=x, w=best, residual=best * exp(best) - x,
-                       iterations=iterations)
+    return best, iterations
 
 
-def _pn_float(n: int, row: tuple[int, ...], w: float) -> float:
-    """p_n(w) in binary64 by Horner, converting exact entries on the fly."""
+def _closed_form(n: int, row: tuple[int, ...], w: float) -> float:
+    """d^nW/dx^n at the x whose W is w: exp(-nw) p_n(w) / (1+w)^(2n-1).
+
+    p_n(w) is evaluated in binary64 by Horner on the exact row n, whose
+    entries are converted on the fly.
+    """
     acc = 0.0
-    for b in reversed(row):
-        acc = acc * w + float(b)
-    return -acc if n % 2 == 0 else acc
+    for b in map(float, reversed(row)):
+        acc = acc * w + b
+    pn = -acc if n % 2 == 0 else acc
+    return exp(-n * w) * pn / (1.0 + w) ** (2 * n - 1)
 
 
 def w_derivative(n: int, x: float, table: CoefficientTable) -> DerivativeValue:
@@ -154,10 +161,8 @@ def w_derivative(n: int, x: float, table: CoefficientTable) -> DerivativeValue:
         raise ValueError(f"n must be in 1..{table.n_max}, got {n}")
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"derivative route needs x > 0, got {x}")
-    w = lambert_w(x).w
-    pn = _pn_float(n, table.rows[n], w)
-    value = exp(-n * w) * pn / (1.0 + w) ** (2 * n - 1)
-    return DerivativeValue(n=n, x=x, value=value, route=ROUTE_CLOSED)
+    w = _lambert(x)[0]
+    return DerivativeValue(n, x, _closed_form(n, table.rows[n], w), ROUTE_CLOSED)
 
 
 def _settled_sum(terms: Iterator[float], rel_tol: float, what: str) -> float:
@@ -194,8 +199,7 @@ def w_derivative_taylor(n: int, x: float, rel_tol: float = 1e-12) -> DerivativeV
     if not (math.isfinite(x) and abs(x) < 1.0 / math.e):
         raise ValueError(f"taylor route needs |x| < 1/e, got {x}")
     if x == 0.0:
-        return DerivativeValue(n=n, x=x, value=float((-n) ** (n - 1)),
-                               route=ROUTE_TAYLOR)
+        return DerivativeValue(n, x, float((-n) ** (n - 1)), ROUTE_TAYLOR)
     log_ax = math.log(abs(x))
 
     def terms() -> Iterator[float]:
@@ -209,13 +213,13 @@ def w_derivative_taylor(n: int, x: float, rel_tol: float = 1e-12) -> DerivativeV
             yield t
 
     value = _settled_sum(terms(), rel_tol, f"taylor series for n={n}, x={x}")
-    return DerivativeValue(n=n, x=x, value=value, route=ROUTE_TAYLOR)
+    return DerivativeValue(n, x, value, ROUTE_TAYLOR)
 
 
 def _central_diff(n: int, x: float, h: float, h_n: float) -> float:
     """Order-n central difference of W at x with step h, where h_n = h**n."""
     vals = [
-        (-1) ** i * comb(n, i) * lambert_w(x + (n / 2 - i) * h).w
+        (-1) ** i * comb(n, i) * _lambert(x + (n / 2 - i) * h)[0]
         for i in range(n + 1)
     ]
     return fsum(vals) / h_n
@@ -249,7 +253,7 @@ def w_derivative_fd(n: int, x: float) -> DerivativeValue:
             f"finite-difference route at x = {x}, n = {n}: (2h)^n overflows "
             f"binary64 for the step h = {h}") from None
     value = (4.0 * _central_diff(n, x, h, h_n) - _central_diff(n, x, 2.0 * h, h2_n)) / 3.0
-    return DerivativeValue(n=n, x=x, value=value, route=ROUTE_FD)
+    return DerivativeValue(n, x, value, ROUTE_FD)
 
 
 def pn_series_eval(n: int, w: float, rel_tol: float = 1e-10) -> float:
@@ -292,22 +296,27 @@ def pn_series_eval(n: int, w: float, rel_tol: float = 1e-10) -> float:
 def bernstein_scan(
     n_max: int, grid: list[float] | tuple[float, ...], table: CoefficientTable
 ) -> BernsteinScanReport:
-    """Check (-1)^(n-1) d^nW/dx^n > 0 for each n <= n_max and x in grid."""
+    """Check (-1)^(n-1) d^nW/dx^n > 0 for each n <= n_max and x in grid.
+
+    W is solved once per grid point; each value is the one ``w_derivative``
+    gives there.
+    """
     if not 1 <= n_max <= table.n_max:
         raise ValueError(f"n_max must be in 1..{table.n_max}, got {n_max}")
     if len(grid) == 0:
         raise ValueError("grid must be nonempty")
     if any(not (math.isfinite(x) and x > 0.0) for x in grid):
         raise ValueError("grid points must be finite and > 0")
+    ws = [_lambert(x)[0] for x in grid]
     violations = []
     for n in range(1, n_max + 1):
-        for x in grid:
-            value = w_derivative(n, x, table).value
+        row = table.rows[n]
+        for x, w in zip(grid, ws):
+            value = _closed_form(n, row, w)
             signed = value if n % 2 else -value
             if not signed > 0.0:
                 violations.append((n, x, value))
-    return BernsteinScanReport(n_max=n_max, grid=tuple(grid),
-                               violations=tuple(violations))
+    return BernsteinScanReport(n_max, tuple(grid), tuple(violations))
 
 
 def log_grid(lo: float, hi: float, count: int) -> list[float]:

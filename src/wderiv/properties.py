@@ -16,9 +16,8 @@ which is therefore decided by it alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import log2
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "PropertyReport",
@@ -31,8 +30,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class _PropertyReportFields(NamedTuple):
+    property: str
+    holds: bool
+    first_violation: tuple[int, ...] | None = None
+    mode_index: int | None = None
+
+
+class PropertyReport(_PropertyReportFields):
     """Outcome of one property check on one sequence.
 
     ``first_violation`` pins the first offending index (or index pair, for
@@ -41,14 +46,18 @@ class PropertyReport:
     unimodality check when it succeeds.
     """
 
-    property: str
-    holds: bool
-    first_violation: tuple[int, ...] | None = None
-    mode_index: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> PropertyReport:
+        self = super().__new__(cls, *args, **kwargs)
         if self.holds == (self.first_violation is not None):
             raise ValueError("first_violation must be present iff the check failed")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> PropertyReport:
+        # namedtuple's _make (and so _replace) would skip the check in __new__
+        return cls(*iterable)
 
 
 def _require_nonempty(seq: Sequence[int]) -> None:

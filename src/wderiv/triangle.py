@@ -27,14 +27,13 @@ entries are needed: writing a table, and checking a table file.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
                      InvalidOperation, Overflow, Rounded, localcontext)
 from fractions import Fraction
 from itertools import count, repeat
 from math import factorial
 from operator import add, mul, sub
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 __all__ = [
     "CoefficientTable",
@@ -49,8 +48,12 @@ __all__ = [
 _Entry = TypeVar("_Entry")  # int, or Decimal in an unrounded context
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class _CoefficientTableFields(NamedTuple):
+    n_max: int
+    rows: tuple[tuple[int, ...], ...]
+
+
+class CoefficientTable(_CoefficientTableFields):
     """Dense triangle of the coefficients beta(n, k), 1 <= n <= n_max.
 
     ``rows[n]`` holds row n (a tuple of length n whose entry k is
@@ -59,10 +62,10 @@ class CoefficientTable:
     safe to share between threads.
     """
 
-    n_max: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> CoefficientTable:
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
         if len(self.rows) != self.n_max + 1 or self.rows[0] != ():
@@ -70,6 +73,12 @@ class CoefficientTable:
         for n in range(1, self.n_max + 1):
             if len(self.rows[n]) != n:
                 raise ValueError(f"row {n} must have exactly {n} entries")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> CoefficientTable:
+        # namedtuple's _make (and so _replace) would skip the checks in __new__
+        return cls(*iterable)
 
     def row(self, n: int) -> tuple[int, ...]:
         if not 1 <= n <= self.n_max:

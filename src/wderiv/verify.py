@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import closed_forms, properties, tableio, triangle
 from .triangle import CoefficientTable
@@ -71,8 +71,7 @@ def _horizon(n_max: int | None, default: int, limit: int) -> int:
     return min(limit, default if n_max is None else n_max)
 
 
-@dataclass(frozen=True)
-class CheckFailure:
+class CheckFailure(NamedTuple):
     """One failed check; k is None for row-level and identity checks."""
 
     n: int

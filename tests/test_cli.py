@@ -368,7 +368,9 @@ class TestEvalCommand:
     @pytest.mark.parametrize("x, n, h", [("1e70", 5, "5.804665191941207e+67"),
                                          ("1e300", 3, "7.40095979741405e+296")])
     def test_fd_step_power_overflow_exits_2(self, capsys, monkeypatch, x, n, h):
-        monkeypatch.setattr(numeric, "lambert_w", None)  # rejected before any W
+        # rejected before any W
+        monkeypatch.setattr(numeric, "lambert_w", None)
+        monkeypatch.setattr(numeric, "_lambert", None)
         code, out, err = run_cli(capsys, "eval", f"--x={x}", "--n", str(n),
                                  "--route", "finite_difference")
         assert (code, out) == (2, "")
@@ -381,6 +383,11 @@ class TestEvalCommand:
         assert (code, err) == (0, "")
         want = numeric.w_derivative_taylor(2, -1e-3).value
         assert out == f"d^2W/dx^2 (taylor) = {want:.17g}\n"
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_n_below_one_names_n(self, capsys, n):
+        code, out, err = run_cli(capsys, "eval", "--x", "1", "--n", n)
+        assert (code, out, err) == (2, "", f"error: n must be >= 1, got {n}\n")
 
     def test_domain_error_exits_2(self, capsys):
         for argv in (("--x", "-1", "--n", "1"),

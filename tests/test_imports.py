@@ -15,13 +15,21 @@ from wderiv.cli import build_parser
 from conftest import src_env
 
 
-def loaded_after(statement):
-    """The ``wderiv`` modules a fresh interpreter holds after ``statement``."""
-    probe = (f"import json, sys\n{statement}\n"
-             "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'wderiv']))")
+def added_by(statement):
+    """The modules a fresh interpreter adds to ``sys.modules`` running ``statement``.
+
+    Modules that ``site`` or the probe itself loaded beforehand do not count.
+    """
+    probe = (f"import json, sys\nbefore = set(sys.modules)\n{statement}\n"
+             "print(json.dumps(sorted(set(sys.modules) - before)))")
     out = subprocess.run([sys.executable, "-c", probe], env=src_env(),
                          capture_output=True, text=True, check=True).stdout
     return set(json.loads(out))
+
+
+def loaded_after(statement):
+    """The ``wderiv`` modules a fresh interpreter holds after ``statement``."""
+    return {m for m in added_by(statement) if m.split(".")[0] == "wderiv"}
 
 
 EXACT = {"wderiv", "wderiv.triangle", "wderiv.closed_forms", "wderiv.properties",
@@ -32,7 +40,7 @@ CLI = EXACT | {"wderiv.cli"}
 
 @pytest.mark.parametrize("statement, want", [
     ("import wderiv", {"wderiv"}),
-    ("import wderiv.numeric", {"wderiv", "wderiv.numeric", "wderiv.triangle"}),
+    ("import wderiv.numeric", {"wderiv", "wderiv.numeric"}),
     ("import wderiv.cli", CLI),
     # a submodule name imports that submodule and nothing else
     ("from wderiv import triangle", {"wderiv", "wderiv.triangle"}),
@@ -41,6 +49,11 @@ CLI = EXACT | {"wderiv.cli"}
 ])
 def test_loaded_modules(statement, want):
     assert loaded_after(statement) == want
+
+
+@pytest.mark.parametrize("statement", ["import wderiv.cli", "import wderiv.numeric"])
+def test_value_types_import_neither_dataclasses_nor_inspect(statement):
+    assert not {"dataclasses", "inspect"} & added_by(statement)
 
 
 def test_unknown_names_raise_and_dir_lists_every_name():

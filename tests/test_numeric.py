@@ -12,9 +12,11 @@ from wderiv import (
     ROUTE_CLOSED,
     ROUTE_FD,
     ROUTE_TAYLOR,
+    BernsteinScanReport,
     CoefficientTable,
     ConvergenceError,
     bernstein_scan,
+    build_table,
     lambert_w,
     log_grid,
     numeric,
@@ -154,6 +156,58 @@ class TestClosedFormDerivative:
             for x in (0.05, 0.7, 3.0, 40.0):
                 value = w_derivative(n, x, table8).value
                 assert (value > 0) == (n % 2 == 1)
+
+
+def outcome(call):
+    """The float ``call()`` returns, as hex, or the type and text of its error."""
+    try:
+        return call().hex()
+    except Exception as err:
+        return type(err), str(err)
+
+
+def closed_form_on_lambert_w(n, x, table):
+    """The closed form evaluated on ``lambert_w(x).w``, one term at a time."""
+    w = lambert_w(x).w
+    acc = 0.0
+    for b in reversed(table.rows[n]):
+        acc = acc * w + float(b)
+    pn = -acc if n % 2 == 0 else acc
+    return math.exp(-n * w) * pn / (1.0 + w) ** (2 * n - 1)
+
+
+def fd_on_lambert_w(n, x):
+    """The Richardson-extrapolated central difference on ``lambert_w(.).w``."""
+    h = max(x, 1.0) * MACHINE_EPS ** (1.0 / (n + 2))
+
+    def diff(step):
+        return math.fsum((-1) ** i * math.comb(n, i) * lambert_w(x + (n / 2 - i) * step).w
+                         for i in range(n + 1)) / step**n
+
+    return (4.0 * diff(h) - diff(2.0 * h)) / 3.0
+
+
+@pytest.fixture(scope="module")
+def table200():
+    return build_table(200)
+
+
+class TestSameBitsAsOnLambertW:
+    """The derivative routes solve W without building a ``WEvaluation``; the
+    values are those of the same formulas on ``lambert_w(x).w``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=200),
+           st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_closed_form(self, table200, n, x):
+        assert (outcome(lambda: w_derivative(n, x, table200).value)
+                == outcome(lambda: closed_form_on_lambert_w(n, x, table200)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=5),
+           st.floats(min_value=0.05, max_value=1e60))
+    def test_finite_difference(self, n, x):
+        assert w_derivative_fd(n, x).value.hex() == fd_on_lambert_w(n, x).hex()
 
 
 class TestTaylorDerivative:
@@ -357,6 +411,26 @@ class TestBernsteinScan:
         report = bernstein_scan(2, [0.5, 1.0], bad)
         assert not report.holds
         assert all(n == 2 for n, _, _ in report.violations)
+
+    def test_solves_w_once_per_grid_point(self, table8, monkeypatch):
+        # rows 3 and 6 negated, so every point of theirs is a violation
+        table = CoefficientTable(8, tuple(
+            tuple(-b for b in row) if n in (3, 6) else row
+            for n, row in enumerate(table8.rows)))
+        grid = log_grid(0.01, 10, 50)
+        want = []
+        for n in range(1, 9):
+            for x in grid:
+                value = w_derivative(n, x, table).value
+                if not (value if n % 2 else -value) > 0.0:
+                    want.append((n, x, value))
+        solved = []
+        solve = numeric._lambert
+        monkeypatch.setattr(numeric, "_lambert", lambda x: solved.append(x) or solve(x))
+        report = bernstein_scan(8, grid, table)
+        assert solved == grid
+        assert len(want) == 100
+        assert report == BernsteinScanReport(8, tuple(grid), tuple(want))
 
     def test_grid_validation(self, table8):
         with pytest.raises(ValueError):
