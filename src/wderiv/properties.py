@@ -59,6 +59,10 @@ class PropertyReport(_PropertyReportFields):
         # namedtuple's _make (and so _replace) would skip the check in __new__
         return cls(*iterable)
 
+    def __reduce__(self) -> tuple[type, tuple]:
+        # pickle protocols 0 and 1 would rebuild through tuple.__new__
+        return type(self), tuple(self)
+
 
 def _require_nonempty(seq: Sequence[int]) -> None:
     if len(seq) == 0:

@@ -26,6 +26,13 @@ quadratic too.  ``load_table`` and the ``parse_table*`` functions convert
 those rows to ints, one row at a time; ``verify.verify_table_file`` compares
 them as text and converts only the rows its horizon reads.
 
+A JSON file laid out as ``write_table`` lays it out need not be decoded at
+all when the rows it should hold are known: ``_json_differences`` streams
+its bytes against ``_json_chunks`` of those rows, the writer's own chunks,
+and decodes and validates only a row whose bytes differ.  It answers only
+for a file it matched from the header to the last byte; for any other file
+it returns None and ``read_table_rows`` decides.
+
 Parsing is strict: every CSV field and every JSON entry must be a decimal
 string matching ``-?[0-9]+``, ``n_max`` a JSON integer and ``rows`` a list
 of lists.  Anything else raises ``ValueError``.  Decimal strings are bound
@@ -260,6 +267,70 @@ def read_table_rows(path: str) -> Iterator[tuple[str, ...]]:
             return
         payload = _decoded(json.load, fh)
     yield from _json_rows(payload)
+
+
+def _json_differences(
+    path: str, rows: Iterable[tuple[str, ...]]
+) -> dict[int, tuple[tuple[str, ...], tuple[str, ...]]] | None:
+    """The rows where the JSON table file at ``path`` differs from ``rows``,
+    if the file is laid out as ``write_table`` lays them out; else None.
+
+    ``rows`` are decimal-string rows 1, 2, ..., at least as many as the
+    file's header declares; that many are read.  The file is streamed and
+    matched against ``_json_chunks`` of those rows: the header, one chunk
+    per row, then exactly ``]}\n`` at the end.  A row whose bytes differ
+    from its chunk is cut at its first ``]``, decoded and validated as
+    ``read_table_rows`` validates it, and comes back as {n: (file row,
+    given row)}.  None means the file is something else: another header or
+    key order, whitespace outside a differing row, a row that does not
+    decode or validate or has the wrong length, a wrong row count, another
+    trailer, an entry past the int-string limit, or a file that cannot be
+    opened or seeked.  ``read_table_rows`` decides such a file.
+    """
+    start = b'{"n_max":'
+    limit = _digit_limit() or sys.maxsize
+    row: tuple[str, ...] = ()
+
+    def written(n_max: int) -> Iterator[tuple[str, ...]]:
+        nonlocal row  # the row of the chunk made last
+        for _, row in zip(range(n_max), rows):
+            yield row
+
+    try:
+        with open(path, "rb") as fh:
+            if not fh.seekable() or not (peeked := fh.peek(len(start))).startswith(start):
+                return None
+            n_max = int(peeked[len(start):peeked.index(b",")])
+            if n_max < 1:
+                return None
+            chunks = _json_chunks(n_max, written(n_max))
+            header = next(chunks).encode()
+            if fh.read(len(header)) != header:
+                return None
+            differing = {}
+            for n in range(1, n_max + 1):
+                text = next(chunks).encode()
+                part = fh.read(len(text))
+                if part == text:
+                    if len(text) > limit and max(map(len, row)) > limit:
+                        return None
+                    continue
+                lead = b",[" if n > 1 else b"["
+                if not part.startswith(lead):
+                    return None
+                while (end := part.find(b"]")) < 0:
+                    if not (more := fh.read(len(part))):
+                        return None
+                    part += more
+                got = json.loads(part[len(lead) - 1:end + 1])
+                if not isinstance(got, list) or len(got) != n:
+                    return None
+                differing[n] = (tuple([_decimal(entry, limit) for entry in got]), row)
+                fh.seek(end + 1 - len(part), 1)  # to the byte after the row
+            trailer = next(chunks).encode()
+            return differing if fh.read(len(trailer) + 1) == trailer else None
+    except (OSError, ValueError, RecursionError):
+        return None  # whatever went wrong, read_table_rows reads the file afresh
 
 
 def parse_table_csv(text: str) -> CoefficientTable:

@@ -80,6 +80,10 @@ class CoefficientTable(_CoefficientTableFields):
         # namedtuple's _make (and so _replace) would skip the checks in __new__
         return cls(*iterable)
 
+    def __reduce__(self) -> tuple[type, tuple]:
+        # pickle protocols 0 and 1 would rebuild through tuple.__new__
+        return type(self), tuple(self)
+
     def row(self, n: int) -> tuple[int, ...]:
         if not 1 <= n <= self.n_max:
             raise ValueError(f"n must be in 1..{self.n_max}, got {n}")
@@ -194,7 +198,7 @@ def poly_eval_exact(n: int, table: CoefficientTable, w: int | Fraction) -> Fract
 def alternating_sum(n: int, table: CoefficientTable) -> int:
     """sum_k (-1)^k beta(n, k); equals (2n-3)!! with the (-1)!! = 1 convention."""
     row = table.row(n)
-    return sum(b if k % 2 == 0 else -b for k, b in enumerate(row))
+    return sum(row[::2]) - sum(row[1::2])
 
 
 def double_factorial(m: int) -> int:

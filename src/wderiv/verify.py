@@ -16,7 +16,10 @@ on some table.  The checks:
   ``verify_table_file`` checks a table file without converting it whole:
   the recurrence comparison runs on the file's decimal text, against
   ``str`` of exact-decimal recurrence rows, and only the rows up to the
-  horizon become ints for the other checks;
+  horizon become ints for the other checks.  A JSON file that ``wderiv
+  table`` wrote is compared as bytes with the writer's own rows, so only
+  a row that differs is decoded; any other file is decoded and validated
+  whole by ``tableio.read_table_rows``;
 * sequence properties per row: positivity, log-concavity of k! times the
   row (decided as (k+1) c_{k-1} c_{k+1} <= k c_k^2) and the strict ratio
   bound (for n >= 3).  On a positive row that log-concavity decides the
@@ -270,34 +273,57 @@ def verify_table_file(
     n_max: int | None = None,
 ) -> tuple[int, list[CheckFailure]]:
     """The file's n_max and ``run_verification`` of ``load_table(path)`` to
-    row n_max (the file's n_max if None), reading the file once.
+    row n_max (the file's n_max if None).
 
-    The recurrence route runs on the file's decimal text: each row, as
-    ``tableio.read_table_rows`` reads it, is compared with ``str`` of the
-    exact-decimal recurrence row (``triangle._exact_rows``), so a row
-    beyond the horizon is never converted to ``int``.  Rows 1..n_max are
-    converted as they are read and hold the table that the closed-form
-    routes, the properties and the identities check.  A file that
-    ``load_table`` rejects raises the same ``ValueError``, and so does a bad
-    argument, after the file is read as it would be there.
+    The recurrence route runs on the file's decimal text, against ``str``
+    of the exact-decimal recurrence rows (``triangle._exact_rows``), so a
+    row beyond the horizon is never converted to ``int``.  A JSON file laid
+    out as ``wderiv table`` writes it is matched byte for byte against the
+    writer's chunks of those rows (``tableio._json_differences``): a row
+    that matches is neither decoded nor validated, and only a row that
+    differs is decoded and compared by value.  Any other file, and any file
+    when ``recurrence`` is not among the routes, is read once by
+    ``tableio.read_table_rows`` and compared row by row.  Rows 1..n_max
+    become the table that the closed-form routes, the properties and the
+    identities check.  A file that ``load_table`` rejects raises the same
+    ``ValueError``, and so does a bad argument, after the file is read as
+    it would be there.
     """
     keep = math.inf if n_max is None else max(n_max, 1)
     head: list[tuple[int, ...]] = []
     read = 0
 
-    def rows() -> Iterator[tuple[str, ...]]:
+    def kept(rows: Iterable[tuple[str, ...]]) -> Iterator[tuple[str, ...]]:
+        """``rows`` as they come; ``head`` and ``read`` start over, and rows
+        1..keep also go into ``head`` as ints."""
         nonlocal read
-        for read, row in enumerate(tableio.read_table_rows(path), 1):
+        head.clear()
+        read = 0
+        for read, row in enumerate(rows, 1):
             if read <= keep:
                 head.append(tuple(map(int, row)))
             yield row
 
+    def exact() -> Iterator[tuple[str, ...]]:
+        return (tuple(map(str, row)) for row in triangle._exact_rows(None))
+
     failures: list[CheckFailure] = []
+    differing = None
     if "recurrence" in routes:
-        want = (tuple(map(str, row)) for row in triangle._exact_rows(None))
-        failures += _route_failures("recurrence", zip(rows(), want))
+        differing = tableio._json_differences(path, kept(exact()))
+    if differing is None:
+        rows = kept(tableio.read_table_rows(path))
+        if "recurrence" in routes:
+            failures += _route_failures("recurrence", zip(rows, exact()))
+        else:
+            deque(rows, maxlen=0)
     else:
-        deque(rows(), maxlen=0)
+        for n, (got, _) in differing.items():
+            if n <= keep:
+                head[n - 1] = tuple(map(int, got))
+        # a row that matched is the recurrence row: an empty pair stands for it
+        failures += _route_failures(
+            "recurrence", (differing.get(n, ((), ())) for n in range(1, read + 1)))
     failures += run_verification(
         CoefficientTable(n_max=len(head), rows=((),) + tuple(head)),
         tuple(route for route in routes if route != "recurrence"),

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -14,8 +15,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from test_tableio import BAD_CSV_TABLES, BAD_JSON_TABLES, LOAD_EDGES
 from wderiv import (CoefficientTable, ROUTE_NAMES, build_table, closed_forms, load_table,
-                    properties, run_verification, table_to_csv, table_to_json, triangle,
-                    verify)
+                    properties, run_verification, table_to_csv, table_to_json, tableio,
+                    triangle, verify)
 from wderiv.cli import main
 from wderiv.verify import CheckFailure, verify_carlitz_sums, verify_properties
 
@@ -417,15 +418,46 @@ def edited_table60(draw):
     return rows
 
 
+TABLE8_JSON = table_to_json(build_table(8))
+TABLE8_ROWS = [[str(b) for b in row] for row in build_table(8).rows[1:]]
+
+# files next to what ``table`` writes: each one either leaves the byte match
+# for the strict reader or differs from the written rows in one row only
+CANONICAL_CORNERS = {
+    "pretty_printed": json.dumps({"n_max": 8, "rows": TABLE8_ROWS}, indent=1) + "\n",
+    "other_key": TABLE8_JSON.replace('"rows"', '"ROWS"'),
+    "reversed_keys": json.dumps({"rows": TABLE8_ROWS, "n_max": 8},
+                                separators=(",", ":")) + "\n",
+    "escaped_entry": TABLE8_JSON.replace('["9","8","2"]', '["9","\\u0038","2"]'),
+    "escaped_first_row": TABLE8_JSON.replace('[["1"]', '[["\\u0031"]'),
+    "form_feed_trailer": TABLE8_JSON.replace("]}\n", "]}\x0c"),
+    "letter_trailer": TABLE8_JSON.replace("]}\n", "]}x"),
+    "no_final_newline": TABLE8_JSON.rstrip("\n"),
+    "n_max_one_above": TABLE8_JSON.replace('"n_max":8', '"n_max":9'),
+    "n_max_one_below": TABLE8_JSON.replace('"n_max":8', '"n_max":7'),
+    "n_max_leading_zero": TABLE8_JSON.replace('"n_max":8', '"n_max":08'),
+    "n_max_zero": '{"n_max":0,"rows":[["1"]]}\n',
+    "duplicate_n_max": TABLE8_JSON.replace("]}\n", '],"n_max":8}\n'),
+    "bracket_in_entry": TABLE8_JSON.replace('["2","1"]', '["2]","1"]'),
+    "int_entry": TABLE8_JSON.replace('["2","1"]', '["2",1]'),
+    "space_in_row": TABLE8_JSON.replace('["2","1"]', '[ "2","1"]'),
+    "space_between_rows": TABLE8_JSON.replace(',["2","1"]', ', ["2","1"]'),
+    "semicolon_between_rows": TABLE8_JSON.replace(',["2","1"]', ';["2","1"]'),
+    "no_rows": '{"n_max":0,"rows":[]}\n',
+    "short_row": TABLE8_JSON.replace('["9","8","2"]', '["9","8"]'),
+    "bumped_last_row": TABLE8_JSON.replace('"5040"]', '"5041"]'),
+}
+
 # every file of TestStrictParsing and TestSniffAndLoad in tests/test_tableio.py
 PARSER_INPUTS = {
     **{f"bad_json_{name}": text for name, text in BAD_JSON_TABLES.items()},
     **{f"bad_csv_{name}": text for name, text in BAD_CSV_TABLES.items()},
     **{f"edge_{name}": text for name, text in LOAD_EDGES.items()},
+    **{f"canonical_{name}": text for name, text in CANONICAL_CORNERS.items()},
     "negative_json": '{"n_max":2,"rows":[["1"],["-2","1"]]}',
     "negative_csv": "n,k,beta\n1,0,-1\n",
     "table8_csv": table_to_csv(build_table(8)),
-    "table8_json": table_to_json(build_table(8)),
+    "table8_json": TABLE8_JSON,
 }
 
 
@@ -477,12 +509,79 @@ class TestTableFileMatchesLoadThenVerify:
         path.write_bytes(PARSER_INPUTS[name].encode("ascii"))
         assert_verify_matches_reference(path, *([] if n_max is None else ["--n-max", "1"]))
 
+    @pytest.mark.parametrize("n_max", [None, 1])
+    def test_written_row_past_the_digit_limit(self, tmp_path, n_max):
+        """Row 256 of a written table holds a 642-digit entry; at the smallest
+        int-string limit, 640 digits, the strict reader refuses it."""
+        path = tmp_path / "t256.json"
+        with path.open("w", encoding="ascii") as fh:
+            fh.writelines(tableio.built_table_chunks(256, "json"))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert cli_outcome(["verify", "--table", str(path), "--n-max", "1"])[0] == 2
+            assert_verify_matches_reference(path, *([] if n_max is None else ["--n-max", "1"]))
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     @pytest.mark.parametrize("text", ["n,k,beta\n1,0,\u00e91\n",
                                       '{"n_max":1,"rows":[["\u00e9"]]}'])
     def test_non_ascii_inputs(self, tmp_path, text):
         path = tmp_path / "table"
         path.write_bytes(text.encode("utf-8"))
         assert_verify_matches_reference(path)
+
+
+class TestWrittenLayout:
+    """A JSON file laid out as ``table`` writes it is matched byte for byte
+    with the writer's rows; any other file goes through the strict reader."""
+
+    @staticmethod
+    def read_calls(monkeypatch):
+        calls = []
+        read = tableio.read_table_rows
+        monkeypatch.setattr(tableio, "read_table_rows",
+                            lambda path: calls.append(path) or read(path))
+        return calls
+
+    @pytest.mark.parametrize("bumped", [False, True])
+    def test_written_file_skips_the_strict_reader(self, tmp_path, monkeypatch, bumped):
+        rows = [[str(b) for b in row] for row in TABLE60.rows[1:]]
+        if bumped:
+            rows[40][7] = spelled(TABLE60.rows[41][7], "bump")
+        path = tmp_path / "t60.json"
+        path.write_text(table_text(rows, "json"), encoding="ascii")
+        want = reference_table_file(path, ROUTE_NAMES, 5)
+        monkeypatch.setattr(tableio, "read_table_rows", lambda path: 1 / 0)
+        assert verify.verify_table_file(str(path), ROUTE_NAMES, 5) == want
+        assert bool(want[1]) == bumped
+
+    def test_pretty_printed_file_is_read_strictly(self, tmp_path, monkeypatch):
+        rows = [[str(b) for b in row] for row in TABLE60.rows[1:]]
+        path = tmp_path / "t60.json"
+        path.write_text(json.dumps({"n_max": 60, "rows": rows}, indent=1), encoding="ascii")
+        calls = self.read_calls(monkeypatch)
+        assert verify.verify_table_file(str(path), ROUTE_NAMES, 5) == (60, [])
+        assert calls == [str(path)]
+
+    def test_without_the_recurrence_the_file_is_read_strictly(self, tmp_path, monkeypatch):
+        path = tmp_path / "t60.json"
+        path.write_text(table_to_json(TABLE60), encoding="ascii")
+        calls = self.read_calls(monkeypatch)
+        assert verify.verify_table_file(str(path), ("explicit",), 5) == (60, [])
+        assert calls == [str(path)]
+
+    def test_peak_memory_stays_below_half_the_file_size(self, tmp_path):
+        path = tmp_path / "t150.json"
+        with path.open("w", encoding="ascii") as fh:
+            fh.writelines(tableio.built_table_chunks(150, "json"))
+        tracemalloc.start()
+        try:
+            assert verify.verify_table_file(str(path), ROUTE_NAMES, 5) == (150, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * path.stat().st_size
 
 
 def test_route_failures_decide_differing_strings_by_value():
