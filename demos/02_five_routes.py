@@ -5,12 +5,11 @@ double sum, shifted r-Stirling numbers, Bernoulli polynomials of negative
 order, iterated forward differences, and a triangular recurrence of integer
 polynomials evaluated at an integer point.  Only four of these are
 independent computations: the recurrence, the forward-difference kernel sum
-with its power sums (Bernoulli and forward differences normalise the same
-row of them, so their agreement checks the normalisation identities, not
-the power sum itself), the kernel sum with its r-Stirling inner values made
-by their own triangle recurrence, and the Carlitz-style triangle.  The
-explicit double sum is the kernel sum as written, term by term.  All routes
-must agree bit for bit.
+with its power sums (the explicit double sum, Bernoulli and forward
+differences normalise the same row of them, so their agreement checks the
+normalisation identities, not the power sum itself), the kernel sum with
+its r-Stirling inner values made by their own triangle recurrence, and the
+Carlitz-style triangle.  All routes must agree bit for bit.
 """
 import sys
 import time

@@ -16,24 +16,24 @@ Four independent computations of beta(n, k) exist in the package:
   integer point (``beta_carlitz_row``).
 
 The kernel sum has four routes, one per normalisation of its inner values:
-the explicit double sum as written, shifted r-Stirling numbers, Bernoulli
-polynomials of negative integer order and iterated forward differences of a
-power.  ``bernoulli`` and ``fdiff`` normalise the one row of power sums, so
-they check their normalisation identities, not the power sum itself;
-``explicit`` is the literal double sum with ``comb`` binomials and the sign
-(-1)^q, its powers stepped from one m to the next by one multiplication.
-Every route returns a whole row; each kernel-sum route makes its n inner
-values in a private helper, in O(n) passes of ``map``, ``sum`` or
-``accumulate``, and its row is ``_convolve`` of them.  Each inner value is a
-signed r-Stirling number: a route that divides asserts that the quotient is
-exact, raising :class:`ConsistencyError` naming the route, the row and the
-index m otherwise, and the binomial convolution then works on integers
-alone.  The inversion ``rstirling_from_beta_row`` runs the same triangular
-sum with the kernel of (1-w)^-(2n-1); the two kernels are inverse power
-series, so convolving the inverted values back gives any integer row, and
-only the inverted values themselves are worth checking.  Both kernels are
-unit lower-triangular, so a kernel-sum route's row equals a table row
-exactly where its inner values equal the table row's signed inverted values;
+the explicit double sum, shifted r-Stirling numbers, Bernoulli polynomials
+of negative integer order and iterated forward differences of a power.
+``explicit``, ``bernoulli`` and ``fdiff`` normalise the one row of power
+sums: the explicit inner sum sum_q C(m, q) (-1)^q (q+n)^(m+n-1) is (-1)^m
+times power sum m.  So they check their normalisation identities, not the
+power sum itself, and the tests pin the literal double sum.  Every route
+returns a whole row; each kernel-sum route makes its n inner values in a
+private helper, in O(n) passes of ``map``, ``sum`` or ``accumulate``, and
+its row is ``_convolve`` of them.  Each inner value is a signed r-Stirling
+number: a route that divides asserts that the quotient is exact, raising
+:class:`ConsistencyError` naming the route, the row and the index m
+otherwise, and the binomial convolution then works on integers alone.  The
+inversion ``rstirling_from_beta_row`` runs the same triangular sum with the
+kernel of (1-w)^-(2n-1); the two kernels are inverse power series, so
+convolving the inverted values back gives any integer row, and only the
+inverted values themselves are worth checking.  Both kernels are unit
+lower-triangular, so a kernel-sum route's row equals a table row exactly
+where its inner values equal the table row's signed inverted values;
 ``verify`` decides the routes that way, row by row
 (``_kernel_inner_values``), and convolves only where they differ.
 """
@@ -155,23 +155,11 @@ def _power_sums(n: int) -> list[int]:
     return sums
 
 
-def _explicit_inner(n: int) -> list[int]:
-    """Row n's inner values by the explicit double sum: entry m is
-    (1/m!) sum_{q=0}^{m} C(m, q) (-1)^q (q+n)^(m+n-1).
-
-    The sum is taken as written, with ``comb`` binomials and the sign
-    (-1)^q; the powers (q+n)^(m+n-1) come from step m-1's by one
-    multiplication each, plus one new ``pow`` for q = m.  The division by m!
-    must be exact.
-    """
-    powers: list[int] = []
-    sums = []
-    for m in range(n):
-        powers = list(map(mul, powers, range(n, n + m)))
-        powers.append((n + m) ** (m + n - 1))
-        terms = list(map(mul, map(comb, repeat(m), range(m + 1)), powers))
-        sums.append(sum(terms[::2]) - sum(terms[1::2]))
-    return _exact_quotients(n, sums, _factorials(n), "beta_explicit_row")
+def _explicit_inner(n: int, sums: list[int]) -> list[int]:
+    """Row n's inner values from its power sums ``sums``: entry m is
+    (1/m!) sum_{q=0}^{m} C(m, q) (-1)^q (q+n)^(m+n-1), that is (-1)^m
+    times ``sums[m]``, divided exactly by m!."""
+    return _alternating(_exact_quotients(n, sums, _factorials(n), "beta_explicit_row"))
 
 
 def beta_explicit_row(n: int) -> tuple[int, ...]:
@@ -180,7 +168,7 @@ def beta_explicit_row(n: int) -> tuple[int, ...]:
         beta(n, k) = sum_{m=0}^{k} (1/m!) C(2n-1, k-m) sum_{q=0}^{m} C(m, q) (-1)^q (q+n)^(m+n-1).
     """
     _check_n(n)
-    return _convolve(n, _explicit_inner(n), "beta_explicit_row")
+    return _convolve(n, _explicit_inner(n, _power_sums(n)), "beta_explicit_row")
 
 
 def rstirling_shifted(n: int, m: int, r: int) -> int:
@@ -320,18 +308,19 @@ def _kernel_inner_values(
     kernel-sum route in ``names``, in ``ROUTE_ROWS`` order.
 
     ``_convolve(n, inner, row function name)`` is the route's row.
-    ``bernoulli`` and ``fdiff`` normalise one row of ``_power_sums``.
+    ``explicit``, ``bernoulli`` and ``fdiff`` normalise one row of
+    ``_power_sums``, made only if one of them is asked for.
     """
+    power_routes = ("explicit", "bernoulli", "fdiff")
+    sums = _power_sums(n) if any(name in names for name in power_routes) else []
     if "explicit" in names:
-        yield "explicit", "beta_explicit_row", _explicit_inner(n)
+        yield "explicit", "beta_explicit_row", _explicit_inner(n, sums)
     if "rstirling" in names:
         yield "rstirling", "beta_rstirling_row", _rstirling_inner(n)
-    if "bernoulli" in names or "fdiff" in names:
-        sums = _power_sums(n)
-        if "bernoulli" in names:
-            yield "bernoulli", "beta_bernoulli_row", _bernoulli_inner(n, sums)
-        if "fdiff" in names:
-            yield "fdiff", "beta_forward_diff_row", _forward_diff_inner(n, sums)
+    if "bernoulli" in names:
+        yield "bernoulli", "beta_bernoulli_row", _bernoulli_inner(n, sums)
+    if "fdiff" in names:
+        yield "fdiff", "beta_forward_diff_row", _forward_diff_inner(n, sums)
 
 
 def rstirling_from_beta_row(n: int, table: CoefficientTable) -> list[int]:

@@ -18,13 +18,14 @@ escaping, so the JSON bytes are those of ``json.dumps(payload,
 separators=(",", ":"))`` plus a newline.
 
 Both formats are read by one streaming reader, ``read_table_rows``: it
-sniffs the format from the first character that is not whitespace, feeds a
-CSV file to the parser line by line, decodes a JSON file with ``json.load``
-(which frees the file's text before the first row), and yields each row as
-a tuple of validated decimal strings, never as ints, since ``int(str)`` is
+reads a file once, from start to end, so a pipe will do.  It sniffs the
+format from the first character that is not whitespace, feeds a CSV file
+to the parser line by line, decodes a JSON file's text with ``json.loads``
+(the text is freed before the first row), and yields each row as a tuple
+of validated decimal strings, never as ints, since ``int(str)`` is
 quadratic too.  ``load_table`` and the ``parse_table*`` functions convert
-those rows to ints, one row at a time; ``verify.verify_table_file`` compares
-them as text and converts only the rows its horizon reads.
+those rows to ints, one row at a time; ``verify.verify_table_file``
+compares them as text and converts only the rows its horizon reads.
 
 A JSON file laid out as ``write_table`` lays it out need not be decoded at
 all when the rows it should hold are known: ``_json_differences`` streams
@@ -47,7 +48,8 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from math import prod
+from itertools import accumulate, chain
+from operator import mul
 from typing import TextIO
 
 from .triangle import CoefficientTable, _exact_rows, _rows
@@ -113,13 +115,14 @@ def _check_digit_limit(n_max: int) -> None:
     the recurrence gives sum_k |beta(m+1, k)| <= (4m - 1) sum_k |beta(m, k)|
     (the three coefficients of beta(m, j) add up to (3m - j - 1) + m + j),
     so prod_{m<n_max} (4m - 1) bounds every entry; the exact pass over the
-    int rows runs only when that bound reaches 10**limit.
+    int rows runs only when that bound, cut off at the first partial
+    product that reaches 10**limit, does.
     """
     limit = _digit_limit()
     if limit == 0:
         return
     bound = 10**limit
-    if prod(range(3, 4 * n_max - 4, 4)) < bound:
+    if all(partial < bound for partial in accumulate(range(3, 4 * n_max - 4, 4), mul)):
         return
     for row in _rows(n_max, 1):
         if max(map(abs, row)) >= bound:
@@ -232,10 +235,10 @@ def _json_rows(payload: object) -> Iterator[tuple[str, ...]]:
     return _whole(read(), n_max)
 
 
-def _decoded(decode: Callable, source) -> object:
-    """``decode(source)``: ``json.loads`` of a text, ``json.load`` of a file."""
+def _decoded(text: str) -> object:
+    """``json.loads(text)``; nesting too deep for it raises ``ValueError``."""
     try:
-        return decode(source)
+        return json.loads(text)
     except RecursionError:
         raise ValueError("JSON table is nested too deeply") from None
 
@@ -249,31 +252,36 @@ def _int_table(rows: Iterable[tuple[str, ...]]) -> CoefficientTable:
 def read_table_rows(path: str) -> Iterator[tuple[str, ...]]:
     """Rows 1, 2, ... of the table file at ``path`` as validated decimal strings.
 
-    The format is sniffed from the first character that is not whitespace.
-    A CSV file is read line by line and each row is yielded once its last
-    entry is read; a JSON file is decoded with ``json.load``, which frees
-    the file's text before the first row is yielded.  Every entry is checked
-    as ``parse_table`` checks it, the int-string limit included, but none is
+    The file is read once, from start to end, so it may be a pipe; the
+    format is sniffed from the first character that is not whitespace.  A
+    CSV file is read line by line and each row is yielded once its last
+    entry is read; a JSON file's text is decoded with ``json.loads`` and
+    freed before the first row is yielded.  Every entry is checked as
+    ``parse_table`` checks it, the int-string limit included, but none is
     converted to ``int``; whatever is wrong with the file raises
     ``ValueError`` by the time the rows run out, with ``parse_table``'s
     message.
     """
     with open(path, "r", encoding="ascii") as fh:
+        spaces = []  # read while sniffing, so parsed with the rest
         while (first := fh.read(1)).isspace():
-            pass
-        fh.seek(0)
+            spaces.append(first)
+        start = "".join(spaces) + first
         if first != "{":
-            yield from _csv_rows(line.rstrip("\n") for line in fh)
+            # the parser skips the empty piece after a line end
+            lines = (start + fh.readline()).split("\n")
+            yield from _csv_rows(chain(lines, (line.rstrip("\n") for line in fh)))
             return
-        payload = _decoded(json.load, fh)
+        payload = _decoded(start + fh.read())
     yield from _json_rows(payload)
 
 
 def _json_differences(
     path: str, rows: Iterable[tuple[str, ...]]
-) -> dict[int, tuple[tuple[str, ...], tuple[str, ...]]] | None:
-    """The rows where the JSON table file at ``path`` differs from ``rows``,
-    if the file is laid out as ``write_table`` lays them out; else None.
+) -> tuple[int, dict[int, tuple[tuple[str, ...], tuple[str, ...]]]] | None:
+    """The file's row count and the rows where the JSON table file at
+    ``path`` differs from ``rows``, if the file is laid out as
+    ``write_table`` lays them out; else None.
 
     ``rows`` are decimal-string rows 1, 2, ..., at least as many as the
     file's header declares; that many are read.  The file is streamed and
@@ -328,7 +336,7 @@ def _json_differences(
                 differing[n] = (tuple([_decimal(entry, limit) for entry in got]), row)
                 fh.seek(end + 1 - len(part), 1)  # to the byte after the row
             trailer = next(chunks).encode()
-            return differing if fh.read(len(trailer) + 1) == trailer else None
+            return (n_max, differing) if fh.read(len(trailer) + 1) == trailer else None
     except (OSError, ValueError, RecursionError):
         return None  # whatever went wrong, read_table_rows reads the file afresh
 
@@ -338,7 +346,7 @@ def parse_table_csv(text: str) -> CoefficientTable:
 
 
 def parse_table_json(text: str) -> CoefficientTable:
-    return _int_table(_json_rows(_decoded(json.loads, text)))
+    return _int_table(_json_rows(_decoded(text)))
 
 
 def parse_table(text: str) -> CoefficientTable:

@@ -10,15 +10,18 @@ on some table.  The checks:
   caught) and against the chosen closed-form routes up to a configurable
   row.  The four kernel-sum routes are decided row by row on their inner
   values, against the table row inverted once (convolution only on a
-  mismatch, to name the entries); ``bernoulli`` and ``fdiff`` share one row
-  of power sums per row.  A table built by the recurrence is that route, so
-  ``wderiv verify`` does not compare the table it builds with it.
+  mismatch, to name the entries), and Carlitz on its row, in one pass.
+  ``explicit``, ``bernoulli`` and ``fdiff`` normalise one row of power
+  sums, so only the recurrence, the power sum, the r-Stirling recurrence
+  and Carlitz are independent.  A table built by the recurrence is that
+  route, so ``wderiv verify`` does not compare the table it builds with it.
   ``verify_table_file`` checks a table file without converting it whole:
   the recurrence comparison runs on the file's decimal text, against
   ``str`` of exact-decimal recurrence rows, and only the rows up to the
   horizon become ints for the other checks.  A JSON file that ``wderiv
   table`` wrote is compared as bytes with the writer's own rows, so only
-  a row that differs is decoded; any other file is decoded and validated
+  a row that differs is decoded, and the other rows up to the horizon are
+  the recurrence's int rows; any other file is decoded and validated
   whole by ``tableio.read_table_rows``;
 * sequence properties per row: positivity, log-concavity of k! times the
   row (decided as (k+1) c_{k-1} c_{k+1} <= k c_k^2) and the strict ratio
@@ -43,7 +46,6 @@ to parallel workers, but results are reported in (n, k) order regardless.
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
@@ -88,19 +90,23 @@ class CheckFailure(NamedTuple):
         return (self.n, 10**9 if self.k is None else self.k, self.check)
 
 
+def _differ(got: int | str, want: int | str) -> bool:
+    """Whether two entries, ints or decimal strings, differ in value ("007" is 7)."""
+    return got != want and int(got) != int(want)
+
+
 def _route_failures(name: str, pairs: Iterable[tuple[Sequence, Sequence]]) -> list[CheckFailure]:
     """The entries where a table row and route ``name``'s row differ.
 
     ``pairs`` holds (table row, route row) for n = 1, 2, ...  Entries are
-    ints, or decimal strings; two strings that differ are decided by their
-    values, so "007" equals 7 and "-0" equals 0.
+    ints, or decimal strings compared by value (``_differ``).
     """
     failures: list[CheckFailure] = []
     for n, (got_row, want_row) in enumerate(pairs, 1):
         if got_row == want_row:
             continue
         for k, (got, want) in enumerate(zip(got_row, want_row)):
-            if got != want and int(got) != int(want):
+            if _differ(got, want):
                 failures.append(CheckFailure(
                     n, k, f"route:{name}",
                     f"table has {int(got)}, {name} gives {int(want)}"))
@@ -128,8 +134,9 @@ def _table_checks(
     if "recurrence" in routes:
         failures += _route_failures(
             "recurrence", zip(table.rows[1:], triangle._rows(table.n_max, 1)))
-    # kernel-sum route -> {n: its row n} on the rows where it differs
-    differing: dict[str, dict[int, tuple[int, ...]]] = {}
+    # closed-form route -> {n: its row n} on the rows where it differs
+    differing: dict[str, dict[int, tuple[int, ...]]] = {
+        name: {} for name in closed_forms.ROUTE_ROWS if name in routes}
     identity_failures: list[CheckFailure] = []
     kernel_routes = set(routes) | ({"rstirling"} if identities else set())
     for n in range(1, n_max + 1):
@@ -153,18 +160,16 @@ def _table_checks(
                                  f"direct r-Stirling {-direct if m % 2 else direct}")
                     for m, (s, direct) in enumerate(zip(inverted, inner))
                     if s != direct]
-            if name in routes:
-                rows_of = differing.setdefault(name, {})
-                if inner != inverted:
-                    rows_of[n] = closed_forms._convolve(n, inner, context)
+            if name in differing and inner != inverted:
+                differing[name][n] = closed_forms._convolve(n, inner, context)
+        if "carlitz" in differing:
+            row = closed_forms.beta_carlitz_row(n)
+            if row != table.rows[n]:
+                differing["carlitz"][n] = row
     rows = table.rows[1:n_max + 1]
-    for name, row_of in closed_forms.ROUTE_ROWS.items():
-        if name in differing:
-            rows_of = differing[name]
-            failures += _route_failures(
-                name, ((row, rows_of.get(n, row)) for n, row in enumerate(rows, 1)))
-        elif name in routes:
-            failures += _route_failures(name, zip(rows, map(row_of, range(1, n_max + 1))))
+    for name, rows_of in differing.items():
+        failures += _route_failures(
+            name, ((row, rows_of.get(n, row)) for n, row in enumerate(rows, 1)))
     return failures + identity_failures
 
 
@@ -280,48 +285,42 @@ def verify_table_file(
     row beyond the horizon is never converted to ``int``.  A JSON file laid
     out as ``wderiv table`` writes it is matched byte for byte against the
     writer's chunks of those rows (``tableio._json_differences``): a row
-    that matches is neither decoded nor validated, and only a row that
-    differs is decoded and compared by value.  Any other file, and any file
-    when ``recurrence`` is not among the routes, is read once by
-    ``tableio.read_table_rows`` and compared row by row.  Rows 1..n_max
-    become the table that the closed-form routes, the properties and the
-    identities check.  A file that ``load_table`` rejects raises the same
+    that matches is neither decoded nor validated, and rows 1..n_max are
+    the int recurrence rows (``triangle._rows``) with the rows that differ
+    decoded in their place.  Any other file, and any file when
+    ``recurrence`` is not among the routes, is read once by
+    ``tableio.read_table_rows``, giving rows 1..n_max as ints and the rows
+    whose values differ.  Rows 1..n_max become the table that the
+    closed-form routes, the properties and the identities check.  A file
+    that ``load_table`` rejects raises the same
     ``ValueError``, and so does a bad argument, after the file is read as
     it would be there.
     """
     keep = math.inf if n_max is None else max(n_max, 1)
-    head: list[tuple[int, ...]] = []
-    read = 0
-
-    def kept(rows: Iterable[tuple[str, ...]]) -> Iterator[tuple[str, ...]]:
-        """``rows`` as they come; ``head`` and ``read`` start over, and rows
-        1..keep also go into ``head`` as ints."""
-        nonlocal read
-        head.clear()
-        read = 0
-        for read, row in enumerate(rows, 1):
-            if read <= keep:
-                head.append(tuple(map(int, row)))
-            yield row
 
     def exact() -> Iterator[tuple[str, ...]]:
         return (tuple(map(str, row)) for row in triangle._exact_rows(None))
 
-    failures: list[CheckFailure] = []
-    differing = None
-    if "recurrence" in routes:
-        differing = tableio._json_differences(path, kept(exact()))
-    if differing is None:
-        rows = kept(tableio.read_table_rows(path))
-        if "recurrence" in routes:
-            failures += _route_failures("recurrence", zip(rows, exact()))
-        else:
-            deque(rows, maxlen=0)
-    else:
+    checked = "recurrence" in routes
+    found = tableio._json_differences(path, exact()) if checked else None
+    if found is not None:
+        read, differing = found
+        head = list(triangle._rows(min(keep, read), 1))
         for n, (got, _) in differing.items():
             if n <= keep:
                 head[n - 1] = tuple(map(int, got))
-        # a row that matched is the recurrence row: an empty pair stands for it
+    else:
+        read, differing, head = 0, {}, []
+        wanted = exact()
+        for read, got in enumerate(tableio.read_table_rows(path), 1):
+            if read <= keep:
+                head.append(tuple(map(int, got)))
+            if checked and (want := next(wanted)) != got and any(map(_differ, got, want)):
+                differing[read] = (got, want)
+    failures: list[CheckFailure] = []
+    if checked:
+        # a row that is not in differing is the recurrence row: an empty
+        # pair stands for it
         failures += _route_failures(
             "recurrence", (differing.get(n, ((), ())) for n in range(1, read + 1)))
     failures += run_verification(

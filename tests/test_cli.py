@@ -157,6 +157,19 @@ class TestTableDigitLimit:
         assert code == 0
         assert out == table_to_json(build_table(255))
 
+    def test_huge_n_max_is_refused_promptly(self, tmp_path):
+        # the bound on the entries stops at its first partial product past
+        # 10**4300, so a million rows cost no more to refuse than 1331
+        path = tmp_path / "table.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "wderiv", "table", "--n-max", "1000000",
+             "--out", str(path)],
+            capture_output=True, text=True, timeout=60, env=src_env())
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: Exceeds the limit (4300 digits) for "
+                                      "integer string conversion")
+        assert not path.exists()
+
 
 class TestVerifyCommand:
     def test_small_clean_run(self, capsys):
@@ -210,6 +223,35 @@ class TestVerifyCommand:
         path.write_text(table_to_json(build_table(6)), encoding="ascii")
         code, out, _ = run_cli(capsys, "verify", "--table", str(path))
         assert code == 0
+
+    @pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="needs /dev/stdin")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_piped_in(self, tmp_path, fmt):
+        """``table | verify --table /dev/stdin`` reads the pipe once; a
+        bumped table piped in gives the report of the same bytes in a file."""
+        wderiv = [sys.executable, "-m", "wderiv"]
+        table = subprocess.Popen(wderiv + ["table", "--n-max", "12", "--format", fmt],
+                                 stdout=subprocess.PIPE, env=src_env())
+        with table:
+            piped = subprocess.run(wderiv + ["verify", "--table", "/dev/stdin"],
+                                   stdin=table.stdout, capture_output=True, text=True,
+                                   timeout=60, env=src_env())
+        assert (table.returncode, piped.returncode, piped.stderr) == (0, 0, "")
+        assert piped.stdout.startswith("OK n_max=12 ")
+        rows = [list(row) for row in build_table(12).rows]
+        rows[9][4] += 1
+        bumped = triangle.CoefficientTable(n_max=12, rows=tuple(map(tuple, rows)))
+        text = table_to_csv(bumped) if fmt == "csv" else table_to_json(bumped)
+        path = tmp_path / f"bumped.{fmt}"
+        path.write_text(text, encoding="ascii")
+        piped, filed = (
+            subprocess.run(wderiv + ["verify", "--table", source], input=text,
+                           capture_output=True, text=True, timeout=60, env=src_env())
+            for source in ("/dev/stdin", str(path)))
+        assert (piped.returncode, piped.stdout, piped.stderr) == (
+            filed.returncode, filed.stdout, filed.stderr)
+        assert piped.returncode == 1
+        assert piped.stdout.startswith("FAIL first failure: n=9 k=4 ")
 
     @pytest.mark.parametrize("name", sorted(BAD_JSON_TABLES))
     def test_corrupt_json_table_is_usage_error(self, tmp_path, name):

@@ -36,8 +36,10 @@ def ref_explicit_inner(n):
 
 class TestExplicit:
     def test_stepped_powers_match_one_pow_per_term(self):
-        for n in range(1, 41):
-            assert closed_forms._explicit_inner(n) == ref_explicit_inner(n), n
+        # the route normalises the row of power sums; the reference is the
+        # literal double sum
+        for n in range(1, 61):
+            assert closed_forms._explicit_inner(n, _power_sums(n)) == ref_explicit_inner(n), n
 
     def test_examples(self, table8):
         assert beta_explicit_row(5)[2] == 622
@@ -202,7 +204,8 @@ class TestRouteAgreement:
         for n in range(1, 61):
             assert _power_sums(n) == [_power_diff(m, m + n - 1, n) for m in range(n)], n
 
-    @pytest.mark.parametrize("route", ["beta_bernoulli_row", "beta_forward_diff_row"])
+    @pytest.mark.parametrize(
+        "route", ["beta_explicit_row", "beta_bernoulli_row", "beta_forward_diff_row"])
     def test_a_power_sum_off_by_one_is_named(self, monkeypatch, route):
         # m! (or (m+n-1)!/(n-1)! / C(m+n-1, n-1), the same) divides the power
         # sum, and from m = 2 on it no longer divides the sum plus one

@@ -1,6 +1,7 @@
 import decimal
 import io
 import json
+import os
 import re
 import sys
 import tracemalloc
@@ -263,6 +264,22 @@ class TestSniffAndLoad:
     @pytest.mark.parametrize("name", sorted(LOAD_EDGES))
     def test_load_matches_parse_of_text(self, tmp_path, name):
         assert_load_matches_parse(tmp_path, LOAD_EDGES[name])
+
+    @pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("name", sorted(LOAD_EDGES))
+    def test_load_from_a_pipe_matches_load_from_a_file(self, tmp_path, name):
+        # every edge fits in the pipe's buffer, so it is written whole first
+        text = LOAD_EDGES[name]
+        path = tmp_path / "table"
+        path.write_bytes(text.encode("ascii"))
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, text.encode("ascii"))
+            os.close(write_end)
+            piped = outcome(load_table, f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert piped == outcome(load_table, str(path))
 
     @pytest.mark.parametrize("text", ["n,k,beta\n1,0,\u00e91\n",
                                       '{"n_max":1,"rows":[["\u00e9"]]}'])

@@ -113,10 +113,11 @@ def test_kernel_routes_build_each_row_in_one_pass(monkeypatch):
     """Per-row helpers, not per-entry sums: a guard that times nothing.
 
     On a clean table ``verify_routes`` convolves nothing: each kernel-sum
-    route is decided on its inner values.  ``bernoulli`` and ``fdiff``
-    share one row of power sums per row, the ``rstirling`` route and the
-    identities share one row of r-Stirling values and one inverted table
-    row, and nothing calls the scalar power sum ``_power_diff``.
+    route is decided on its inner values.  ``explicit``, ``bernoulli`` and
+    ``fdiff`` share one row of power sums per row, made also for
+    ``explicit`` alone; the ``rstirling`` route and the identities share
+    one row of r-Stirling values and one inverted table row, and nothing
+    calls the scalar power sum ``_power_diff``.
     """
     calls = []
 
@@ -131,13 +132,14 @@ def test_kernel_routes_build_each_row_in_one_pass(monkeypatch):
     for name in ("_convolve", "_power_diff", "_power_sums", "rstirling_values",
                  "rstirling_from_beta_row"):
         monkeypatch.setattr(closed_forms, name, spy(name))
-    routes = tuple(closed_forms.ROUTE_ROWS)
-    assert run_verification(build_table(40), routes) == []
-    assert Counter(calls) == {
-        ("_power_sums", "_kernel_inner_values"): 40,
-        ("rstirling_values", "_rstirling_inner"): 40,
-        ("rstirling_from_beta_row", "_table_checks"): 40,
-    }
+    for routes in (tuple(closed_forms.ROUTE_ROWS), ("explicit",)):
+        calls.clear()
+        assert run_verification(build_table(40), routes) == []
+        assert Counter(calls) == {
+            ("_power_sums", "_kernel_inner_values"): 40,
+            ("rstirling_values", "_rstirling_inner"): 40,
+            ("rstirling_from_beta_row", "_table_checks"): 40,
+        }, routes
 
 
 def test_only_a_given_table_meets_the_recurrence(monkeypatch, tmp_path):
@@ -575,6 +577,20 @@ class TestWrittenLayout:
         path = tmp_path / "t150.json"
         with path.open("w", encoding="ascii") as fh:
             fh.writelines(tableio.built_table_chunks(150, "json"))
+        tracemalloc.start()
+        try:
+            assert verify.verify_table_file(str(path), ROUTE_NAMES, 5) == (150, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * path.stat().st_size
+
+    def test_strict_reader_holds_no_row_equal_in_value(self, tmp_path):
+        # every entry's text differs from the recurrence's, its value does not
+        path = tmp_path / "t150.csv"
+        path.write_text("n,k,beta\n" + "".join(
+            f"{n},{k},0{b}\n" for n in range(1, 151)
+            for k, b in enumerate(build_table(150).rows[n])), encoding="ascii")
         tracemalloc.start()
         try:
             assert verify.verify_table_file(str(path), ROUTE_NAMES, 5) == (150, [])
