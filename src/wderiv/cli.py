@@ -9,15 +9,24 @@ Subcommands:
 * ``bench``  -- time the routes row by row and report peak entry bit sizes.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+``eval`` also exits 2 (``numeric fault``) when the derivative it would print
+is infinite, zero or subnormal: binary64 ran out, and no derivative of W is 0.
+
+Importing this module loads the exact layer that the default ``verify``
+runs (``verify``, ``closed_forms``, ``properties``, ``triangle``).  Each
+command imports the rest when it runs: ``table`` and ``verify --table``
+import ``tableio`` and ``decimal``, ``eval`` imports ``numeric`` and
+``bench`` imports ``bench``.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import json
+import math
 import sys
 
-from . import tableio, triangle, verify
+from . import triangle, verify
 
 __all__ = ["main", "build_parser"]
 
@@ -84,6 +93,8 @@ def _routes(text: str) -> tuple[str, ...]:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from . import tableio
+
     # raises before --out exists, e.g. past the int-string limit
     chunks = tableio.built_table_chunks(args.n_max, args.format)
     with _open_out(args.out) as fh:
@@ -141,6 +152,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             raise ValueError(f"n must be >= 1, got {args.n}")
         table = triangle.build_table(args.n)
         deriv = numeric.w_derivative(args.n, args.x, table)
+    # no derivative of W is 0, so 0, a subnormal or inf means binary64 ran out
+    if not (math.isfinite(deriv.value) and abs(deriv.value) >= sys.float_info.min):
+        raise ArithmeticError(
+            f"d^{args.n}W/dx^{args.n} ({deriv.route}) at x = {args.x} came out "
+            f"{deriv.value}, outside the normal binary64 range")
     # lambert_w covers x >= 0; the Taylor route also reaches -1/e < x < 0
     if args.x >= 0.0:
         evaluation = numeric.lambert_w(args.x)

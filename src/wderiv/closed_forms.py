@@ -40,13 +40,15 @@ where its inner values equal the table row's signed inverted values;
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Iterator
-from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, factorial
 from operator import add, attrgetter, mul, neg, sub
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .triangle import CoefficientTable
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "ConsistencyError",
@@ -104,6 +106,8 @@ def _exact_quotients(
     for m, (num, den) in enumerate(zip(nums, dens)):
         quotient, remainder = divmod(num, den)
         if remainder:
+            from fractions import Fraction
+
             raise ConsistencyError(
                 f"{context}({n})[{m}]: non-integer result {Fraction(num, den)}")
         quotients.append(quotient)
@@ -180,6 +184,8 @@ def rstirling_shifted(n: int, m: int, r: int) -> int:
     """
     if n < 0 or m < 0 or r < 0:
         raise ValueError("arguments must be nonnegative")
+    from fractions import Fraction
+
     total = Fraction(_power_diff(m, n, r), factorial(m))
     return _as_integer(total, f"rstirling_shifted({n}, {m}, {r})")
 
@@ -219,6 +225,8 @@ def bernoulli_higher(order: int, m: int, r: int | Fraction) -> Fraction:
     """
     if order < 0 or m < 0:
         raise ValueError("order and m must be nonnegative")
+    from fractions import Fraction
+
     scale = Fraction(factorial(order), factorial(m + order))
     return scale * _power_diff(m, m + order, r)
 

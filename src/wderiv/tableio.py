@@ -42,6 +42,10 @@ both directions; past it writing and reading raise CPython's ``ValueError``
 (``built_table_chunks`` raises the same text before it returns, after a
 bound on the entries or, near the limit, the int rows themselves; the
 reader asks ``int`` only about a string longer than the limit).
+
+Only the commands that write or read a table file, ``wderiv table`` and
+``wderiv verify --table``, import this module, and with it (through
+``triangle._exact_rows``) ``decimal``.
 """
 from __future__ import annotations
 
@@ -52,7 +56,7 @@ from itertools import accumulate, chain
 from operator import mul
 from typing import TextIO
 
-from .triangle import CoefficientTable, _exact_rows, _rows
+from .triangle import CoefficientTable, _differ, _exact_rows, _rows
 
 __all__ = [
     "table_to_csv",
@@ -289,11 +293,13 @@ def _json_differences(
     per row, then exactly ``]}\n`` at the end.  A row whose bytes differ
     from its chunk is cut at its first ``]``, decoded and validated as
     ``read_table_rows`` validates it, and comes back as {n: (file row,
-    given row)}.  None means the file is something else: another header or
-    key order, whitespace outside a differing row, a row that does not
-    decode or validate or has the wrong length, a wrong row count, another
-    trailer, an entry past the int-string limit, or a file that cannot be
-    opened or seeked.  ``read_table_rows`` decides such a file.
+    given row)} if some entry differs in value (``triangle._differ``), so a
+    row that is only spelled another way (``"007"``) is not held.  None
+    means the file is something else: another header or key order,
+    whitespace outside a differing row, a row that does not decode or
+    validate or has the wrong length, a wrong row count, another trailer,
+    an entry past the int-string limit, or a file that cannot be opened or
+    seeked.  ``read_table_rows`` decides such a file.
     """
     start = b'{"n_max":'
     limit = _digit_limit() or sys.maxsize
@@ -333,7 +339,9 @@ def _json_differences(
                 got = json.loads(part[len(lead) - 1:end + 1])
                 if not isinstance(got, list) or len(got) != n:
                     return None
-                differing[n] = (tuple([_decimal(entry, limit) for entry in got]), row)
+                got = tuple([_decimal(entry, limit) for entry in got])
+                if any(map(_differ, got, row)):
+                    differing[n] = (got, row)
                 fh.seek(end + 1 - len(part), 1)  # to the byte after the row
             trailer = next(chunks).encode()
             return (n_max, differing) if fh.read(len(trailer) + 1) == trailer else None

@@ -23,17 +23,21 @@ All arithmetic is exact (Python integers and fractions, or ``Decimal`` in a
 context that raises rather than round); nothing in this module rounds.  The
 recurrence runs on ``Decimal`` rows wherever only the decimal strings of the
 entries are needed: writing a table, and checking a table file.
+``decimal`` and ``fractions`` are imported where they are used
+(``_exact_rows``, ``poly_eval_exact``), so importing this module, as every
+command does, loads neither.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
-from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
-                     InvalidOperation, Overflow, Rounded, localcontext)
-from fractions import Fraction
 from itertools import count, repeat
 from math import factorial
 from operator import add, mul, sub
-from typing import NamedTuple, TypeVar
+from typing import TYPE_CHECKING, NamedTuple, TypeVar
+
+if TYPE_CHECKING:
+    from decimal import Decimal
+    from fractions import Fraction
 
 __all__ = [
     "CoefficientTable",
@@ -129,12 +133,6 @@ def _rows(n_max: int | None, first: _Entry) -> Iterator[tuple[_Entry, ...]]:
         row = recurrence_step(n, row)
 
 
-# Unrounded decimal arithmetic: sums and products of integers come out exact,
-# and anything that would round raises instead of being written.
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
-                 traps=[Inexact, Rounded, Overflow, InvalidOperation])
-
-
 def _exact_rows(n_max: int | None) -> Iterator[tuple[Decimal, ...]]:
     """Rows 1..n_max (every row if None) as ``Decimal`` tuples, each computed
     in the exact context.
@@ -142,14 +140,28 @@ def _exact_rows(n_max: int | None) -> Iterator[tuple[Decimal, ...]]:
     ``str`` of each entry is its plain decimal string, a linear pass where
     ``str(int)`` is quadratic in CPython 3.11.  The context is entered
     around each step only, so the caller's code between rows keeps its own.
+    ``decimal`` is imported here, on the first row, so the commands that
+    never write or read a table file do not load it.
     """
+    from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
+                         InvalidOperation, Overflow, Rounded, localcontext)
+
+    # Unrounded decimal arithmetic: sums and products of integers come out
+    # exact, and anything that would round raises instead of being written.
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                    traps=[Inexact, Rounded, Overflow, InvalidOperation])
     rows = _rows(n_max, Decimal(1))
     while True:
-        with localcontext(_EXACT):
+        with localcontext(exact):
             row = next(rows, None)
         if row is None:
             return
         yield row
+
+
+def _differ(got: int | str, want: int | str) -> bool:
+    """Whether two entries, ints or decimal strings, differ in value ("007" is 7)."""
+    return got != want and int(got) != int(want)
 
 
 def build_table(n_max: int) -> CoefficientTable:
@@ -188,6 +200,8 @@ def poly_eval_exact(n: int, table: CoefficientTable, w: int | Fraction) -> Fract
 
     Horner's scheme over exact rationals; accepts integer or Fraction w.
     """
+    from fractions import Fraction
+
     row = table.row(n)
     acc = Fraction(0)
     for b in reversed(row):

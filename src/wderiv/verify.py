@@ -22,7 +22,9 @@ on some table.  The checks:
   table`` wrote is compared as bytes with the writer's own rows, so only
   a row that differs is decoded, and the other rows up to the horizon are
   the recurrence's int rows; any other file is decoded and validated
-  whole by ``tableio.read_table_rows``;
+  whole by ``tableio.read_table_rows``.  ``verify_table_file`` imports
+  ``tableio`` when it runs, so checking a built table loads neither it nor
+  ``decimal``;
 * sequence properties per row: positivity, log-concavity of k! times the
   row (decided as (k+1) c_{k-1} c_{k+1} <= k c_k^2) and the strict ratio
   bound (for n >= 3).  On a positive row that log-concavity decides the
@@ -49,8 +51,8 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
-from . import closed_forms, properties, tableio, triangle
-from .triangle import CoefficientTable
+from . import closed_forms, properties, triangle
+from .triangle import CoefficientTable, _differ
 
 __all__ = [
     "CheckFailure",
@@ -88,11 +90,6 @@ class CheckFailure(NamedTuple):
         # row-level checks (k is None) sort after any entry-precise failure
         # in the same row, so the first reported failure names an entry
         return (self.n, 10**9 if self.k is None else self.k, self.check)
-
-
-def _differ(got: int | str, want: int | str) -> bool:
-    """Whether two entries, ints or decimal strings, differ in value ("007" is 7)."""
-    return got != want and int(got) != int(want)
 
 
 def _route_failures(name: str, pairs: Iterable[tuple[Sequence, Sequence]]) -> list[CheckFailure]:
@@ -296,6 +293,8 @@ def verify_table_file(
     ``ValueError``, and so does a bad argument, after the file is read as
     it would be there.
     """
+    from . import tableio
+
     keep = math.inf if n_max is None else max(n_max, 1)
 
     def exact() -> Iterator[tuple[str, ...]]:

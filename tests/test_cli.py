@@ -441,6 +441,25 @@ class TestEvalCommand:
             assert out == "", argv  # nothing is written before the error
             assert err.startswith("error: "), argv
 
+    @pytest.mark.parametrize("x, n, value", [("10", 138, "-inf"), ("1e308", 3, "0.0"),
+                                             ("1e6", 80, "-0.0"),
+                                             ("1e10", 35, "2.780702483116e-312")])
+    def test_derivative_outside_the_normal_range_exits_2(self, capsys, x, n, value):
+        # the library still returns the value; only eval refuses to print it
+        table = build_table(n)
+        assert repr(numeric.w_derivative(n, float(x), table).value) == value
+        code, out, err = run_cli(capsys, "eval", "--x", x, "--n", str(n))
+        assert (code, out) == (2, "")
+        assert err == (f"numeric fault: d^{n}W/dx^{n} (closed_form) at x = {float(x)} "
+                       f"came out {value}, outside the normal binary64 range\n")
+
+    def test_tiny_normal_derivative_is_printed(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--x", "1e6", "--n", "65")
+        want = numeric.w_derivative(65, 1e6, build_table(65)).value
+        assert abs(want) >= sys.float_info.min
+        assert (code, err) == (0, "")
+        assert out.endswith(f"d^65W/dx^65 (closed_form) = {want:.17g}\n")
+
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-0.5"])
     def test_bad_taylor_tolerance_exits_2(self, capsys, tol):
         code, out, err = run_cli(capsys, "eval", "--x", "0.1", "--n", "3",

@@ -32,10 +32,27 @@ def loaded_after(statement):
     return {m for m in added_by(statement) if m.split(".")[0] == "wderiv"}
 
 
+def imported_by_command(*argv):
+    """Every module in ``sys.modules`` when ``python -m wderiv *argv`` exits.
+
+    The module runs as ``-m`` runs it; an exit hook writes the names to
+    stderr last.
+    """
+    probe = ("import atexit, json, runpy, sys\n"
+             "atexit.register(lambda: sys.stderr.write(json.dumps(sorted(sys.modules))))\n"
+             "runpy.run_module('wderiv', run_name='__main__', alter_sys=True)")
+    stderr = subprocess.run([sys.executable, "-c", probe, *argv], env=src_env(),
+                            capture_output=True, text=True, check=True).stderr
+    return set(json.loads(stderr.splitlines()[-1]))
+
+
 EXACT = {"wderiv", "wderiv.triangle", "wderiv.closed_forms", "wderiv.properties",
-         "wderiv.tableio", "wderiv.verify"}
-# verify and table need the exact layer; eval and bench import the rest
+         "wderiv.verify"}
+# the default verify needs the exact layer; table, verify --table, eval and
+# bench import the rest
 CLI = EXACT | {"wderiv.cli"}
+# decimal with its C module and numbers: only a table file needs them
+DECIMAL = {"decimal", "_decimal", "numbers"}
 
 
 @pytest.mark.parametrize("statement, want", [
@@ -45,7 +62,7 @@ CLI = EXACT | {"wderiv.cli"}
     # a submodule name imports that submodule and nothing else
     ("from wderiv import triangle", {"wderiv", "wderiv.triangle"}),
     ("from wderiv import cli", CLI),
-    ("from wderiv import *", EXACT | {"wderiv.numeric"}),
+    ("from wderiv import *", EXACT | {"wderiv.numeric", "wderiv.tableio"}),
 ])
 def test_loaded_modules(statement, want):
     assert loaded_after(statement) == want
@@ -54,6 +71,27 @@ def test_loaded_modules(statement, want):
 @pytest.mark.parametrize("statement", ["import wderiv.cli", "import wderiv.numeric"])
 def test_value_types_import_neither_dataclasses_nor_inspect(statement):
     assert not {"dataclasses", "inspect"} & added_by(statement)
+
+
+@pytest.mark.parametrize("statement", ["import wderiv.cli", "import wderiv.verify",
+                                       "from wderiv import triangle"])
+def test_exact_layer_imports_neither_decimal_nor_fractions(statement):
+    assert not (DECIMAL | {"fractions"}) & added_by(statement)
+
+
+def test_default_verify_loads_no_table_file_module():
+    assert not (DECIMAL | {"fractions", "wderiv.tableio"}) & imported_by_command(
+        "verify", "--n-max", "5")
+
+
+def test_table_file_commands_load_decimal_and_tableio(tmp_path):
+    path = tmp_path / "t5.json"
+    written = imported_by_command("table", "--n-max", "5", "--format", "json",
+                                  "--out", str(path))
+    read = imported_by_command("verify", "--table", str(path))
+    for loaded in (written, read):
+        assert DECIMAL | {"wderiv.tableio"} <= loaded
+        assert "fractions" not in loaded  # only an inexact quotient needs it
 
 
 def test_unknown_names_raise_and_dir_lists_every_name():

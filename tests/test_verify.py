@@ -599,6 +599,21 @@ class TestWrittenLayout:
             tracemalloc.stop()
         assert peak < 0.5 * path.stat().st_size
 
+    def test_byte_matcher_holds_no_row_equal_in_value(self, tmp_path, monkeypatch):
+        # the writer's layout with every entry zero-padded: the bytes of every
+        # row differ from the writer's, the values of none
+        rows = [["0" + str(b) for b in row] for row in build_table(150).rows[1:]]
+        path = tmp_path / "t150.json"
+        path.write_text(table_text(rows, "json"), encoding="ascii")
+        monkeypatch.setattr(tableio, "read_table_rows", lambda path: 1 / 0)
+        tracemalloc.start()
+        try:
+            assert verify.verify_table_file(str(path), ROUTE_NAMES, 5) == (150, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * path.stat().st_size
+
 
 def test_route_failures_decide_differing_strings_by_value():
     pairs = [(("-0", "007", "12"), ("0", "7", "13")), ((5, 6), (5, 7))]
