@@ -24,15 +24,18 @@ to the parser line by line, decodes a JSON file's text with ``json.loads``
 (the text is freed before the first row), and yields each row as a tuple
 of validated decimal strings, never as ints, since ``int(str)`` is
 quadratic too.  ``load_table`` and the ``parse_table*`` functions convert
-those rows to ints, one row at a time; ``verify.verify_table_file``
-compares them as text and converts only the rows its horizon reads.
+those rows to ints, one row at a time.
 
-A JSON file laid out as ``write_table`` lays it out need not be decoded at
-all when the rows it should hold are known: ``_json_differences`` streams
-its bytes against ``_json_chunks`` of those rows, the writer's own chunks,
-and decodes and validates only a row whose bytes differ.  It answers only
-for a file it matched from the header to the last byte; for any other file
-it returns None and ``read_table_rows`` decides.
+``_recurrence_differences`` gives what ``verify.verify_table_file`` needs
+of a file: its row count and the rows whose values differ from the
+recurrence's, compared as text with ``str`` of ``triangle._exact_rows``.
+When it compares every row, a JSON file laid out as ``write_table`` lays
+it out is not decoded at all: ``_json_differences`` streams its bytes
+against the writer's own chunks of the recurrence rows, and decodes and
+validates only a row whose bytes differ.  It answers only for a file it
+matched from the header to the last byte; any other file, and any file
+when only the rows up to a horizon are compared, is read by
+``read_table_rows``.
 
 Parsing is strict: every CSV field and every JSON entry must be a decimal
 string matching ``-?[0-9]+``, ``n_max`` a JSON integer and ``rows`` a list
@@ -58,6 +61,9 @@ from typing import TextIO
 
 from .triangle import CoefficientTable, _differ, _exact_rows, _rows
 
+# {n: (file row n, recurrence row n)} as decimal strings, on the rows that differ
+_Differing = dict[int, tuple[tuple[str, ...], tuple[str, ...]]]
+
 __all__ = [
     "table_to_csv",
     "table_to_json",
@@ -77,10 +83,14 @@ def _csv_chunks(n_max: int, rows: Iterable[tuple]) -> Iterator[str]:
         yield "".join([f"{n},{k},{b}\n" for k, b in enumerate(row)])
 
 
+def _json_row(n: int, row: tuple) -> str:
+    return ('["' if n == 1 else ',["') + '","'.join(map(str, row)) + '"]'
+
+
 def _json_chunks(n_max: int, rows: Iterable[tuple]) -> Iterator[str]:
     yield f'{{"n_max":{n_max},"rows":['
     for n, row in enumerate(rows, 1):
-        yield ('["' if n == 1 else ',["') + '","'.join(map(str, row)) + '"]'
+        yield _json_row(n, row)
     yield "]}\n"
 
 
@@ -280,36 +290,24 @@ def read_table_rows(path: str) -> Iterator[tuple[str, ...]]:
     yield from _json_rows(payload)
 
 
-def _json_differences(
-    path: str, rows: Iterable[tuple[str, ...]]
-) -> tuple[int, dict[int, tuple[tuple[str, ...], tuple[str, ...]]]] | None:
-    """The file's row count and the rows where the JSON table file at
-    ``path`` differs from ``rows``, if the file is laid out as
-    ``write_table`` lays them out; else None.
+def _json_differences(path: str) -> tuple[int, _Differing] | None:
+    """``_recurrence_differences(path)`` if the file at ``path`` is a JSON
+    table laid out as ``write_table`` lays it out; else None.
 
-    ``rows`` are decimal-string rows 1, 2, ..., at least as many as the
-    file's header declares; that many are read.  The file is streamed and
-    matched against ``_json_chunks`` of those rows: the header, one chunk
-    per row, then exactly ``]}\n`` at the end.  A row whose bytes differ
-    from its chunk is cut at its first ``]``, decoded and validated as
-    ``read_table_rows`` validates it, and comes back as {n: (file row,
-    given row)} if some entry differs in value (``triangle._differ``), so a
-    row that is only spelled another way (``"007"``) is not held.  None
-    means the file is something else: another header or key order,
-    whitespace outside a differing row, a row that does not decode or
-    validate or has the wrong length, a wrong row count, another trailer,
-    an entry past the int-string limit, or a file that cannot be opened or
-    seeked.  ``read_table_rows`` decides such a file.
+    The file is streamed and matched against ``_json_chunks`` of the
+    recurrence rows, as many as its header declares: the header, one
+    ``_json_row`` per row, then exactly ``]}\n`` at the end.  A row whose
+    bytes differ from its chunk is cut at its first ``]``, decoded and
+    validated as ``read_table_rows`` validates it, and is held only if some
+    entry differs in value, so a row that is only spelled another way
+    (``"007"``) is not.  None means the file is something else: another
+    header or key order, whitespace outside a differing row, a row that
+    does not decode or validate or has the wrong length, a wrong row count,
+    another trailer, an entry past the int-string limit, or a file that
+    cannot be opened or seeked.  ``read_table_rows`` decides such a file.
     """
     start = b'{"n_max":'
     limit = _digit_limit() or sys.maxsize
-    row: tuple[str, ...] = ()
-
-    def written(n_max: int) -> Iterator[tuple[str, ...]]:
-        nonlocal row  # the row of the chunk made last
-        for _, row in zip(range(n_max), rows):
-            yield row
-
     try:
         with open(path, "rb") as fh:
             if not fh.seekable() or not (peeked := fh.peek(len(start))).startswith(start):
@@ -317,13 +315,13 @@ def _json_differences(
             n_max = int(peeked[len(start):peeked.index(b",")])
             if n_max < 1:
                 return None
-            chunks = _json_chunks(n_max, written(n_max))
-            header = next(chunks).encode()
+            header, trailer = (chunk.encode() for chunk in _json_chunks(n_max, ()))
             if fh.read(len(header)) != header:
                 return None
             differing = {}
-            for n in range(1, n_max + 1):
-                text = next(chunks).encode()
+            for n, row in zip(range(1, n_max + 1), _exact_rows(None)):
+                row = tuple(map(str, row))
+                text = _json_row(n, row).encode()
                 part = fh.read(len(text))
                 if part == text:
                     if len(text) > limit and max(map(len, row)) > limit:
@@ -343,10 +341,33 @@ def _json_differences(
                 if any(map(_differ, got, row)):
                     differing[n] = (got, row)
                 fh.seek(end + 1 - len(part), 1)  # to the byte after the row
-            trailer = next(chunks).encode()
             return (n_max, differing) if fh.read(len(trailer) + 1) == trailer else None
     except (OSError, ValueError, RecursionError):
         return None  # whatever went wrong, read_table_rows reads the file afresh
+
+
+def _recurrence_differences(path: str, n_max: int | None) -> tuple[int, _Differing]:
+    """The row count of the table file at ``path`` and {n: (file row,
+    recurrence row)}, as decimal strings, for each row n <= n_max (every
+    row if None) whose values differ from the recurrence's
+    (``triangle._differ``: ``"007"`` is 7, ``"-0"`` is 0).
+
+    When every row is compared, a JSON file laid out as ``write_table``
+    lays it out is matched as bytes (``_json_differences``).  Any other
+    file, and any file when n_max is given, is read by ``read_table_rows``,
+    and its rows 1..n_max are compared as text with ``str`` of the
+    recurrence's exact-decimal rows.  No entry is converted to ``int``.  A
+    file that ``load_table`` rejects raises its ``ValueError`` either way.
+    """
+    if n_max is None and (found := _json_differences(path)) is not None:
+        return found
+    wanted = (tuple(map(str, row)) for row in _exact_rows(n_max))
+    read, differing = 0, {}
+    for read, got in enumerate(read_table_rows(path), 1):
+        want = next(wanted, got)  # a row past n_max is not compared
+        if want != got and any(map(_differ, got, want)):
+            differing[read] = (got, want)
+    return read, differing
 
 
 def parse_table_csv(text: str) -> CoefficientTable:

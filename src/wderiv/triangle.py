@@ -109,6 +109,8 @@ def recurrence_step(n: int, row: tuple[_Entry, ...]) -> tuple[_Entry, ...]:
     ``map`` over the row shifted by one place, padded with zeros: the step
     runs in C, for int rows and ``Decimal`` rows alike.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if len(row) != n:
         raise ValueError("row length must equal n")
     own = map(mul, range(3 * n - 1, 2 * n - 2, -1), row + (0,))  # (3n-k-1) b(k)

@@ -16,15 +16,12 @@ on some table.  The checks:
   and Carlitz are independent.  A table built by the recurrence is that
   route, so ``wderiv verify`` does not compare the table it builds with it.
   ``verify_table_file`` checks a table file without converting it whole:
-  the recurrence comparison runs on the file's decimal text, against
-  ``str`` of exact-decimal recurrence rows, and only the rows up to the
-  horizon become ints for the other checks.  A JSON file that ``wderiv
-  table`` wrote is compared as bytes with the writer's own rows, so only
-  a row that differs is decoded, and the other rows up to the horizon are
-  the recurrence's int rows; any other file is decoded and validated
-  whole by ``tableio.read_table_rows``.  ``verify_table_file`` imports
-  ``tableio`` when it runs, so checking a built table loads neither it nor
-  ``decimal``;
+  ``tableio`` reads it once and gives the rows whose values differ from
+  the recurrence, which are the recurrence route's failures, and rows up
+  to the horizon are the recurrence's int rows with those rows converted
+  in their place.  Every route reports only the rows that differ to
+  ``_route_failures``.  ``verify_table_file`` imports ``tableio`` when it
+  runs, so checking a built table loads neither it nor ``decimal``;
 * sequence properties per row: positivity, log-concavity of k! times the
   row (decided as (k+1) c_{k-1} c_{k+1} <= k c_k^2) and the strict ratio
   bound (for n >= 3).  On a positive row that log-concavity decides the
@@ -41,14 +38,10 @@ on some table.  The checks:
 
 ``verify_carlitz_sums`` proves the Carlitz row-sum identity up to a given
 kappa.  It reads no table, so the battery does not run it.
-
-Checks are pure functions of an immutable table; rows could be fanned out
-to parallel workers, but results are reported in (n, k) order regardless.
 """
 from __future__ import annotations
 
-import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Mapping, Sequence
 from typing import NamedTuple
 
 from . import closed_forms, properties, triangle
@@ -92,22 +85,19 @@ class CheckFailure(NamedTuple):
         return (self.n, 10**9 if self.k is None else self.k, self.check)
 
 
-def _route_failures(name: str, pairs: Iterable[tuple[Sequence, Sequence]]) -> list[CheckFailure]:
+def _route_failures(
+    name: str, differing: Mapping[int, tuple[Sequence, Sequence]]
+) -> list[CheckFailure]:
     """The entries where a table row and route ``name``'s row differ.
 
-    ``pairs`` holds (table row, route row) for n = 1, 2, ...  Entries are
-    ints, or decimal strings compared by value (``_differ``).
+    ``differing`` maps n to (table row n, route row n), in increasing n, for
+    the rows that differ.  Entries are ints, or decimal strings compared by
+    value (``_differ``).
     """
-    failures: list[CheckFailure] = []
-    for n, (got_row, want_row) in enumerate(pairs, 1):
-        if got_row == want_row:
-            continue
-        for k, (got, want) in enumerate(zip(got_row, want_row)):
-            if _differ(got, want):
-                failures.append(CheckFailure(
-                    n, k, f"route:{name}",
-                    f"table has {int(got)}, {name} gives {int(want)}"))
-    return failures
+    return [CheckFailure(n, k, f"route:{name}",
+                         f"table has {int(got)}, {name} gives {int(want)}")
+            for n, (got_row, want_row) in differing.items()
+            for k, (got, want) in enumerate(zip(got_row, want_row)) if _differ(got, want)]
 
 
 def _table_checks(
@@ -127,13 +117,12 @@ def _table_checks(
     if unknown := set(routes) - set(ROUTE_NAMES):
         raise ValueError(f"unknown routes: {sorted(unknown)}")
     n_max = _horizon(n_max, DEFAULT_ROUTE_N_MAX, table.n_max)
-    failures: list[CheckFailure] = []
+    # route -> {n: (table row n, its row n)} on the rows where they differ
+    differing: dict[str, dict[int, tuple[tuple[int, ...], tuple[int, ...]]]] = {
+        name: {} for name in ROUTE_NAMES if name in routes}
     if "recurrence" in routes:
-        failures += _route_failures(
-            "recurrence", zip(table.rows[1:], triangle._rows(table.n_max, 1)))
-    # closed-form route -> {n: its row n} on the rows where it differs
-    differing: dict[str, dict[int, tuple[int, ...]]] = {
-        name: {} for name in closed_forms.ROUTE_ROWS if name in routes}
+        pairs = enumerate(zip(table.rows[1:], triangle._rows(table.n_max, 1)), 1)
+        differing["recurrence"] = {n: pair for n, pair in pairs if pair[0] != pair[1]}
     identity_failures: list[CheckFailure] = []
     kernel_routes = set(routes) | ({"rstirling"} if identities else set())
     for n in range(1, n_max + 1):
@@ -158,15 +147,13 @@ def _table_checks(
                     for m, (s, direct) in enumerate(zip(inverted, inner))
                     if s != direct]
             if name in differing and inner != inverted:
-                differing[name][n] = closed_forms._convolve(n, inner, context)
+                differing[name][n] = (table.rows[n], closed_forms._convolve(n, inner, context))
         if "carlitz" in differing:
             row = closed_forms.beta_carlitz_row(n)
             if row != table.rows[n]:
-                differing["carlitz"][n] = row
-    rows = table.rows[1:n_max + 1]
-    for name, rows_of in differing.items():
-        failures += _route_failures(
-            name, ((row, rows_of.get(n, row)) for n, row in enumerate(rows, 1)))
+                differing["carlitz"][n] = (table.rows[n], row)
+    failures = [failure for name, rows in differing.items()
+                for failure in _route_failures(name, rows)]
     return failures + identity_failures
 
 
@@ -188,7 +175,7 @@ def verify_routes(
     inner values differ is convolved, to name the entries that differ.
     Failures come route by route, in ``ROUTE_NAMES`` order; a route that
     raises ``ConsistencyError`` does so on the first row where any route
-    does.  The comparison loop is shared with ``verify_table_file``, which
+    does.  The entry comparison is shared with ``verify_table_file``, which
     feeds it text rows.
     """
     return _table_checks(table, routes, n_max, identities=False)
@@ -245,6 +232,8 @@ def verify_carlitz_sums(kappa_max: int) -> list[CheckFailure]:
     row sum is too.  Agreeing with the constant at the kappa + 1 points
     lambda = 0..kappa, as checked here, proves it equal for every lambda.
     """
+    if kappa_max < 0:
+        raise ValueError("kappa_max must be nonnegative")
     failures: list[CheckFailure] = []
     for kappa in range(kappa_max + 1):
         want = triangle.double_factorial(2 * kappa - 1)
@@ -277,53 +266,31 @@ def verify_table_file(
     """The file's n_max and ``run_verification`` of ``load_table(path)`` to
     row n_max (the file's n_max if None).
 
-    The recurrence route runs on the file's decimal text, against ``str``
-    of the exact-decimal recurrence rows (``triangle._exact_rows``), so a
-    row beyond the horizon is never converted to ``int``.  A JSON file laid
-    out as ``wderiv table`` writes it is matched byte for byte against the
-    writer's chunks of those rows (``tableio._json_differences``): a row
-    that matches is neither decoded nor validated, and rows 1..n_max are
-    the int recurrence rows (``triangle._rows``) with the rows that differ
-    decoded in their place.  Any other file, and any file when
-    ``recurrence`` is not among the routes, is read once by
-    ``tableio.read_table_rows``, giving rows 1..n_max as ints and the rows
-    whose values differ.  Rows 1..n_max become the table that the
-    closed-form routes, the properties and the identities check.  A file
-    that ``load_table`` rejects raises the same
-    ``ValueError``, and so does a bad argument, after the file is read as
-    it would be there.
+    The file is read once, by ``tableio._recurrence_differences``, which
+    gives its row count and the rows whose values differ from the
+    recurrence's, as decimal strings: every row if ``recurrence`` is among
+    the routes or n_max is None, else rows 1..n_max only.  The recurrence
+    route's failures are those rows.  Rows 1..n_max, the recurrence's int
+    rows (``triangle._rows``) with the rows that differ converted in their
+    place, become the table that the closed-form routes, the properties and
+    the identities check, so a row beyond the horizon is never converted
+    to ``int``.  A file that ``load_table`` rejects raises the same
+    ``ValueError``, and so does a bad argument, after the file is read as it
+    would be there.
     """
     from . import tableio
 
-    keep = math.inf if n_max is None else max(n_max, 1)
-
-    def exact() -> Iterator[tuple[str, ...]]:
-        return (tuple(map(str, row)) for row in triangle._exact_rows(None))
-
     checked = "recurrence" in routes
-    found = tableio._json_differences(path, exact()) if checked else None
-    if found is not None:
-        read, differing = found
-        head = list(triangle._rows(min(keep, read), 1))
-        for n, (got, _) in differing.items():
-            if n <= keep:
-                head[n - 1] = tuple(map(int, got))
-    else:
-        read, differing, head = 0, {}, []
-        wanted = exact()
-        for read, got in enumerate(tableio.read_table_rows(path), 1):
-            if read <= keep:
-                head.append(tuple(map(int, got)))
-            if checked and (want := next(wanted)) != got and any(map(_differ, got, want)):
-                differing[read] = (got, want)
-    failures: list[CheckFailure] = []
-    if checked:
-        # a row that is not in differing is the recurrence row: an empty
-        # pair stands for it
-        failures += _route_failures(
-            "recurrence", (differing.get(n, ((), ())) for n in range(1, read + 1)))
+    read, differing = tableio._recurrence_differences(
+        path, None if checked or n_max is None else max(n_max, 1))
+    keep = read if n_max is None else min(max(n_max, 1), read)
+    head = list(triangle._rows(keep, 1))
+    for n, (got, _) in differing.items():
+        if n <= keep:
+            head[n - 1] = tuple(map(int, got))
+    failures = _route_failures("recurrence", differing) if checked else []
     failures += run_verification(
-        CoefficientTable(n_max=len(head), rows=((),) + tuple(head)),
+        CoefficientTable(n_max=keep, rows=((),) + tuple(head)),
         tuple(route for route in routes if route != "recurrence"),
         read if n_max is None else n_max)
     return read, sorted(failures, key=CheckFailure.sort_key)

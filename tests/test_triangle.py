@@ -47,6 +47,11 @@ class TestBuildTable:
         with pytest.raises(ValueError):
             recurrence_step(3, (1, 2))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_recurrence_step_needs_a_row_number(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            recurrence_step(n, ())
+
 
 class TestBoundaryValue:
     def test_examples(self):

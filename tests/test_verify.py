@@ -146,18 +146,37 @@ def test_only_a_given_table_meets_the_recurrence(monkeypatch, tmp_path):
     """The table ``verify`` builds is the recurrence route; a file is not.
 
     Every route reports its failures through ``_route_failures``, once per
-    run, also where no row of it was convolved."""
-    names = []
+    run, also where no row of it differs, and hands it only the rows that
+    differ: none on a clean run or a clean 60-row file, row 41 alone on
+    that file with entry (41, 7) bumped, whether the byte matcher (JSON) or
+    the strict reader (CSV) reads it."""
+    calls = []
     compare = verify._route_failures
-    monkeypatch.setattr(verify, "_route_failures",
-                        lambda name, pairs: names.append(name) or compare(name, pairs))
+
+    def spy(name, differing):
+        calls.append((name, differing))
+        return compare(name, differing)
+
+    monkeypatch.setattr(verify, "_route_failures", spy)
     assert main(["verify"]) == 0
-    assert names == list(closed_forms.ROUTE_ROWS)
-    names.clear()
-    path = tmp_path / "t12.json"
-    path.write_text(table_to_json(build_table(12)), encoding="ascii")
+    assert calls == [(name, {}) for name in closed_forms.ROUTE_ROWS]
+    calls.clear()
+    rows = [[str(b) for b in row] for row in TABLE60.rows[1:]]
+    path = tmp_path / "clean.json"
+    path.write_text(table_text(rows, "json"), encoding="ascii")
     assert main(["verify", "--table", str(path)]) == 0
-    assert names == ["recurrence", *closed_forms.ROUTE_ROWS]
+    assert calls == [(name, {}) for name in ROUTE_NAMES]
+    rows[40][7] = spelled(TABLE60.rows[41][7], "bump")
+    for fmt in ("json", "csv"):
+        calls.clear()
+        path = tmp_path / f"t60.{fmt}"
+        path.write_text(table_text(rows, fmt), encoding="ascii")
+        assert main(["verify", "--table", str(path)]) == 1
+        assert [name for name, _ in calls] == ["recurrence", *closed_forms.ROUTE_ROWS]
+        for name, differing in calls:
+            assert list(differing) == [41], (fmt, name)
+            got, want = differing[41]
+            assert [k for k in range(41) if triangle._differ(got[k], want[k])] == [7]
 
 
 def ref_verify_routes(table, routes, n_max):
@@ -167,11 +186,11 @@ def ref_verify_routes(table, routes, n_max):
     failures = []
     if "recurrence" in routes:
         failures += verify._route_failures(
-            "recurrence", zip(table.rows[1:], triangle._rows(table.n_max, 1)))
+            "recurrence", dict(enumerate(zip(table.rows[1:], triangle._rows(table.n_max, 1)), 1)))
     for name, row_of in closed_forms.ROUTE_ROWS.items():
         if name in routes:
             failures += verify._route_failures(
-                name, ((table.rows[n], row_of(n)) for n in range(1, n_max + 1)))
+                name, {n: (table.rows[n], row_of(n)) for n in range(1, n_max + 1)})
     return failures
 
 
@@ -347,6 +366,10 @@ class TestCarlitzSums:
     def test_identity_holds_to_kappa_60(self):
         assert verify_carlitz_sums(60) == []
 
+    def test_negative_kappa_is_a_domain_error(self):
+        with pytest.raises(ValueError, match="kappa_max must be nonnegative"):
+            verify_carlitz_sums(-1)
+
     def test_a_lambda_dependent_sum_is_reported(self, monkeypatch):
         """At kappa = 5 the sum gains lam (lam-1) ... (lam-4), which vanishes
         at every lambda checked but the last."""
@@ -468,16 +491,17 @@ class TestTableFileMatchesLoadThenVerify:
     rows its horizon reads; exit code, stdout and stderr stay those of
     ``load_table`` followed by ``run_verification``."""
 
-    @settings(max_examples=60, deadline=None,
+    @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(rows=edited_table60(), fmt=st.sampled_from(["csv", "json"]),
-           n_max=st.sampled_from([*range(1, 21), 65]),
+           routes=route_subsets, n_max=st.sampled_from([None, *range(1, 21), 65]),
            out=st.sampled_from(["text", "json"]))
-    def test_edited_table60(self, tmp_path, rows, fmt, n_max, out):
+    def test_edited_table60(self, tmp_path, rows, fmt, routes, n_max, out):
         path = tmp_path / f"t60.{fmt}"
         path.write_text(table_text(rows, fmt), encoding="ascii")
-        options = ["--format", out, "--n-max", str(n_max)]
-        assert_verify_matches_reference(path, *options)
+        options = ["--format", out, "--routes", ",".join(routes)]
+        assert_verify_matches_reference(
+            path, *options, *([] if n_max is None else ["--n-max", str(n_max)]))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n_max", [None, 5])
@@ -616,8 +640,8 @@ class TestWrittenLayout:
 
 
 def test_route_failures_decide_differing_strings_by_value():
-    pairs = [(("-0", "007", "12"), ("0", "7", "13")), ((5, 6), (5, 7))]
-    assert verify._route_failures("recurrence", pairs) == [
+    differing = {1: (("-0", "007", "12"), ("0", "7", "13")), 2: ((5, 6), (5, 7))}
+    assert verify._route_failures("recurrence", differing) == [
         CheckFailure(1, 2, "route:recurrence", "table has 12, recurrence gives 13"),
         CheckFailure(2, 1, "route:recurrence", "table has 6, recurrence gives 7"),
     ]
