@@ -1,8 +1,8 @@
 """Wall-time and big-integer-size benchmark of the coefficient routes.
 
 For each route and each row n the timed unit is "produce row n": the
-recurrence route derives row n from the previous row (the previous rows are
-prepared outside the timer), and the closed-form routes of
+recurrence route derives row n from row n - 1, the row its last unit made,
+so it holds no table, and the closed-form routes of
 ``closed_forms.ROUTE_ROWS`` build row n directly; the Carlitz route keeps
 no state between calls, so every repetition rebuilds its triangle.
 ``nanoseconds`` is the best of ``reps`` repetitions; ``max_bits`` is the
@@ -27,16 +27,14 @@ def run_bench(n_max: int, routes: tuple[str, ...], reps: int) -> str:
     if unknown:
         raise ValueError(f"unknown routes: {sorted(unknown)}")
 
-    table = triangle.build_table(n_max)  # previous rows for the recurrence route
     lines = ["route,n,nanoseconds,max_bits"]
     for route in routes:
         for n in range(1, n_max + 1):
             if route == "recurrence":
                 if n == 1:
                     unit = lambda: (1,)
-                else:
-                    prev = table.rows[n - 1]
-                    unit = lambda n=n, prev=prev: triangle.recurrence_step(n - 1, prev)
+                else:  # row is row n - 1, which the last repetition made
+                    unit = lambda n=n, prev=row: triangle.recurrence_step(n - 1, prev)
             else:
                 unit = lambda n=n, row_of=closed_forms.ROUTE_ROWS[route]: row_of(n)
             timings = []

@@ -4,7 +4,9 @@ Subcommands:
 
 * ``table``  -- emit the coefficient triangle as CSV or JSON, each row made
   in exact decimal arithmetic and written as soon as it is made,
-* ``verify`` -- run the exact verification battery, exit 0 iff it all holds,
+* ``verify`` -- run the exact verification battery, exit 0 iff it all holds;
+  rows are made (or read), checked and dropped one at a time, so no table
+  is held,
 * ``eval``   -- evaluate W(x) and one derivative, 17 significant digits,
 * ``bench``  -- time the routes row by row and report peak entry bit sizes.
 
@@ -108,12 +110,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         n_max, failures = verify.verify_table_file(args.table, routes, args.n_max)
     else:
         # one horizon for every stage; None leaves each stage its own default
-        table = triangle.build_table(
-            verify.DEFAULT_PROPERTY_N_MAX if args.n_max is None else args.n_max)
-        n_max = table.n_max
-        # the table is the recurrence route, so it is not compared with itself
-        failures = verify.run_verification(
-            table, tuple(route for route in routes if route != "recurrence"), args.n_max)
+        n_max = verify.DEFAULT_PROPERTY_N_MAX if args.n_max is None else args.n_max
+        if n_max < 1:
+            raise ValueError("n_max must be >= 1")
+        # the rows are the recurrence route's, so they are not compared with it
+        failures = sorted(verify._check_rows(
+            triangle._rows(n_max, 1), n_max,
+            tuple(route for route in routes if route != "recurrence"), args.n_max,
+            identities=True, with_properties=True), key=verify.CheckFailure.sort_key)
     if args.format == "json":
         payload = {
             "passed": not failures,

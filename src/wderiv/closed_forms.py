@@ -342,7 +342,11 @@ def rstirling_from_beta_row(n: int, table: CoefficientTable) -> list[int]:
 
     The kernel C(2n-2+j, 2n-2) is built once for the row.
     """
-    row = table.row(n)
+    return _rstirling_from_row(n, table.row(n))
+
+
+def _rstirling_from_row(n: int, row: tuple[int, ...]) -> list[int]:
+    """``rstirling_from_beta_row`` of a table whose row n is ``row``."""
     kernel = [comb(2 * n - 2 + j, 2 * n - 2) for j in range(n)]
     return _triangular(kernel, _alternating(list(row)))
 

@@ -197,14 +197,19 @@ def boundary_value(n: int, kind: str) -> int:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def poly_eval_exact(n: int, table: CoefficientTable, w: int | Fraction) -> Fraction:
+def poly_eval_exact(
+    n: int, table: CoefficientTable, w: int | float | Decimal | Fraction
+) -> Fraction:
     """Evaluate p_n(w) = (-1)^(n-1) * sum_k beta(n, k) w^k exactly.
 
-    Horner's scheme over exact rationals; accepts integer or Fraction w.
+    Horner's scheme over exact rationals, at the exact value ``Fraction(w)``
+    of an int, float, ``Decimal`` or ``Fraction`` w: a NaN raises
+    ``ValueError`` and an infinity ``OverflowError``.
     """
     from fractions import Fraction
 
     row = table.row(n)
+    w = Fraction(w)
     acc = Fraction(0)
     for b in reversed(row):
         acc = acc * w + b
@@ -213,7 +218,11 @@ def poly_eval_exact(n: int, table: CoefficientTable, w: int | Fraction) -> Fract
 
 def alternating_sum(n: int, table: CoefficientTable) -> int:
     """sum_k (-1)^k beta(n, k); equals (2n-3)!! with the (-1)!! = 1 convention."""
-    row = table.row(n)
+    return _alternating_sum(table.row(n))
+
+
+def _alternating_sum(row: tuple[int, ...]) -> int:
+    """sum_k (-1)^k row[k]."""
     return sum(row[::2]) - sum(row[1::2])
 
 

@@ -3,7 +3,10 @@
 Every verdict here is exact: the property checks screen comparisons with
 bounded-error floats but decide every close call with integers (see
 ``properties``).  Every check in the battery reads the table and can fail
-on some table.  The checks:
+on some table.  They run in one pass over the rows (``_check_rows``): rows
+are made, checked and dropped one at a time, each getting every check due
+on it before the next is drawn, so a run holds the current row and the
+rows that fail, never the whole table.  The checks:
 
 * route agreement: every table entry against the recurrence (always over
   the full table, streamed one row at a time, so any corrupted entry is
@@ -14,14 +17,15 @@ on some table.  The checks:
   ``explicit``, ``bernoulli`` and ``fdiff`` normalise one row of power
   sums, so only the recurrence, the power sum, the r-Stirling recurrence
   and Carlitz are independent.  A table built by the recurrence is that
-  route, so ``wderiv verify`` does not compare the table it builds with it.
-  ``verify_table_file`` checks a table file without converting it whole:
-  ``tableio`` reads it once and gives the rows whose values differ from
-  the recurrence, which are the recurrence route's failures, and rows up
-  to the horizon are the recurrence's int rows with those rows converted
-  in their place.  Every route reports only the rows that differ to
-  ``_route_failures``.  ``verify_table_file`` imports ``tableio`` when it
-  runs, so checking a built table loads neither it nor ``decimal``;
+  route, so ``wderiv verify`` checks the recurrence's rows as they are
+  made and does not compare them with it.  ``verify_table_file`` checks a
+  table file without converting it whole: ``tableio`` reads it once and
+  gives the rows whose values differ from the recurrence, which are the
+  recurrence route's failures, and the pass checks the recurrence's int
+  rows up to the horizon with those rows converted in their place.  Every
+  route reports only the rows that differ to ``_route_failures``.
+  ``verify_table_file`` imports ``tableio`` when it runs, so checking a
+  built table loads neither it nor ``decimal``;
 * sequence properties per row: positivity, log-concavity of k! times the
   row (decided as (k+1) c_{k-1} c_{k+1} <= k c_k^2) and the strict ratio
   bound (for n >= 3).  On a positive row that log-concavity decides the
@@ -32,16 +36,16 @@ on some table.  The checks:
 * identities: the alternating row sum against (2n-3)!!, and the inversion
   row -> r-Stirling values against the direct r-Stirling values, one row at
   a time.  Convolving the inverted values back gives the row for any
-  integer row, so that round trip is not run.  ``run_verification`` checks
-  the identities in the kernel-sum routes' pass over the rows, so each row
-  is inverted and its r-Stirling values made once.
+  integer row, so that round trip is not run.  The identities run with
+  the kernel-sum routes, so each row is inverted and its r-Stirling values
+  made once.
 
 ``verify_carlitz_sums`` proves the Carlitz row-sum identity up to a given
 kappa.  It reads no table, so the battery does not run it.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from typing import NamedTuple
 
 from . import closed_forms, properties, triangle
@@ -100,61 +104,87 @@ def _route_failures(
             for k, (got, want) in enumerate(zip(got_row, want_row)) if _differ(got, want)]
 
 
-def _table_checks(
-    table: CoefficientTable,
+def _check_rows(
+    rows: Iterable[tuple[int, ...]],
+    n_rows: int,
     routes: tuple[str, ...],
     n_max: int | None,
+    *,
     identities: bool,
+    with_properties: bool,
 ) -> list[CheckFailure]:
-    """The route failures for ``routes``, then, if ``identities``, the
-    identity failures row by row; the rows of both share one pass.
+    """The battery's failures on rows 1..n_rows, checked in one pass over
+    ``rows``: each row gets every check due on it and is dropped before the
+    next is drawn; only the rows that fail are kept.
 
-    Row n of the table is inverted once (``rstirling_from_beta_row``) and
-    its r-Stirling values (``rstirling_values``) are made once: the
+    Row n gets the recurrence comparison if ``recurrence`` is among the
+    routes; the other routes and, if ``identities``, the identities while
+    n <= the route horizon; and, if ``with_properties``, the properties
+    while n <= the property horizon (see ``verify_properties``).  Failures
+    come route by route in ``ROUTE_NAMES`` order, then the identities',
+    then the properties', each in row order.  Row n is inverted once
+    (``_rstirling_from_row``) and its r-Stirling values made once: the
     ``rstirling`` route's inner values and the inversion identity's direct
     values are the same list, signed.
     """
     if unknown := set(routes) - set(ROUTE_NAMES):
         raise ValueError(f"unknown routes: {sorted(unknown)}")
-    n_max = _horizon(n_max, DEFAULT_ROUTE_N_MAX, table.n_max)
-    # route -> {n: (table row n, its row n)} on the rows where they differ
+    route_end = _horizon(n_max, DEFAULT_ROUTE_N_MAX, n_rows)
+    property_end = _horizon(n_max, DEFAULT_PROPERTY_N_MAX, n_rows) if with_properties else 0
+    recurrence = triangle._rows(None, 1) if "recurrence" in routes else None
+    # route -> {n: (row n, its row n)} on the rows where they differ
     differing: dict[str, dict[int, tuple[tuple[int, ...], tuple[int, ...]]]] = {
         name: {} for name in ROUTE_NAMES if name in routes}
-    if "recurrence" in routes:
-        pairs = enumerate(zip(table.rows[1:], triangle._rows(table.n_max, 1)), 1)
-        differing["recurrence"] = {n: pair for n, pair in pairs if pair[0] != pair[1]}
     identity_failures: list[CheckFailure] = []
+    property_failures: list[CheckFailure] = []
     kernel_routes = set(routes) | ({"rstirling"} if identities else set())
-    for n in range(1, n_max + 1):
-        if identities:
-            alt = triangle.alternating_sum(n, table)
-            want = triangle.double_factorial(2 * n - 3)
-            if alt != want:
-                identity_failures.append(CheckFailure(
-                    n, None, "identity:alternating_sum",
-                    f"sum {alt} != (2n-3)!! = {want}"))
-        inverted = None
-        for name, context, inner in closed_forms._kernel_inner_values(n, kernel_routes):
-            if inverted is None:
-                inverted = closed_forms._alternating(
-                    closed_forms.rstirling_from_beta_row(n, table))
-            if identities and name == "rstirling":
-                # entry m of both lists carries the sign (-1)^m
-                identity_failures += [
-                    CheckFailure(n, m, "identity:inversion",
-                                 f"inverted value {-s if m % 2 else s} != "
-                                 f"direct r-Stirling {-direct if m % 2 else direct}")
-                    for m, (s, direct) in enumerate(zip(inverted, inner))
-                    if s != direct]
-            if name in differing and inner != inverted:
-                differing[name][n] = (table.rows[n], closed_forms._convolve(n, inner, context))
-        if "carlitz" in differing:
-            row = closed_forms.beta_carlitz_row(n)
-            if row != table.rows[n]:
-                differing["carlitz"][n] = (table.rows[n], row)
-    failures = [failure for name, rows in differing.items()
-                for failure in _route_failures(name, rows)]
-    return failures + identity_failures
+    last = n_rows if recurrence is not None else max(route_end, property_end)
+    for n, row in zip(range(1, last + 1), rows):
+        if recurrence is not None and row != (made := next(recurrence)):
+            differing["recurrence"][n] = (row, made)
+        if n <= route_end:
+            if identities:
+                alt = triangle._alternating_sum(row)
+                want = triangle.double_factorial(2 * n - 3)
+                if alt != want:
+                    identity_failures.append(CheckFailure(
+                        n, None, "identity:alternating_sum",
+                        f"sum {alt} != (2n-3)!! = {want}"))
+            inverted = None
+            for name, context, inner in closed_forms._kernel_inner_values(n, kernel_routes):
+                if inverted is None:
+                    inverted = closed_forms._alternating(closed_forms._rstirling_from_row(n, row))
+                if identities and name == "rstirling":
+                    # entry m of both lists carries the sign (-1)^m
+                    identity_failures += [
+                        CheckFailure(n, m, "identity:inversion",
+                                     f"inverted value {-s if m % 2 else s} != "
+                                     f"direct r-Stirling {-direct if m % 2 else direct}")
+                        for m, (s, direct) in enumerate(zip(inverted, inner))
+                        if s != direct]
+                if name in differing and inner != inverted:
+                    differing[name][n] = (row, closed_forms._convolve(n, inner, context))
+            if "carlitz" in differing and (carlitz := closed_forms.beta_carlitz_row(n)) != row:
+                differing["carlitz"][n] = (row, carlitz)
+        if n <= property_end:
+            positive = properties.is_positive(row)
+            reports = [positive]
+            if not positive.holds:
+                reports.append(properties.is_unimodal(row))
+            else:
+                weighted = properties.is_log_concave_weighted(row)
+                if not weighted.holds:
+                    reports += [properties.is_unimodal(row), properties.is_log_concave(row)]
+                reports.append(weighted)
+                if n >= 3 and not (weighted.holds and row[1] < (n - 1) * row[0]):
+                    reports.append(properties.check_ratio_bound(n, row))
+            property_failures += [
+                CheckFailure(n, None, f"property:{report.property}",
+                             f"first violation at index {report.first_violation}")
+                for report in reports if not report.holds]
+    failures = [failure for name, rows_of in differing.items()
+                for failure in _route_failures(name, rows_of)]
+    return failures + identity_failures + property_failures
 
 
 def verify_routes(
@@ -178,7 +208,8 @@ def verify_routes(
     does.  The entry comparison is shared with ``verify_table_file``, which
     feeds it text rows.
     """
-    return _table_checks(table, routes, n_max, identities=False)
+    return _check_rows(table.rows[1:], table.n_max, routes, n_max,
+                       identities=False, with_properties=False)
 
 
 def verify_properties(
@@ -194,34 +225,16 @@ def verify_properties(
     it fails first at (0, 1); ``check_ratio_bound`` scans the row only where
     the weighted check or that one comparison fails.
     """
-    n_max = _horizon(n_max, DEFAULT_PROPERTY_N_MAX, table.n_max)
-    failures: list[CheckFailure] = []
-    for n in range(1, n_max + 1):
-        row = table.rows[n]
-        positive = properties.is_positive(row)
-        reports = [positive]
-        if not positive.holds:
-            reports.append(properties.is_unimodal(row))
-        else:
-            weighted = properties.is_log_concave_weighted(row)
-            if not weighted.holds:
-                reports += [properties.is_unimodal(row), properties.is_log_concave(row)]
-            reports.append(weighted)
-            if n >= 3 and not (weighted.holds and row[1] < (n - 1) * row[0]):
-                reports.append(properties.check_ratio_bound(n, row))
-        for report in reports:
-            if not report.holds:
-                failures.append(CheckFailure(
-                    n, None, f"property:{report.property}",
-                    f"first violation at index {report.first_violation}"))
-    return failures
+    return _check_rows(table.rows[1:], table.n_max, (), n_max,
+                       identities=False, with_properties=True)
 
 
 def verify_identities(
     table: CoefficientTable, n_max: int | None = None
 ) -> list[CheckFailure]:
     """Alternating sum and inversion per row, up to n_max (default 40)."""
-    return _table_checks(table, (), n_max, identities=True)
+    return _check_rows(table.rows[1:], table.n_max, (), n_max,
+                       identities=True, with_properties=False)
 
 
 def verify_carlitz_sums(kappa_max: int) -> list[CheckFailure]:
@@ -253,8 +266,8 @@ def run_verification(
 ) -> list[CheckFailure]:
     """Run the full battery to row n_max and return all failures sorted by
     (n, k, check).  A horizon of None leaves each stage its own default."""
-    failures = _table_checks(table, routes, n_max, identities=True)
-    failures += verify_properties(table, n_max)
+    failures = _check_rows(table.rows[1:], table.n_max, routes, n_max,
+                           identities=True, with_properties=True)
     return sorted(failures, key=CheckFailure.sort_key)
 
 
@@ -272,9 +285,10 @@ def verify_table_file(
     the routes or n_max is None, else rows 1..n_max only.  The recurrence
     route's failures are those rows.  Rows 1..n_max, the recurrence's int
     rows (``triangle._rows``) with the rows that differ converted in their
-    place, become the table that the closed-form routes, the properties and
-    the identities check, so a row beyond the horizon is never converted
-    to ``int``.  A file that ``load_table`` rejects raises the same
+    place, are made, checked by the closed-form routes, the properties and
+    the identities, and dropped one at a time (``_check_rows``), so no
+    table is built and a row beyond the horizon is never converted to
+    ``int``.  A file that ``load_table`` rejects raises the same
     ``ValueError``, and so does a bad argument, after the file is read as it
     would be there.
     """
@@ -284,13 +298,10 @@ def verify_table_file(
     read, differing = tableio._recurrence_differences(
         path, None if checked or n_max is None else max(n_max, 1))
     keep = read if n_max is None else min(max(n_max, 1), read)
-    head = list(triangle._rows(keep, 1))
-    for n, (got, _) in differing.items():
-        if n <= keep:
-            head[n - 1] = tuple(map(int, got))
+    rows = (tuple(map(int, differing[n][0])) if n in differing else row
+            for n, row in enumerate(triangle._rows(keep, 1), 1))
     failures = _route_failures("recurrence", differing) if checked else []
-    failures += run_verification(
-        CoefficientTable(n_max=keep, rows=((),) + tuple(head)),
-        tuple(route for route in routes if route != "recurrence"),
-        read if n_max is None else n_max)
+    failures += _check_rows(rows, keep, tuple(route for route in routes if route != "recurrence"),
+                            read if n_max is None else n_max,
+                            identities=True, with_properties=True)
     return read, sorted(failures, key=CheckFailure.sort_key)

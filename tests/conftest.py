@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,18 @@ def src_env():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     return env
+
+
+def traced_peak(func, *args):
+    """The peak of memory traced by tracemalloc while ``func(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 # The first five rows are small enough to check by hand; rows 6..8 were
 # computed offline by an independent script (the explicit double sum over

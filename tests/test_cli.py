@@ -297,6 +297,18 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "--n-max", "0")
         assert (code, out, err) == (2, "", "error: n_max must be >= 1\n")
 
+    @pytest.mark.parametrize("with_table, message", [
+        (False, "n_max must be >= 1"), (True, "unknown routes: ['nope']")])
+    def test_horizon_and_route_errors_keep_their_precedence(
+            self, capsys, tmp_path, with_table, message):
+        """Without ``--table`` the horizon is refused before the routes are
+        read; with it, the file is read and then the routes are refused."""
+        path = tmp_path / "t5.json"
+        path.write_text(table_to_json(build_table(5)), encoding="ascii")
+        table = ["--table", str(path)] if with_table else []
+        code, out, err = run_cli(capsys, "verify", "--n-max", "0", "--routes", "nope", *table)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_missing_table_file(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--table", "/no/such/file.json")
         assert code == 2
@@ -340,9 +352,8 @@ class TestVerifyHorizons:
                             spy("properties", properties.is_positive, len))
         # the inversion shares the routes' pass; the alternating sum is the
         # identities' own
-        monkeypatch.setattr(triangle, "alternating_sum",
-                            spy("identities", triangle.alternating_sum,
-                                lambda n, table: n))
+        monkeypatch.setattr(triangle, "_alternating_sum",
+                            spy("identities", triangle._alternating_sum, len))
         return seen
 
     @staticmethod

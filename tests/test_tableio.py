@@ -4,7 +4,6 @@ import json
 import os
 import re
 import sys
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +23,7 @@ from wderiv import (
 from wderiv import tableio
 from wderiv.cli import main
 from wderiv.tableio import _check_digit_limit, _parse_entry
+from conftest import traced_peak
 
 EXPECTED_CSV_3 = "n,k,beta\n1,0,1\n2,0,2\n2,1,1\n3,0,9\n3,1,8\n3,2,2\n"
 
@@ -362,17 +362,6 @@ class TestEntryGrammar:
     @given(st.text(alphabet="0123456789-+_ \t\n\u0663\u00b2\uff11a", max_size=12))
     def test_matches_reference(self, text):
         assert outcome(_parse_entry, text) == outcome(reference_entry, text)
-
-
-def traced_peak(func, *args):
-    """The peak of memory traced by tracemalloc while ``func(*args)`` runs."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        func(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestMemory:

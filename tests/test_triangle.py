@@ -89,6 +89,20 @@ class TestPolyEval:
         # p_3(1/2) = 9 + 8/2 + 2/4
         assert poly_eval_exact(3, table8, Fraction(1, 2)) == Fraction(27, 2)
 
+    def test_float_argument_is_taken_exactly(self, table40):
+        exact = poly_eval_exact(30, table40, 3)
+        assert exact == -5810006547765810844319249015599441678858991122473573
+        got = poly_eval_exact(30, table40, 3.0)
+        assert type(got) is Fraction and got == exact
+        assert poly_eval_exact(3, table40, 0.5) == Fraction(27, 2)
+
+    @pytest.mark.parametrize("w, error", [(float("nan"), ValueError),
+                                          (float("inf"), OverflowError),
+                                          (float("-inf"), OverflowError)])
+    def test_non_finite_float_raises(self, table8, w, error):
+        with pytest.raises(error):
+            poly_eval_exact(3, table8, w)
+
     def test_out_of_range(self, table8):
         with pytest.raises(ValueError):
             poly_eval_exact(9, table8, 0)

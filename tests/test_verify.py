@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import traced_peak
 from test_tableio import BAD_CSV_TABLES, BAD_JSON_TABLES, LOAD_EDGES
 from wderiv import (CoefficientTable, ROUTE_NAMES, build_table, closed_forms, load_table,
                     properties, run_verification, table_to_csv, table_to_json, tableio,
@@ -100,13 +101,38 @@ class TestPropertiesMatchEveryCheckOnEveryRow:
         assert {f.n for f in got} == {n for n, (p, q, _) in replaced.items() if p >= q}
 
 
-def test_default_verify_builds_the_table_once(monkeypatch, capsys):
+def test_default_verify_builds_no_table(monkeypatch, capsys):
+    """The default ``verify`` checks each recurrence row as it is made: it
+    builds no table, makes rows 1..200 once and runs the battery once."""
     calls = []
-    build = triangle.build_table
-    monkeypatch.setattr(triangle, "build_table",
-                        lambda n_max: calls.append(n_max) or build(n_max))
+    for module, name in ((triangle, "build_table"), (verify, "run_verification"),
+                         (triangle, "_rows")):
+        monkeypatch.setattr(module, name, lambda *args, name=name, func=getattr(module, name):
+                            calls.append((name, args)) or func(*args))
     assert main(["verify"]) == 0
-    assert calls == [200]
+    assert calls == [("_rows", (200, 1))]
+
+
+class TestRowPassMemory:
+    """``verify`` holds the row it checks and the rows that fail, not the
+    table.  Each call runs once first, so the modules it imports on first
+    use (``tableio``, ``decimal``) are not counted."""
+
+    @staticmethod
+    def warm_peak(func, *args):
+        func(*args)
+        return traced_peak(func, *args)
+
+    def test_default_verify_below_a_quarter_of_the_table(self, capsys):
+        peak = self.warm_peak(main, ["verify", "--format", "json"])
+        assert peak < self.warm_peak(build_table, 200) / 4
+
+    def test_table_file_below_the_table(self, tmp_path):
+        path = tmp_path / "t120.json"
+        with path.open("w", encoding="ascii") as fh:
+            fh.writelines(tableio.built_table_chunks(120, "json"))
+        peak = self.warm_peak(verify.verify_table_file, str(path), ("recurrence",))
+        assert peak < self.warm_peak(build_table, 120)
 
 
 def test_kernel_routes_build_each_row_in_one_pass(monkeypatch):
@@ -130,7 +156,7 @@ def test_kernel_routes_build_each_row_in_one_pass(monkeypatch):
         return wrapped
 
     for name in ("_convolve", "_power_diff", "_power_sums", "rstirling_values",
-                 "rstirling_from_beta_row"):
+                 "_rstirling_from_row"):
         monkeypatch.setattr(closed_forms, name, spy(name))
     for routes in (tuple(closed_forms.ROUTE_ROWS), ("explicit",)):
         calls.clear()
@@ -138,7 +164,7 @@ def test_kernel_routes_build_each_row_in_one_pass(monkeypatch):
         assert Counter(calls) == {
             ("_power_sums", "_kernel_inner_values"): 40,
             ("rstirling_values", "_rstirling_inner"): 40,
-            ("rstirling_from_beta_row", "_table_checks"): 40,
+            ("_rstirling_from_row", "_check_rows"): 40,
         }, routes
 
 
