@@ -7,8 +7,8 @@ columns are ``n,k,beta`` with a header, LF line endings and no quoting; JSON
 is ``{"n_max": N, "rows": [[...], ...]}`` with ``rows[0]`` holding row 1.
 
 Both formats are written one row at a time: ``write_table`` hands a file
-one chunk per row, and ``table_to_csv`` / ``table_to_json`` join the same
-chunks into a string; these are the reference for any int table.
+one chunk per row, the reference for any int table (``table_to_json`` joins
+the same JSON chunks into a string).
 ``built_table_chunks`` gives the same bytes for ``build_table(n_max)``
 without an int table: it formats the rows of ``triangle._exact_rows``, the
 recurrence run on ``Decimal`` rows in an unrounded context, as they are
@@ -17,14 +17,14 @@ made, since the digits of a ``Decimal`` cost a linear pass where
 escaping, so the JSON bytes are those of ``json.dumps(payload,
 separators=(",", ":"))`` plus a newline.
 
-Both formats are read by one streaming reader, ``read_table_rows``: it
-reads a file once, from start to end, so a pipe will do.  It sniffs the
-format from the first character that is not whitespace, feeds a CSV file
-to the parser line by line, decodes a JSON file's text with ``json.loads``
-(the text is freed before the first row), and yields each row as a tuple
-of validated decimal strings, never as ints, since ``int(str)`` is
-quadratic too.  ``load_table`` and the ``parse_table*`` functions convert
-those rows to ints, one row at a time.
+Both formats are read by one streaming reader, ``_text_rows``, from a file
+(``read_table_rows``, ``load_table``) or from a string (``parse_table``,
+through ``io.StringIO`` with the same newline translation).  It reads the
+text once, from start to end, so a pipe will do; sniffs the format from
+the first character that is not whitespace; feeds CSV to the parser line
+by line; decodes JSON with ``json.loads`` (the text is freed before the
+first row); and yields each row as a tuple of validated decimal strings,
+never as ints, since ``int(str)`` is quadratic too.
 
 ``_recurrence_differences`` gives what ``verify.verify_table_file`` needs
 of a file: its row count and the rows whose values differ from the
@@ -52,6 +52,7 @@ Only the commands that write or read a table file, ``wderiv table`` and
 """
 from __future__ import annotations
 
+import io
 import json
 import sys
 from collections.abc import Callable, Iterable, Iterator
@@ -65,12 +66,9 @@ from .triangle import CoefficientTable, _differ, _exact_rows, _rows
 _Differing = dict[int, tuple[tuple[str, ...], tuple[str, ...]]]
 
 __all__ = [
-    "table_to_csv",
     "table_to_json",
     "write_table",
     "built_table_chunks",
-    "parse_table_csv",
-    "parse_table_json",
     "parse_table",
     "read_table_rows",
     "load_table",
@@ -101,10 +99,6 @@ def _writer(fmt: str) -> Callable[[int, Iterable[tuple]], Iterator[str]]:
     if fmt not in _WRITERS:
         raise ValueError(f"table format must be 'csv' or 'json', got {fmt!r:.40}")
     return _WRITERS[fmt]
-
-
-def table_to_csv(table: CoefficientTable) -> str:
-    return "".join(_csv_chunks(table.n_max, table.rows[1:]))
 
 
 def table_to_json(table: CoefficientTable) -> str:
@@ -263,31 +257,31 @@ def _int_table(rows: Iterable[tuple[str, ...]]) -> CoefficientTable:
     return CoefficientTable(n_max=len(int_rows), rows=((),) + tuple(int_rows))
 
 
+def _text_rows(fh: TextIO) -> Iterator[tuple[str, ...]]:
+    """Rows 1, 2, ... of the table text read from ``fh``, as validated decimal
+    strings: a CSV row once its last entry is read, JSON rows once the
+    text is decoded and freed."""
+    spaces = []  # read while sniffing, so parsed with the rest
+    while (first := fh.read(1)).isspace():
+        spaces.append(first)
+    start = "".join(spaces) + first
+    if first != "{":
+        # the parser skips the empty piece after a line end
+        lines = (start + fh.readline()).split("\n")
+        yield from _csv_rows(chain(lines, (line.rstrip("\n") for line in fh)))
+        return
+    yield from _json_rows(_decoded(start + fh.read()))
+
+
 def read_table_rows(path: str) -> Iterator[tuple[str, ...]]:
     """Rows 1, 2, ... of the table file at ``path`` as validated decimal strings.
 
-    The file is read once, from start to end, so it may be a pipe; the
-    format is sniffed from the first character that is not whitespace.  A
-    CSV file is read line by line and each row is yielded once its last
-    entry is read; a JSON file's text is decoded with ``json.loads`` and
-    freed before the first row is yielded.  Every entry is checked as
-    ``parse_table`` checks it, the int-string limit included, but none is
-    converted to ``int``; whatever is wrong with the file raises
-    ``ValueError`` by the time the rows run out, with ``parse_table``'s
-    message.
+    The file is read once, from start to end, so it may be a pipe.  No
+    entry is converted to ``int``; whatever is wrong with the file raises
+    ``ValueError`` by the time the rows run out.
     """
     with open(path, "r", encoding="ascii") as fh:
-        spaces = []  # read while sniffing, so parsed with the rest
-        while (first := fh.read(1)).isspace():
-            spaces.append(first)
-        start = "".join(spaces) + first
-        if first != "{":
-            # the parser skips the empty piece after a line end
-            lines = (start + fh.readline()).split("\n")
-            yield from _csv_rows(chain(lines, (line.rstrip("\n") for line in fh)))
-            return
-        payload = _decoded(start + fh.read())
-    yield from _json_rows(payload)
+        yield from _text_rows(fh)
 
 
 def _json_differences(path: str) -> tuple[int, _Differing] | None:
@@ -370,22 +364,13 @@ def _recurrence_differences(path: str, n_max: int | None) -> tuple[int, _Differi
     return read, differing
 
 
-def parse_table_csv(text: str) -> CoefficientTable:
-    return _int_table(_csv_rows(text.split("\n")))
-
-
-def parse_table_json(text: str) -> CoefficientTable:
-    return _int_table(_json_rows(_decoded(text)))
-
-
 def parse_table(text: str) -> CoefficientTable:
-    """Parse either serialization, sniffing the format from the first byte."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return parse_table_json(text)
-    return parse_table_csv(text)
+    """The table in ``text``, either format, read as ``load_table`` reads a
+    file holding it: the same table or the same ``ValueError``, CRLF and CR
+    line ends included."""
+    return _int_table(_text_rows(io.StringIO(text, newline=None)))
 
 
 def load_table(path: str) -> CoefficientTable:
-    """Parse the file at ``path`` as ``parse_table`` parses its text, without holding it."""
+    """The table in the file at ``path``, read once without holding its text."""
     return _int_table(read_table_rows(path))

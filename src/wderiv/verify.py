@@ -295,9 +295,8 @@ def verify_table_file(
     from . import tableio
 
     checked = "recurrence" in routes
-    read, differing = tableio._recurrence_differences(
-        path, None if checked or n_max is None else max(n_max, 1))
-    keep = read if n_max is None else min(max(n_max, 1), read)
+    read, differing = tableio._recurrence_differences(path, None if checked else n_max)
+    keep = read if n_max is None else min(n_max, read)
     rows = (tuple(map(int, differing[n][0])) if n in differing else row
             for n, row in enumerate(triangle._rows(keep, 1), 1))
     failures = _route_failures("recurrence", differing) if checked else []

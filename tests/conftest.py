@@ -1,10 +1,11 @@
+import io
 import os
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from wderiv import build_table
+from wderiv import build_table, write_table
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -26,6 +27,13 @@ def traced_peak(func, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def csv_text(table):
+    """The CSV text ``write_table`` writes for ``table``."""
+    fh = io.StringIO()
+    write_table(table, fh, "csv")
+    return fh.getvalue()
 
 
 # The first five rows are small enough to check by hand; rows 6..8 were

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from wderiv import (ROUTE_NAMES, build_table, closed_forms, numeric, parse_table_csv,
-                    properties, table_to_csv, table_to_json, triangle, verify)
+from wderiv import (ROUTE_NAMES, build_table, closed_forms, numeric, parse_table,
+                    properties, table_to_json, triangle, verify)
 from wderiv.cli import main
-from conftest import src_env
+from conftest import csv_text, src_env
 from test_tableio import BAD_CSV_TABLES, BAD_JSON_TABLES
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -42,7 +42,7 @@ class TestTableCommand:
     def test_round_trips_through_parser(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--n-max", "12")
         assert code == 0
-        assert parse_table_csv(out) == build_table(12)
+        assert parse_table(out) == build_table(12)
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "triangle.csv"
@@ -61,7 +61,7 @@ class TestTableCommand:
         code, _, err = run_cli(capsys, "table", "--n-max", "0")
         assert code == 2
 
-    @pytest.mark.parametrize("fmt, to_text", [("csv", table_to_csv),
+    @pytest.mark.parametrize("fmt, to_text", [("csv", csv_text),
                                               ("json", table_to_json)])
     def test_stdout_bytes_equal_out_file(self, capsys, tmp_path, fmt, to_text):
         path = tmp_path / f"table.{fmt}"
@@ -241,7 +241,7 @@ class TestVerifyCommand:
         rows = [list(row) for row in build_table(12).rows]
         rows[9][4] += 1
         bumped = triangle.CoefficientTable(n_max=12, rows=tuple(map(tuple, rows)))
-        text = table_to_csv(bumped) if fmt == "csv" else table_to_json(bumped)
+        text = csv_text(bumped) if fmt == "csv" else table_to_json(bumped)
         path = tmp_path / f"bumped.{fmt}"
         path.write_text(text, encoding="ascii")
         piped, filed = (
@@ -278,7 +278,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("n_max", ["0", "-3"])
     def test_table_with_horizon_below_one_is_usage_error(self, tmp_path, n_max):
         path = tmp_path / "t5.csv"
-        path.write_text(table_to_csv(build_table(5)), encoding="ascii")
+        path.write_text(csv_text(build_table(5)), encoding="ascii")
         proc = subprocess.run(
             [sys.executable, "-m", "wderiv", "verify", "--table", str(path),
              "--n-max", n_max],

@@ -14,16 +14,13 @@ from wderiv import (
     built_table_chunks,
     load_table,
     parse_table,
-    parse_table_csv,
-    parse_table_json,
-    table_to_csv,
     table_to_json,
     write_table,
 )
 from wderiv import tableio
 from wderiv.cli import main
 from wderiv.tableio import _check_digit_limit, _parse_entry
-from conftest import traced_peak
+from conftest import csv_text, traced_peak
 
 EXPECTED_CSV_3 = "n,k,beta\n1,0,1\n2,0,2\n2,1,1\n3,0,9\n3,1,8\n3,2,2\n"
 
@@ -52,7 +49,7 @@ WRITER_TABLES = [pytest.param(build_table(n), id=f"n_max={n}") for n in (1, 2, 1
 WRITER_TABLES.append(pytest.param(
     CoefficientTable(n_max=3, rows=((), (0,), (-7, 0), (0, -(10**30), 5))),
     id="zero_and_negative"))
-FORMATS = {"csv": (table_to_csv, reference_csv), "json": (table_to_json, reference_json)}
+FORMATS = {"csv": (csv_text, reference_csv), "json": (table_to_json, reference_json)}
 
 
 class TestWriters:
@@ -133,37 +130,37 @@ class TestDigitLimitBound:
 
 class TestCsv:
     def test_exact_bytes_for_small_table(self):
-        assert table_to_csv(build_table(3)) == EXPECTED_CSV_3
+        assert csv_text(build_table(3)) == EXPECTED_CSV_3
 
     def test_round_trip(self, table40):
-        assert parse_table_csv(table_to_csv(table40)) == table40
+        assert parse_table(csv_text(table40)) == table40
 
     def test_deterministic(self, table8):
-        assert table_to_csv(table8) == table_to_csv(build_table(8))
+        assert csv_text(table8) == csv_text(build_table(8))
 
     def test_large_entries_survive(self):
         t = build_table(40)
-        text = table_to_csv(t)
+        text = csv_text(t)
         assert f"40,0,{40**39}" in text
-        assert parse_table_csv(text).rows[40][0] == 40**39
+        assert parse_table(text).rows[40][0] == 40**39
 
     def test_lf_endings_no_quoting(self, table8):
-        text = table_to_csv(table8)
+        text = csv_text(table8)
         assert "\r" not in text
         assert '"' not in text
         assert text.endswith("\n")
 
     def test_malformed_inputs(self):
         with pytest.raises(ValueError):
-            parse_table_csv("nope\n1,0,1\n")
+            parse_table("nope\n1,0,1\n")
         with pytest.raises(ValueError):
-            parse_table_csv("n,k,beta\n1,0,1\n3,0,9\n")  # skips n=2
+            parse_table("n,k,beta\n1,0,1\n3,0,9\n")  # skips n=2
         with pytest.raises(ValueError):
-            parse_table_csv("n,k,beta\n1,0,1\n2,1,1\n")  # skips k=0
+            parse_table("n,k,beta\n1,0,1\n2,1,1\n")  # skips k=0
         with pytest.raises(ValueError):
-            parse_table_csv("n,k,beta\n")
+            parse_table("n,k,beta\n")
         with pytest.raises(ValueError):
-            parse_table_csv("n,k,beta\n1,0\n")
+            parse_table("n,k,beta\n1,0\n")
 
 
 class TestJson:
@@ -177,15 +174,15 @@ class TestJson:
         assert all(isinstance(b, str) for row in payload["rows"] for b in row)
 
     def test_round_trip(self, table40):
-        assert parse_table_json(table_to_json(table40)) == table40
+        assert parse_table(table_to_json(table40)) == table40
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):
-            parse_table_json('{"n_max": 2, "rows": [["1"]]}')
+            parse_table('{"n_max": 2, "rows": [["1"]]}')
         with pytest.raises(ValueError):
-            parse_table_json('{"rows": [["1"]]}')
+            parse_table('{"rows": [["1"]]}')
         with pytest.raises(ValueError):
-            parse_table_json('{"n_max": 1, "rows": [["1", "2"]]}')
+            parse_table('{"n_max": 1, "rows": [["1", "2"]]}')
 
 
 def outcome(func, arg):
@@ -197,13 +194,13 @@ def outcome(func, arg):
 
 
 def assert_load_matches_parse(tmp_path, text):
-    """load_table of a file holding ``text`` acts as parse_table of its text."""
+    """load_table of a file holding ``text`` acts as parse_table of ``text``."""
     path = tmp_path / "table"
     path.write_bytes(text.encode("ascii"))
-    assert outcome(load_table, str(path)) == outcome(parse_table, path.read_text())
+    assert outcome(load_table, str(path)) == outcome(parse_table, text)
 
 
-TABLE4_CSV = table_to_csv(build_table(4))
+TABLE4_CSV = csv_text(build_table(4))
 TABLE4_JSON = table_to_json(build_table(4))
 # Files at the edges of format sniffing and line splitting.
 LOAD_EDGES = {
@@ -220,74 +217,6 @@ LOAD_EDGES = {
     "empty": "",
     "whitespace_only": " \t\n\r\n\x0b ",
 }
-
-
-@st.composite
-def random_tables(draw):
-    """Tables of 1 to 12 rows with zero, negative and up-to-2^200 entries."""
-    n_max = draw(st.integers(min_value=1, max_value=12))
-    entry = st.integers(min_value=-(2**200), max_value=2**200)
-    rows = tuple(tuple(draw(st.lists(entry, min_size=n, max_size=n)))
-                 for n in range(1, n_max + 1))
-    return CoefficientTable(n_max, ((),) + rows)
-
-
-class TestRandomRoundTrip:
-    @settings(max_examples=150)
-    @given(random_tables())
-    def test_parse_inverts_both_writers(self, table):
-        assert parse_table(table_to_csv(table)) == table
-        assert parse_table(table_to_json(table)) == table
-
-    @settings(max_examples=100)
-    @given(random_tables(), st.sampled_from(["csv", "json"]))
-    def test_load_inverts_write_table(self, tmp_path_factory, table, fmt):
-        path = tmp_path_factory.getbasetemp() / f"random_table.{fmt}"
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            write_table(table, fh, fmt)
-        assert load_table(str(path)) == table
-
-
-class TestSniffAndLoad:
-    def test_parse_table_sniffs(self, table8):
-        assert parse_table(table_to_csv(table8)) == table8
-        assert parse_table(table_to_json(table8)) == table8
-
-    def test_load_table(self, tmp_path, table8):
-        csv_path = tmp_path / "t.csv"
-        csv_path.write_text(table_to_csv(table8), encoding="ascii")
-        assert load_table(str(csv_path)) == table8
-        json_path = tmp_path / "t.json"
-        json_path.write_text(table_to_json(table8), encoding="ascii")
-        assert load_table(str(json_path)) == table8
-
-    @pytest.mark.parametrize("name", sorted(LOAD_EDGES))
-    def test_load_matches_parse_of_text(self, tmp_path, name):
-        assert_load_matches_parse(tmp_path, LOAD_EDGES[name])
-
-    @pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="needs /dev/fd")
-    @pytest.mark.parametrize("name", sorted(LOAD_EDGES))
-    def test_load_from_a_pipe_matches_load_from_a_file(self, tmp_path, name):
-        # every edge fits in the pipe's buffer, so it is written whole first
-        text = LOAD_EDGES[name]
-        path = tmp_path / "table"
-        path.write_bytes(text.encode("ascii"))
-        read_end, write_end = os.pipe()
-        try:
-            os.write(write_end, text.encode("ascii"))
-            os.close(write_end)
-            piped = outcome(load_table, f"/dev/fd/{read_end}")
-        finally:
-            os.close(read_end)
-        assert piped == outcome(load_table, str(path))
-
-    @pytest.mark.parametrize("text", ["n,k,beta\n1,0,\u00e91\n",
-                                      '{"n_max":1,"rows":[["\u00e9"]]}'])
-    def test_non_ascii_byte_raises_decode_error(self, tmp_path, text):
-        path = tmp_path / "table"
-        path.write_bytes(text.encode("utf-8"))
-        with pytest.raises(UnicodeDecodeError):
-            load_table(str(path))
 
 
 # Corrupt files that used to load (entries truncated or coerced by int())
@@ -316,26 +245,100 @@ BAD_CSV_TABLES = {
 }
 
 
+# every text of the tables above, named as in its own table
+LOAD_TEXTS = {
+    **LOAD_EDGES,
+    **{f"bad_json_{name}": text for name, text in BAD_JSON_TABLES.items()},
+    **{f"bad_csv_{name}": text for name, text in BAD_CSV_TABLES.items()},
+}
+
+
+@st.composite
+def random_tables(draw):
+    """Tables of 1 to 12 rows with zero, negative and up-to-2^200 entries."""
+    n_max = draw(st.integers(min_value=1, max_value=12))
+    entry = st.integers(min_value=-(2**200), max_value=2**200)
+    rows = tuple(tuple(draw(st.lists(entry, min_size=n, max_size=n)))
+                 for n in range(1, n_max + 1))
+    return CoefficientTable(n_max, ((),) + rows)
+
+
+class TestRandomRoundTrip:
+    @settings(max_examples=150)
+    @given(random_tables())
+    def test_parse_inverts_both_writers(self, table):
+        assert parse_table(csv_text(table)) == table
+        assert parse_table(table_to_json(table)) == table
+
+    @settings(max_examples=100)
+    @given(random_tables(), st.sampled_from(["csv", "json"]))
+    def test_load_inverts_write_table(self, tmp_path_factory, table, fmt):
+        path = tmp_path_factory.getbasetemp() / f"random_table.{fmt}"
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            write_table(table, fh, fmt)
+        assert load_table(str(path)) == table
+
+
+class TestSniffAndLoad:
+    def test_parse_table_sniffs(self, table8):
+        assert parse_table(csv_text(table8)) == table8
+        assert parse_table(table_to_json(table8)) == table8
+
+    def test_load_table(self, tmp_path, table8):
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text(csv_text(table8), encoding="ascii")
+        assert load_table(str(csv_path)) == table8
+        json_path = tmp_path / "t.json"
+        json_path.write_text(table_to_json(table8), encoding="ascii")
+        assert load_table(str(json_path)) == table8
+
+    @pytest.mark.parametrize("name", sorted(LOAD_TEXTS))
+    def test_load_matches_parse_of_text(self, tmp_path, name):
+        assert_load_matches_parse(tmp_path, LOAD_TEXTS[name])
+
+    @pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("name", sorted(LOAD_EDGES))
+    def test_load_from_a_pipe_matches_load_from_a_file(self, tmp_path, name):
+        # every edge fits in the pipe's buffer, so it is written whole first
+        text = LOAD_EDGES[name]
+        path = tmp_path / "table"
+        path.write_bytes(text.encode("ascii"))
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, text.encode("ascii"))
+            os.close(write_end)
+            piped = outcome(load_table, f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert piped == outcome(load_table, str(path))
+
+    @pytest.mark.parametrize("text", ["n,k,beta\n1,0,\u00e91\n",
+                                      '{"n_max":1,"rows":[["\u00e9"]]}'])
+    def test_non_ascii_byte_raises_decode_error(self, tmp_path, text):
+        path = tmp_path / "table"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(UnicodeDecodeError):
+            load_table(str(path))
+
+
 class TestStrictParsing:
     # each bad input also goes through load_table from a file, which must
-    # raise the same exception with the same message
+    # raise the same exception with the same message (test_load_matches_parse_of_text)
     @pytest.mark.parametrize("name", sorted(BAD_JSON_TABLES))
-    def test_bad_json_raises_value_error(self, name, tmp_path):
+    def test_bad_json_raises_value_error(self, name):
         with pytest.raises(ValueError):
             parse_table(BAD_JSON_TABLES[name])
-        assert_load_matches_parse(tmp_path, BAD_JSON_TABLES[name])
 
     @pytest.mark.parametrize("name", sorted(BAD_CSV_TABLES))
-    def test_bad_csv_raises_value_error(self, name, tmp_path):
+    def test_bad_csv_raises_value_error(self, name):
         with pytest.raises(ValueError):
             parse_table(BAD_CSV_TABLES[name])
-        assert_load_matches_parse(tmp_path, BAD_CSV_TABLES[name])
 
     def test_negative_entries_still_parse(self, tmp_path):
         # a wrong sign is a verification failure, not a parse error
         table = parse_table('{"n_max":2,"rows":[["1"],["-2","1"]]}')
         assert table.rows[2] == (-2, 1)
-        assert parse_table_csv("n,k,beta\n1,0,-1\n").rows[1] == (-1,)
+        assert parse_table("n,k,beta\n1,0,-1\n").rows[1] == (-1,)
         assert_load_matches_parse(tmp_path, '{"n_max":2,"rows":[["1"],["-2","1"]]}')
         assert_load_matches_parse(tmp_path, "n,k,beta\n1,0,-1\n")
 
@@ -376,7 +379,7 @@ class TestMemory:
 
     def test_csv_load_peak_below_file_size(self, tmp_path):
         path = tmp_path / "table.csv"
-        path.write_text(table_to_csv(build_table(150)), encoding="ascii")
+        path.write_text(csv_text(build_table(150)), encoding="ascii")
         assert traced_peak(load_table, str(path)) < path.stat().st_size
 
     def test_json_load_peak_below_two_point_six_file_sizes(self, tmp_path):

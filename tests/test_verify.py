@@ -13,10 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import traced_peak
+from conftest import csv_text, traced_peak
 from test_tableio import BAD_CSV_TABLES, BAD_JSON_TABLES, LOAD_EDGES
 from wderiv import (CoefficientTable, ROUTE_NAMES, build_table, closed_forms, load_table,
-                    properties, run_verification, table_to_csv, table_to_json, tableio,
+                    properties, run_verification, table_to_json, tableio,
                     triangle, verify)
 from wderiv.cli import main
 from wderiv.verify import CheckFailure, verify_carlitz_sums, verify_properties
@@ -507,7 +507,7 @@ PARSER_INPUTS = {
     **{f"canonical_{name}": text for name, text in CANONICAL_CORNERS.items()},
     "negative_json": '{"n_max":2,"rows":[["1"],["-2","1"]]}',
     "negative_csv": "n,k,beta\n1,0,-1\n",
-    "table8_csv": table_to_csv(build_table(8)),
+    "table8_csv": csv_text(build_table(8)),
     "table8_json": TABLE8_JSON,
 }
 
