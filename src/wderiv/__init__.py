@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 # each module's __all__ is the one list of its public names
 _EXPORTING = ("triangle", "closed_forms", "properties", "numeric", "tableio", "verify")
-_SUBMODULES = _EXPORTING + ("bench", "cli")
+_SUBMODULES = _EXPORTING + ("cli",)
 
 
 def _module(name: str):

@@ -7,8 +7,7 @@ Subcommands:
 * ``verify`` -- run the exact verification battery, exit 0 iff it all holds;
   rows are made (or read), checked and dropped one at a time, so no table
   is held,
-* ``eval``   -- evaluate W(x) and one derivative, 17 significant digits,
-* ``bench``  -- time the routes row by row and report peak entry bit sizes.
+* ``eval``   -- evaluate W(x) and one derivative, 17 significant digits.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 ``eval`` also exits 2 (``numeric fault``) when the derivative it would print
@@ -17,8 +16,7 @@ is infinite, zero or subnormal: binary64 ran out, and no derivative of W is 0.
 Importing this module loads the exact layer that the default ``verify``
 runs (``verify``, ``closed_forms``, ``properties``, ``triangle``).  Each
 command imports the rest when it runs: ``table`` and ``verify --table``
-import ``tableio`` and ``decimal``, ``eval`` imports ``numeric`` and
-``bench`` imports ``bench``.
+import ``tableio`` and ``decimal``, and ``eval`` imports ``numeric``.
 """
 from __future__ import annotations
 
@@ -70,13 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--tol-rel", type=float, default=1e-12,
                         help="relative tolerance for the taylor route")
 
-    p_bench = sub.add_parser("bench", help="benchmark the routes")
-    p_bench.add_argument("--n-max", type=int, required=True)
-    p_bench.add_argument("--routes", default="recurrence,explicit",
-                         help="comma list from: " + ", ".join(verify.ROUTE_NAMES))
-    p_bench.add_argument("--reps", type=int, default=3)
-    p_bench.add_argument("--out", default=None)
-
     return parser
 
 
@@ -106,18 +97,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     routes = _routes(args.routes)
-    if args.table is not None:
-        n_max, failures = verify.verify_table_file(args.table, routes, args.n_max)
-    else:
-        # one horizon for every stage; None leaves each stage its own default
-        n_max = verify.DEFAULT_PROPERTY_N_MAX if args.n_max is None else args.n_max
-        if n_max < 1:
-            raise ValueError("n_max must be >= 1")
-        # the rows are the recurrence route's, so they are not compared with it
-        failures = sorted(verify._check_rows(
-            triangle._rows(n_max, 1), n_max,
-            tuple(route for route in routes if route != "recurrence"), args.n_max,
-            identities=True, with_properties=True), key=verify.CheckFailure.sort_key)
+    n_max, failures = verify.verify_table_file(args.table, routes, args.n_max)
     if args.format == "json":
         payload = {
             "passed": not failures,
@@ -172,20 +152,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from . import bench
-
-    csv = bench.run_bench(args.n_max, _routes(args.routes), args.reps)  # before --out exists
-    with _open_out(args.out) as fh:
-        fh.write(csv)
-    return 0
-
-
 _COMMANDS = {
     "table": _cmd_table,
     "verify": _cmd_verify,
     "eval": _cmd_eval,
-    "bench": _cmd_bench,
 }
 
 

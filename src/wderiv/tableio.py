@@ -19,7 +19,7 @@ separators=(",", ":"))`` plus a newline.
 
 Both formats are read by one streaming reader, ``_text_rows``, from a file
 (``read_table_rows``, ``load_table``) or from a string (``parse_table``,
-through ``io.StringIO`` with the same newline translation).  It reads the
+through its ASCII bytes, decoded as a file is).  It reads the
 text once, from start to end, so a pipe will do; sniffs the format from
 the first character that is not whitespace; feeds CSV to the parser line
 by line; decodes JSON with ``json.loads`` (the text is freed before the
@@ -366,9 +366,11 @@ def _recurrence_differences(path: str, n_max: int | None) -> tuple[int, _Differi
 
 def parse_table(text: str) -> CoefficientTable:
     """The table in ``text``, either format, read as ``load_table`` reads a
-    file holding it: the same table or the same ``ValueError``, CRLF and CR
-    line ends included."""
-    return _int_table(_text_rows(io.StringIO(text, newline=None)))
+    file holding it in UTF-8: the same table or the same error, CRLF and CR
+    line ends included.  The text is held as bytes, not as ``StringIO``'s
+    four bytes per character."""
+    fh = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="ascii", newline=None)
+    return _int_table(_text_rows(fh))
 
 
 def load_table(path: str) -> CoefficientTable:

@@ -16,16 +16,17 @@ rows that fail, never the whole table.  The checks:
   mismatch, to name the entries), and Carlitz on its row, in one pass.
   ``explicit``, ``bernoulli`` and ``fdiff`` normalise one row of power
   sums, so only the recurrence, the power sum, the r-Stirling recurrence
-  and Carlitz are independent.  A table built by the recurrence is that
-  route, so ``wderiv verify`` checks the recurrence's rows as they are
-  made and does not compare them with it.  ``verify_table_file`` checks a
-  table file without converting it whole: ``tableio`` reads it once and
-  gives the rows whose values differ from the recurrence, which are the
-  recurrence route's failures, and the pass checks the recurrence's int
-  rows up to the horizon with those rows converted in their place.  Every
-  route reports only the rows that differ to ``_route_failures``.
-  ``verify_table_file`` imports ``tableio`` when it runs, so checking a
-  built table loads neither it nor ``decimal``;
+  and Carlitz are independent.  ``verify_table_file`` is ``wderiv
+  verify``'s one entry.  Given no file, it checks the recurrence's rows as
+  they are made and does not compare them with that route, which they
+  are.  It checks a table file without converting it whole: ``tableio``
+  reads it once and gives the rows whose values differ from the
+  recurrence, which are the recurrence route's failures, and the pass
+  checks the recurrence's int rows up to the horizon with those rows
+  converted in their place.  Every route reports only the rows that
+  differ to ``_route_failures``.  ``verify_table_file`` imports
+  ``tableio`` only for a file, so checking the built rows loads neither
+  it nor ``decimal``;
 * sequence properties per row: positivity, log-concavity of k! times the
   row (decided as (k+1) c_{k-1} c_{k+1} <= k c_k^2) and the strict ratio
   bound (for n >= 3).  On a positive row that log-concavity decides the
@@ -46,6 +47,7 @@ kappa.  It reads no table, so the battery does not run it.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import islice
 from typing import NamedTuple
 
 from . import closed_forms, properties, triangle
@@ -68,11 +70,11 @@ DEFAULT_ROUTE_N_MAX = 40
 DEFAULT_PROPERTY_N_MAX = 200
 
 
-def _horizon(n_max: int | None, default: int, limit: int) -> int:
-    """The last row a stage checks: n_max >= 1, or default if None, capped at limit."""
+def _horizon(n_max: int | None, default: int) -> int:
+    """The last row a stage checks: n_max >= 1, or default if None."""
     if n_max is not None and n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return min(limit, default if n_max is None else n_max)
+    return default if n_max is None else n_max
 
 
 class CheckFailure(NamedTuple):
@@ -106,16 +108,16 @@ def _route_failures(
 
 def _check_rows(
     rows: Iterable[tuple[int, ...]],
-    n_rows: int,
     routes: tuple[str, ...],
     n_max: int | None,
     *,
     identities: bool,
     with_properties: bool,
 ) -> list[CheckFailure]:
-    """The battery's failures on rows 1..n_rows, checked in one pass over
-    ``rows``: each row gets every check due on it and is dropped before the
-    next is drawn; only the rows that fail are kept.
+    """The battery's failures on ``rows``, rows 1, 2, ... of a table,
+    checked in one pass: each row gets every check due on it and is dropped
+    before the next is drawn; only the rows that fail are kept.  Unless the
+    recurrence is compared, no row past the last horizon is drawn.
 
     Row n gets the recurrence comparison if ``recurrence`` is among the
     routes; the other routes and, if ``identities``, the identities while
@@ -129,8 +131,8 @@ def _check_rows(
     """
     if unknown := set(routes) - set(ROUTE_NAMES):
         raise ValueError(f"unknown routes: {sorted(unknown)}")
-    route_end = _horizon(n_max, DEFAULT_ROUTE_N_MAX, n_rows)
-    property_end = _horizon(n_max, DEFAULT_PROPERTY_N_MAX, n_rows) if with_properties else 0
+    route_end = _horizon(n_max, DEFAULT_ROUTE_N_MAX)
+    property_end = _horizon(n_max, DEFAULT_PROPERTY_N_MAX) if with_properties else 0
     recurrence = triangle._rows(None, 1) if "recurrence" in routes else None
     # route -> {n: (row n, its row n)} on the rows where they differ
     differing: dict[str, dict[int, tuple[tuple[int, ...], tuple[int, ...]]]] = {
@@ -138,8 +140,8 @@ def _check_rows(
     identity_failures: list[CheckFailure] = []
     property_failures: list[CheckFailure] = []
     kernel_routes = set(routes) | ({"rstirling"} if identities else set())
-    last = n_rows if recurrence is not None else max(route_end, property_end)
-    for n, row in zip(range(1, last + 1), rows):
+    last = None if recurrence is not None else max(route_end, property_end)
+    for n, row in enumerate(islice(rows, last), 1):
         if recurrence is not None and row != (made := next(recurrence)):
             differing["recurrence"][n] = (row, made)
         if n <= route_end:
@@ -208,7 +210,7 @@ def verify_routes(
     does.  The entry comparison is shared with ``verify_table_file``, which
     feeds it text rows.
     """
-    return _check_rows(table.rows[1:], table.n_max, routes, n_max,
+    return _check_rows(table.rows[1:], routes, n_max,
                        identities=False, with_properties=False)
 
 
@@ -225,7 +227,7 @@ def verify_properties(
     it fails first at (0, 1); ``check_ratio_bound`` scans the row only where
     the weighted check or that one comparison fails.
     """
-    return _check_rows(table.rows[1:], table.n_max, (), n_max,
+    return _check_rows(table.rows[1:], (), n_max,
                        identities=False, with_properties=True)
 
 
@@ -233,7 +235,7 @@ def verify_identities(
     table: CoefficientTable, n_max: int | None = None
 ) -> list[CheckFailure]:
     """Alternating sum and inversion per row, up to n_max (default 40)."""
-    return _check_rows(table.rows[1:], table.n_max, (), n_max,
+    return _check_rows(table.rows[1:], (), n_max,
                        identities=True, with_properties=False)
 
 
@@ -266,41 +268,50 @@ def run_verification(
 ) -> list[CheckFailure]:
     """Run the full battery to row n_max and return all failures sorted by
     (n, k, check).  A horizon of None leaves each stage its own default."""
-    failures = _check_rows(table.rows[1:], table.n_max, routes, n_max,
+    failures = _check_rows(table.rows[1:], routes, n_max,
                            identities=True, with_properties=True)
     return sorted(failures, key=CheckFailure.sort_key)
 
 
 def verify_table_file(
-    path: str,
+    path: str | None,
     routes: tuple[str, ...] = ROUTE_NAMES,
     n_max: int | None = None,
 ) -> tuple[int, list[CheckFailure]]:
     """The file's n_max and ``run_verification`` of ``load_table(path)`` to
-    row n_max (the file's n_max if None).
+    row n_max (the file's n_max if None); with no path, n_max (default 200)
+    and the battery on the recurrence's own rows 1..n_max.
 
-    The file is read once, by ``tableio._recurrence_differences``, which
+    Those rows are the recurrence route, so they are not compared with it;
+    a horizon of None leaves each stage its own default, and one below 1
+    raises ``ValueError`` before the routes are read.
+
+    A file is read once, by ``tableio._recurrence_differences``, which
     gives its row count and the rows whose values differ from the
     recurrence's, as decimal strings: every row if ``recurrence`` is among
     the routes or n_max is None, else rows 1..n_max only.  The recurrence
     route's failures are those rows.  Rows 1..n_max, the recurrence's int
     rows (``triangle._rows``) with the rows that differ converted in their
-    place, are made, checked by the closed-form routes, the properties and
-    the identities, and dropped one at a time (``_check_rows``), so no
-    table is built and a row beyond the horizon is never converted to
-    ``int``.  A file that ``load_table`` rejects raises the same
-    ``ValueError``, and so does a bad argument, after the file is read as it
-    would be there.
+    place, are then checked like the built rows, so no table is built and
+    a row beyond the horizon is never converted to ``int``.  A file that
+    ``load_table`` rejects raises the same ``ValueError``, and so does a bad
+    argument, after the file is read as it would be there.  Either way rows
+    are made, checked and dropped one at a time (``_check_rows``).
     """
-    from . import tableio
+    if path is None:
+        read = DEFAULT_PROPERTY_N_MAX if n_max is None else n_max
+        if read < 1:
+            raise ValueError("n_max must be >= 1")
+        checked, differing, rows = False, {}, triangle._rows(read, 1)
+    else:
+        from . import tableio
 
-    checked = "recurrence" in routes
-    read, differing = tableio._recurrence_differences(path, None if checked else n_max)
-    keep = read if n_max is None else min(n_max, read)
-    rows = (tuple(map(int, differing[n][0])) if n in differing else row
-            for n, row in enumerate(triangle._rows(keep, 1), 1))
+        checked = "recurrence" in routes
+        read, differing = tableio._recurrence_differences(path, None if checked else n_max)
+        n_max = read if n_max is None else n_max
+        rows = (tuple(map(int, differing[n][0])) if n in differing else row
+                for n, row in enumerate(triangle._rows(min(n_max, read), 1), 1))
     failures = _route_failures("recurrence", differing) if checked else []
-    failures += _check_rows(rows, keep, tuple(route for route in routes if route != "recurrence"),
-                            read if n_max is None else n_max,
-                            identities=True, with_properties=True)
+    failures += _check_rows(rows, tuple(route for route in routes if route != "recurrence"),
+                            n_max, identities=True, with_properties=True)
     return read, sorted(failures, key=CheckFailure.sort_key)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from wderiv import (ROUTE_NAMES, build_table, closed_forms, numeric, parse_table,
+from wderiv import (build_table, closed_forms, numeric, parse_table,
                     properties, table_to_json, triangle, verify)
 from wderiv.cli import main
 from conftest import csv_text, src_env
@@ -479,68 +479,6 @@ class TestEvalCommand:
         assert err.startswith("error: rel_tol must be finite and positive")
 
 
-class TestBenchCommand:
-    def test_shape(self, capsys):
-        code, out, _ = run_cli(capsys, "bench", "--n-max", "20",
-                               "--routes", "recurrence,explicit", "--reps", "3")
-        assert code == 0
-        lines = out.strip().split("\n")
-        assert lines[0] == "route,n,nanoseconds,max_bits"
-        assert len(lines) == 1 + 2 * 20
-        assert all(len(line.split(",")) == 4 for line in lines[1:])
-
-    def test_recurrence_bits_at_40(self, capsys):
-        code, out, _ = run_cli(capsys, "bench", "--n-max", "40",
-                               "--routes", "recurrence", "--reps", "1")
-        assert code == 0
-        last = out.strip().split("\n")[-1]
-        route, n, _, max_bits = last.split(",")
-        assert (route, n) == ("recurrence", "40")
-        assert int(max_bits) >= (40**39).bit_length()
-
-    def test_zero_reps_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "bench", "--n-max", "5", "--reps", "0")
-        assert code == 2
-
-    def test_unknown_route(self, capsys):
-        code, _, err = run_cli(capsys, "bench", "--n-max", "5", "--routes", "magic")
-        assert code == 2
-
-    @pytest.mark.parametrize("routes", ["", ",,"])
-    def test_empty_route_list_leaves_no_out_file(self, capsys, tmp_path, routes):
-        path = tmp_path / "bench.csv"
-        code, out, err = run_cli(capsys, "bench", "--n-max", "3",
-                                 "--routes", routes, "--out", str(path))
-        assert (code, out) == (2, "")
-        assert err == f"error: --routes names no route: {routes!r}\n"
-        assert not path.exists()
-
-    def test_unknown_route_leaves_no_out_file(self, capsys, tmp_path):
-        path = tmp_path / "bench.csv"
-        code, out, err = run_cli(capsys, "bench", "--n-max", "3",
-                                 "--routes", "nosuch", "--out", str(path))
-        assert code == 2
-        assert (out, err) == ("", "error: unknown routes: ['nosuch']\n")
-        assert not path.exists()
-
-    def test_out_file_holds_the_csv(self, capsys, tmp_path):
-        path = tmp_path / "bench.csv"
-        code, out, _ = run_cli(capsys, "bench", "--n-max", "2", "--reps", "1",
-                               "--routes", "recurrence", "--out", str(path))
-        assert (code, out) == (0, "")
-        lines = path.read_bytes().decode("ascii").split("\n")
-        assert lines[0] == "route,n,nanoseconds,max_bits"
-        assert [line.split(",")[:2] for line in lines[1:3]] == [
-            ["recurrence", "1"], ["recurrence", "2"]]
-
-    def test_accepts_every_verify_route(self, capsys):
-        code, out, _ = run_cli(capsys, "bench", "--n-max", "3", "--reps", "1",
-                               "--routes", ",".join(ROUTE_NAMES))
-        assert code == 0
-        routes = [line.split(",")[0] for line in out.strip().split("\n")[1:]]
-        assert routes == [name for name in ROUTE_NAMES for _ in range(3)]
-
-
 class TestUsage:
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -565,6 +503,13 @@ class TestUsage:
             capture_output=True, text=True, timeout=60, env=src_env())
         assert proc.returncode == 0
         assert "3,1,8" in proc.stdout
+
+    def test_retired_bench_command_is_usage_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wderiv", "bench", "--n-max", "3"],
+            capture_output=True, text=True, timeout=60, env=src_env())
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "invalid choice: 'bench'" in proc.stderr
 
     def test_module_entry_point_verify(self):
         proc = subprocess.run(

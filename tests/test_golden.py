@@ -3,8 +3,7 @@
 The files under ``golden/`` were captured from the CLI before the
 closed-form routes moved to whole rows (the raised-entry pair before the
 battery dropped its checks that could not fail); any change to a route, a
-check, the failure order or the text formats shows up here as a diff.  The
-bench output has its ``nanoseconds`` column dropped, since wall times vary.
+check, the failure order or the text formats shows up here as a diff.
 """
 from pathlib import Path
 
@@ -13,7 +12,6 @@ import pytest
 from wderiv.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-ALL_ROUTES = "recurrence,explicit,rstirling,bernoulli,fdiff,carlitz"
 
 
 def run(capsys, *argv):
@@ -50,14 +48,3 @@ def test_verify_table_breaking_log_concavity(capsys):
                     str(GOLDEN / "table12_raised_10_7.json"))
     assert code == 1
     assert out == expected("verify_table_raised_10_7.txt")
-
-
-def test_bench_rows_and_bits(capsys):
-    code, out = run(capsys, "bench", "--n-max", "12", "--routes", ALL_ROUTES,
-                    "--reps", "1")
-    assert code == 0
-    lines = out.splitlines(keepends=True)
-    without_ns = "".join(
-        ",".join(fields[:2] + fields[3:])
-        for fields in (line.split(",") for line in lines))
-    assert without_ns == expected("bench_n12_no_ns.csv")

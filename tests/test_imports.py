@@ -48,8 +48,8 @@ def imported_by_command(*argv):
 
 EXACT = {"wderiv", "wderiv.triangle", "wderiv.closed_forms", "wderiv.properties",
          "wderiv.verify"}
-# the default verify needs the exact layer; table, verify --table, eval and
-# bench import the rest
+# the default verify needs the exact layer; table, verify --table and eval
+# import the rest
 CLI = EXACT | {"wderiv.cli"}
 # decimal with its C module and numbers: only a table file needs them
 DECIMAL = {"decimal", "_decimal", "numbers"}

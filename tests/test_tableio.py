@@ -202,6 +202,7 @@ def assert_load_matches_parse(tmp_path, text):
 
 TABLE4_CSV = csv_text(build_table(4))
 TABLE4_JSON = table_to_json(build_table(4))
+NON_ASCII_TEXTS = ["n,k,beta\n1,0,\u00e91\n", '{"n_max":1,"rows":[["\u00e9"]]}']
 # Files at the edges of format sniffing and line splitting.
 LOAD_EDGES = {
     "json_after_spaces": "   " + TABLE4_JSON,
@@ -312,13 +313,17 @@ class TestSniffAndLoad:
             os.close(read_end)
         assert piped == outcome(load_table, str(path))
 
-    @pytest.mark.parametrize("text", ["n,k,beta\n1,0,\u00e91\n",
-                                      '{"n_max":1,"rows":[["\u00e9"]]}'])
+    @pytest.mark.parametrize("text", NON_ASCII_TEXTS)
     def test_non_ascii_byte_raises_decode_error(self, tmp_path, text):
         path = tmp_path / "table"
         path.write_bytes(text.encode("utf-8"))
         with pytest.raises(UnicodeDecodeError):
             load_table(str(path))
+
+    @pytest.mark.parametrize("text", NON_ASCII_TEXTS)
+    def test_non_ascii_text_raises_decode_error(self, text):
+        with pytest.raises(UnicodeDecodeError):
+            parse_table(text)
 
 
 class TestStrictParsing:
@@ -381,6 +386,11 @@ class TestMemory:
         path = tmp_path / "table.csv"
         path.write_text(csv_text(build_table(150)), encoding="ascii")
         assert traced_peak(load_table, str(path)) < path.stat().st_size
+
+    def test_csv_parse_peak_below_two_text_lengths(self):
+        # the reader holds the text as bytes, one per character
+        text = csv_text(build_table(150))
+        assert traced_peak(parse_table, text) < 2 * len(text)
 
     def test_json_load_peak_below_two_point_six_file_sizes(self, tmp_path):
         path = tmp_path / "table.json"
