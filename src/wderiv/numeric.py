@@ -1,7 +1,7 @@
 """Floating-point layer: W on [0, inf), its derivatives, and sign scans.
 
 The exact triangle is the single source of truth for coefficients; this
-module converts entries to binary64 on demand and never caches float rows.
+module converts rows to binary64 where they are used and keeps none past a call.
 Three derivative routes are provided so they can check each other:
 
 * ``w_derivative``      -- the closed form exp(-nW) p_n(W) / (1+W)^(2n-1),
@@ -20,7 +20,7 @@ import math
 import sys
 from itertools import count, islice
 from math import comb, exp, factorial, fsum, log1p
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     from .triangle import CoefficientTable
@@ -103,12 +103,12 @@ def lambert_w(x: float) -> WEvaluation:
     measured defect |w*e^w - x|, so the reported residual is as small as
     binary64 permits.
     """
-    w, iterations = _lambert(x)
-    return WEvaluation(x, w, w * exp(w) - x, iterations)
+    w, iterations, residual = _lambert(x)
+    return WEvaluation(x, w, residual, iterations)
 
 
-def _lambert(x: float) -> tuple[float, int]:
-    """W(x) as ``lambert_w`` finds it, and the Halley iterations it took."""
+def _lambert(x: float) -> tuple[float, int, float]:
+    """W(x) as ``lambert_w`` finds it, its Halley iterations and w*e^w - x."""
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"lambert_w needs finite x >= 0, got {x}")
     w = log1p(x)
@@ -134,22 +134,22 @@ def _lambert(x: float) -> tuple[float, int]:
     else:
         raise ConvergenceError(f"lambert_w({x}) did not converge in "
                                f"{_MAX_HALLEY_ITERATIONS} iterations")
-    best, best_resid = w, abs(w * exp(w) - x)
+    best, best_defect = w, w * exp(w) - x
     for cand in (math.nextafter(w, math.inf), math.nextafter(w, -math.inf)):
-        resid = abs(cand * exp(cand) - x)
-        if resid < best_resid:
-            best, best_resid = cand, resid
-    return best, iterations
+        defect = cand * exp(cand) - x
+        if abs(defect) < abs(best_defect):
+            best, best_defect = cand, defect
+    return best, iterations, best_defect
 
 
-def _closed_form(n: int, row: tuple[int, ...], w: float) -> float:
+def _closed_form(n: int, coefficients: Iterable[float], w: float) -> float:
     """d^nW/dx^n at the x whose W is w: exp(-nw) p_n(w) / (1+w)^(2n-1).
 
-    p_n(w) is evaluated in binary64 by Horner on the exact row n, whose
-    entries are converted on the fly.
+    p_n(w) is evaluated in binary64 by Horner on row n's entries as floats,
+    ``coefficients``, from the top down.
     """
     acc = 0.0
-    for b in map(float, reversed(row)):
+    for b in coefficients:
         acc = acc * w + b
     pn = -acc if n % 2 == 0 else acc
     return exp(-n * w) * pn / (1.0 + w) ** (2 * n - 1)
@@ -161,8 +161,8 @@ def w_derivative(n: int, x: float, table: CoefficientTable) -> DerivativeValue:
         raise ValueError(f"n must be in 1..{table.n_max}, got {n}")
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"derivative route needs x > 0, got {x}")
-    w = _lambert(x)[0]
-    return DerivativeValue(n, x, _closed_form(n, table.rows[n], w), ROUTE_CLOSED)
+    value = _closed_form(n, map(float, reversed(table.rows[n])), _lambert(x)[0])
+    return DerivativeValue(n, x, value, ROUTE_CLOSED)
 
 
 def _settled_sum(terms: Iterator[float], rel_tol: float, what: str) -> float:
@@ -298,8 +298,8 @@ def bernstein_scan(
 ) -> BernsteinScanReport:
     """Check (-1)^(n-1) d^nW/dx^n > 0 for each n <= n_max and x in grid.
 
-    W is solved once per grid point; each value is the one ``w_derivative``
-    gives there.
+    W is solved once per grid point and each row converted to binary64
+    once; each value is the one ``w_derivative`` gives there.
     """
     if not 1 <= n_max <= table.n_max:
         raise ValueError(f"n_max must be in 1..{table.n_max}, got {n_max}")
@@ -310,9 +310,9 @@ def bernstein_scan(
     ws = [_lambert(x)[0] for x in grid]
     violations = []
     for n in range(1, n_max + 1):
-        row = table.rows[n]
+        coefficients = [float(b) for b in reversed(table.rows[n])]
         for x, w in zip(grid, ws):
-            value = _closed_form(n, row, w)
+            value = _closed_form(n, coefficients, w)
             signed = value if n % 2 else -value
             if not signed > 0.0:
                 violations.append((n, x, value))

@@ -17,16 +17,15 @@ rows that fail, never the whole table.  The checks:
   ``explicit``, ``bernoulli`` and ``fdiff`` normalise one row of power
   sums, so only the recurrence, the power sum, the r-Stirling recurrence
   and Carlitz are independent.  ``verify_table_file`` is ``wderiv
-  verify``'s one entry.  Given no file, it checks the recurrence's rows as
-  they are made and does not compare them with that route, which they
-  are.  It checks a table file without converting it whole: ``tableio``
-  reads it once and gives the rows whose values differ from the
-  recurrence, which are the recurrence route's failures, and the pass
-  checks the recurrence's int rows up to the horizon with those rows
-  converted in their place.  Every route reports only the rows that
-  differ to ``_route_failures``.  ``verify_table_file`` imports
-  ``tableio`` only for a file, so checking the built rows loads neither
-  it nor ``decimal``;
+  verify``'s one entry, with one path: the pass checks the recurrence's
+  int rows with a file's rows that differ from them converted in their
+  place (``tableio`` gives those from one read, and they are the
+  recurrence route's failures); with no file none differ, and the rows
+  are not compared with the recurrence, which they are.  Both forms check
+  their arguments in one place and order: ``_check_rows``, after any file
+  is read, refuses unknown routes, then a horizon below 1.  Every route
+  reports only the rows that differ to ``_route_failures``.  ``tableio``
+  and ``decimal`` load only for a file;
 * sequence properties per row: positivity, log-concavity of k! times the
   row (decided as (k+1) c_{k-1} c_{k+1} <= k c_k^2) and the strict ratio
   bound (for n >= 3).  On a positive row that log-concavity decides the
@@ -36,10 +35,11 @@ rows that fail, never the whole table.  The checks:
   that are not positive), which gives the failure list of all five;
 * identities: the alternating row sum against (2n-3)!!, and the inversion
   row -> r-Stirling values against the direct r-Stirling values, one row at
-  a time.  Convolving the inverted values back gives the row for any
-  integer row, so that round trip is not run.  The identities run with
-  the kernel-sum routes, so each row is inverted and its r-Stirling values
-  made once.
+  a time.  The inversion compares the same two lists as the ``rstirling``
+  route, so it adds a check only where the routes leave ``rstirling`` out.
+  Convolving the inverted values back gives the row for any integer row,
+  so that round trip is not run.  The identities run with the kernel-sum
+  routes, so each row is inverted and its r-Stirling values made once.
 
 ``verify_carlitz_sums`` proves the Carlitz row-sum identity up to a given
 kappa.  It reads no table, so the battery does not run it.
@@ -140,6 +140,7 @@ def _check_rows(
     identity_failures: list[CheckFailure] = []
     property_failures: list[CheckFailure] = []
     kernel_routes = set(routes) | ({"rstirling"} if identities else set())
+    want = 1  # (2n-3)!!, carried from row to row
     last = None if recurrence is not None else max(route_end, property_end)
     for n, row in enumerate(islice(rows, last), 1):
         if recurrence is not None and row != (made := next(recurrence)):
@@ -147,7 +148,7 @@ def _check_rows(
         if n <= route_end:
             if identities:
                 alt = triangle._alternating_sum(row)
-                want = triangle.double_factorial(2 * n - 3)
+                want *= max(2 * n - 3, 1)
                 if alt != want:
                     identity_failures.append(CheckFailure(
                         n, None, "identity:alternating_sum",
@@ -250,8 +251,9 @@ def verify_carlitz_sums(kappa_max: int) -> list[CheckFailure]:
     if kappa_max < 0:
         raise ValueError("kappa_max must be nonnegative")
     failures: list[CheckFailure] = []
+    want = 1  # (2 kappa - 1)!!, carried from kappa to kappa
     for kappa in range(kappa_max + 1):
-        want = triangle.double_factorial(2 * kappa - 1)
+        want *= max(2 * kappa - 1, 1)
         for lam in range(kappa + 1):
             got = sum(closed_forms.carlitz_row(kappa, lam))
             if got != want:
@@ -280,30 +282,26 @@ def verify_table_file(
 ) -> tuple[int, list[CheckFailure]]:
     """The file's n_max and ``run_verification`` of ``load_table(path)`` to
     row n_max (the file's n_max if None); with no path, n_max (default 200)
-    and the battery on the recurrence's own rows 1..n_max.
+    and the battery on the recurrence's own rows, which are that route and
+    so are not compared with it.
 
-    Those rows are the recurrence route, so they are not compared with it;
-    a horizon of None leaves each stage its own default, and one below 1
-    raises ``ValueError`` before the routes are read.
-
-    A file is read once, by ``tableio._recurrence_differences``, which
-    gives its row count and the rows whose values differ from the
-    recurrence's, as decimal strings: every row if ``recurrence`` is among
-    the routes or n_max is None, else rows 1..n_max only.  The recurrence
-    route's failures are those rows.  Rows 1..n_max, the recurrence's int
-    rows (``triangle._rows``) with the rows that differ converted in their
-    place, are then checked like the built rows, so no table is built and
-    a row beyond the horizon is never converted to ``int``.  A file that
-    ``load_table`` rejects raises the same ``ValueError``, and so does a bad
-    argument, after the file is read as it would be there.  Either way rows
-    are made, checked and dropped one at a time (``_check_rows``).
+    Both forms take one path.  A file is read once, by
+    ``tableio._recurrence_differences``, which gives its row count and the
+    rows whose values differ from the recurrence's, as decimal strings:
+    every row if ``recurrence`` is among the routes or n_max is None, else
+    rows 1..n_max only; those rows are the recurrence route's failures.
+    ``_check_rows`` then makes, checks and drops the recurrence's int rows
+    one at a time, with the rows that differ (none without a file)
+    converted in their place, so no table is built and a row beyond the
+    horizon is never converted to ``int``.  A file that ``load_table``
+    rejects raises the same ``ValueError`` as there.  The arguments are
+    checked in one place and order, after any file is read: ``_check_rows``
+    refuses unknown routes, then a horizon below 1, with ``ValueError``.  A
+    horizon of None leaves each stage its own default.  With ``rstirling``
+    among the routes, ``identity:inversion`` re-checks that route's lists.
     """
-    if path is None:
-        read = DEFAULT_PROPERTY_N_MAX if n_max is None else n_max
-        if read < 1:
-            raise ValueError("n_max must be >= 1")
-        checked, differing, rows = False, {}, triangle._rows(read, 1)
-    else:
+    checked, read, differing, rows = False, None, {}, triangle._rows(None, 1)
+    if path is not None:
         from . import tableio
 
         checked = "recurrence" in routes
@@ -314,4 +312,5 @@ def verify_table_file(
     failures = _route_failures("recurrence", differing) if checked else []
     failures += _check_rows(rows, tuple(route for route in routes if route != "recurrence"),
                             n_max, identities=True, with_properties=True)
-    return read, sorted(failures, key=CheckFailure.sort_key)
+    return (_horizon(n_max, DEFAULT_PROPERTY_N_MAX) if read is None else read,
+            sorted(failures, key=CheckFailure.sort_key))

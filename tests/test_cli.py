@@ -295,18 +295,23 @@ class TestVerifyCommand:
 
     def test_built_table_with_horizon_zero_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--n-max", "0")
-        assert (code, out, err) == (2, "", "error: n_max must be >= 1\n")
+        assert (code, out, err) == (2, "", "error: n_max must be >= 1, got 0\n")
 
-    @pytest.mark.parametrize("with_table, message", [
-        (False, "n_max must be >= 1"), (True, "unknown routes: ['nope']")])
-    def test_horizon_and_route_errors_keep_their_precedence(
-            self, capsys, tmp_path, with_table, message):
-        """Without ``--table`` the horizon is refused before the routes are
-        read; with it, the file is read and then the routes are refused."""
-        path = tmp_path / "t5.json"
-        path.write_text(table_to_json(build_table(5)), encoding="ascii")
+    @pytest.mark.parametrize("argv, message", [
+        (("--n-max", "0"), "n_max must be >= 1, got 0"),
+        (("--n-max", "-3"), "n_max must be >= 1, got -3"),
+        (("--n-max", "0", "--routes", "nope"), "unknown routes: ['nope']")],
+        ids=["zero", "negative", "unknown-route"])
+    @pytest.mark.parametrize("with_table", [False, True])
+    def test_both_forms_refuse_bad_arguments_alike(
+            self, capsys, tmp_path, with_table, argv, message):
+        """One argument check: with and without ``--table`` the same
+        arguments are refused with the same message, the routes before the
+        horizon (with ``--table``, after the file is read)."""
+        path = tmp_path / "t5.csv"
+        path.write_text(csv_text(build_table(5)), encoding="ascii")
         table = ["--table", str(path)] if with_table else []
-        code, out, err = run_cli(capsys, "verify", "--n-max", "0", "--routes", "nope", *table)
+        code, out, err = run_cli(capsys, "verify", *argv, *table)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_missing_table_file(self, capsys):

@@ -432,6 +432,30 @@ class TestBernsteinScan:
         assert len(want) == 100
         assert report == BernsteinScanReport(8, tuple(grid), tuple(want))
 
+    def test_reads_each_row_once_per_scan(self, table8):
+        """Each row is converted to binary64 once per scan, not once per
+        grid point: every way of reading a row is counted."""
+        reads = []
+
+        class CountedRow(tuple):
+            def __iter__(self):
+                reads.append(len(self))
+                return super().__iter__()
+
+            def __reversed__(self):
+                reads.append(len(self))
+                return iter(tuple.__getitem__(self, slice(None, None, -1)))
+
+            def __getitem__(self, index):
+                reads.append(len(self))
+                return super().__getitem__(index)
+
+        table = CoefficientTable(8, tuple(CountedRow(row) for row in table8.rows))
+        reads.clear()
+        report = bernstein_scan(8, log_grid(0.01, 10, 20), table)
+        assert report == bernstein_scan(8, log_grid(0.01, 10, 20), table8)
+        assert sorted(reads) == list(range(1, 9))
+
     def test_grid_validation(self, table8):
         with pytest.raises(ValueError):
             bernstein_scan(2, [], table8)

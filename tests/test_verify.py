@@ -103,14 +103,21 @@ class TestPropertiesMatchEveryCheckOnEveryRow:
 
 def test_default_verify_builds_no_table(monkeypatch, capsys):
     """The default ``verify`` checks each recurrence row as it is made: it
-    builds no table, makes rows 1..200 once and runs the battery once."""
-    calls = []
-    for module, name in ((triangle, "build_table"), (verify, "run_verification"),
-                         (triangle, "_rows")):
+    builds no table, draws rows 1..200 once and runs the battery once."""
+    calls, drawn = [], []
+    for module, name in ((triangle, "build_table"), (verify, "run_verification")):
         monkeypatch.setattr(module, name, lambda *args, name=name, func=getattr(module, name):
                             calls.append((name, args)) or func(*args))
+    rows = triangle._rows
+
+    def spy_rows(*args):
+        calls.append(("_rows", args))
+        return (drawn.append(len(row)) or row for row in rows(*args))
+
+    monkeypatch.setattr(triangle, "_rows", spy_rows)
     assert main(["verify"]) == 0
-    assert calls == [("_rows", (200, 1))]
+    assert calls == [("_rows", (None, 1))]
+    assert drawn == list(range(1, 201))
 
 
 class TestRowPassMemory:
