@@ -22,14 +22,17 @@ applied at every 0 <= k <= n with out-of-range entries taken as zero.
 All arithmetic is exact (Python integers and fractions, or ``Decimal`` in a
 context that raises rather than round); nothing in this module rounds.  The
 recurrence runs on ``Decimal`` rows wherever only the decimal strings of the
-entries are needed: writing a table, and checking a table file.
+entries are needed: writing a table, and checking a table file.  One step
+body, ``_step``, serves both number types; its multipliers and zero pad are
+scalars in the row's own type, so a ``Decimal`` row is never multiplied or
+padded by an int, which ``Decimal`` would convert on every entry.
 ``decimal`` and ``fractions`` are imported where they are used
 (``_exact_rows``, ``poly_eval_exact``), so importing this module, as every
 command does, loads neither.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from itertools import count, repeat
 from math import factorial
 from operator import add, mul, sub
@@ -105,17 +108,29 @@ def recurrence_step(n: int, row: tuple[_Entry, ...]) -> tuple[_Entry, ...]:
     """Derive row n+1 from row n of the beta triangle.
 
     Entries outside the row are zero, so the recurrence applies uniformly
-    at every index including the boundaries.  Each of its three terms is a
-    ``map`` over the row shifted by one place, padded with zeros: the step
-    runs in C, for int rows and ``Decimal`` rows alike.
+    at every index including the boundaries.  The step is ``_step`` with
+    ``range`` multipliers: int ones, whatever the row's type.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if len(row) != n:
         raise ValueError("row length must equal n")
-    own = map(mul, range(3 * n - 1, 2 * n - 2, -1), row + (0,))  # (3n-k-1) b(k)
-    left = map(mul, repeat(n), (0,) + row)  # n b(k-1)
-    right = map(mul, range(1, n + 2), row[1:] + (0, 0))  # (k+1) b(k+1)
+    return _step(n, row, range(3 * n + 2))
+
+
+def _step(n: int, row: tuple[_Entry, ...],
+          scalars: Sequence[_Entry]) -> tuple[_Entry, ...]:
+    """Row n+1 from row n, with ``scalars[i] == i`` for every i < 3n + 2.
+
+    ``scalars[0]`` is the zero that pads the row.  Each of the recurrence's
+    three terms is a ``map`` over the row shifted by one place: the step
+    runs in C.  With scalars of the row's own type, a ``Decimal`` row is
+    stepped with no int operand to convert.
+    """
+    zero = scalars[0]
+    own = map(mul, scalars[3 * n - 1:2 * n - 2:-1], row + (zero,))  # (3n-k-1) b(k)
+    left = map(mul, repeat(scalars[n]), (zero,) + row)  # n b(k-1)
+    right = map(mul, scalars[1:n + 2], row[1:] + (zero, zero))  # (k+1) b(k+1)
     return tuple(map(sub, map(add, own, left), right))
 
 
@@ -125,23 +140,29 @@ def _rows(n_max: int | None, first: _Entry) -> Iterator[tuple[_Entry, ...]]:
 
     Row 1 is ``(first,)``: ``1`` gives int rows, ``Decimal(1)`` gives the
     same entries as ``Decimal`` values (exact only in an unrounded context).
+    Every step multiplies by scalars of ``type(first)``, made once for the
+    run: one list, extended to 6n + 4 entries whenever row n needs more.
     Only the current row is held.
     """
-    row = (first,)
+    row, scalars = (first,), []  # scalars[i] == i, in type(first)
     for n in count(1):
         yield row
         if n_max is not None and n >= n_max:
             return
-        row = recurrence_step(n, row)
+        if len(scalars) < 3 * n + 2:
+            scalars.extend(map(type(first), range(len(scalars), 6 * n + 4)))
+        row = _step(n, row, scalars)
 
 
 def _exact_rows(n_max: int | None) -> Iterator[tuple[Decimal, ...]]:
     """Rows 1..n_max (every row if None) as ``Decimal`` tuples, each computed
     in the exact context.
 
-    ``str`` of each entry is its plain decimal string, a linear pass where
-    ``str(int)`` is quadratic in CPython 3.11.  The context is entered
-    around each step only, so the caller's code between rows keeps its own.
+    ``_rows`` steps them with ``Decimal`` scalars, so no product or sum
+    converts an int.  ``str`` of each entry is its plain decimal string, a
+    linear pass where ``str(int)`` is quadratic in CPython 3.11.  The
+    context is entered around each step only, so the caller's code between
+    rows keeps its own; ``Decimal(int)`` is exact in any context.
     ``decimal`` is imported here, on the first row, so the commands that
     never write or read a table file do not load it.
     """

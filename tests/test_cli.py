@@ -275,27 +275,11 @@ class TestVerifyCommand:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
 
-    @pytest.mark.parametrize("n_max", ["0", "-3"])
-    def test_table_with_horizon_below_one_is_usage_error(self, tmp_path, n_max):
-        path = tmp_path / "t5.csv"
-        path.write_text(csv_text(build_table(5)), encoding="ascii")
-        proc = subprocess.run(
-            [sys.executable, "-m", "wderiv", "verify", "--table", str(path),
-             "--n-max", n_max],
-            capture_output=True, text=True, timeout=60, env=src_env())
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr == f"error: n_max must be >= 1, got {n_max}\n"
-
     def test_lambda_samples_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--n-max", "4", "--lambda-samples", "3"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --lambda-samples 3" in capsys.readouterr().err
-
-    def test_built_table_with_horizon_zero_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "--n-max", "0")
-        assert (code, out, err) == (2, "", "error: n_max must be >= 1, got 0\n")
 
     @pytest.mark.parametrize("argv, message", [
         (("--n-max", "0"), "n_max must be >= 1, got 0"),
@@ -307,11 +291,17 @@ class TestVerifyCommand:
             self, capsys, tmp_path, with_table, argv, message):
         """One argument check: with and without ``--table`` the same
         arguments are refused with the same message, the routes before the
-        horizon (with ``--table``, after the file is read)."""
-        path = tmp_path / "t5.csv"
-        path.write_text(csv_text(build_table(5)), encoding="ascii")
-        table = ["--table", str(path)] if with_table else []
-        code, out, err = run_cli(capsys, "verify", *argv, *table)
+        horizon (with ``--table``, after the file is read).  The ``--table``
+        form runs as ``python -m wderiv``."""
+        if with_table:
+            path = tmp_path / "t5.csv"
+            path.write_text(csv_text(build_table(5)), encoding="ascii")
+            proc = subprocess.run(
+                [sys.executable, "-m", "wderiv", "verify", *argv, "--table", str(path)],
+                capture_output=True, text=True, timeout=60, env=src_env())
+            code, out, err = proc.returncode, proc.stdout, proc.stderr
+        else:
+            code, out, err = run_cli(capsys, "verify", *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_missing_table_file(self, capsys):
@@ -468,6 +458,24 @@ class TestEvalCommand:
         assert (code, out) == (2, "")
         assert err == (f"numeric fault: d^{n}W/dx^{n} (closed_form) at x = {float(x)} "
                        f"came out {value}, outside the normal binary64 range\n")
+
+    def test_closed_form_stops_at_the_first_row_past_binary64(self, capsys, monkeypatch):
+        """Row 139 holds the first entry a float cannot (1032 bits), so
+        ``--n 500`` is refused there, without making the rows after it."""
+        drawn = []
+        rows = triangle._rows
+
+        def spy_rows(*args):
+            for row in rows(*args):
+                drawn.append(row)
+                yield row
+
+        monkeypatch.setattr(triangle, "_rows", spy_rows)
+        code, out, err = run_cli(capsys, "eval", "--x", "1", "--n", "500")
+        assert (code, out) == (2, "")
+        assert err == ("numeric fault: row 139 of the triangle has an entry past "
+                       "binary64, so the closed form stops at n = 138\n")
+        assert len(drawn) <= 139
 
     def test_tiny_normal_derivative_is_printed(self, capsys):
         code, out, err = run_cli(capsys, "eval", "--x", "1e6", "--n", "65")

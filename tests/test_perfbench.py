@@ -1,6 +1,7 @@
 """The benchmark's traced job still runs on the package and reports every
-per-layer metric that ``BENCHMARK.json`` declares, and its export-verify
-check passes.  Reads ``perfbench/`` and ``BENCHMARK.json``; changes neither."""
+per-layer metric that ``BENCHMARK.json`` declares, and its export-verify and
+numeric-mix checks pass.  Reads ``perfbench/`` and ``BENCHMARK.json``;
+changes neither."""
 import importlib.util
 import json
 import os
@@ -34,16 +35,34 @@ def test_traced_verify_default_job_reports_every_layer(tmp_path):
     assert declared - RUN_LAYERS <= set(result["layers"])
 
 
+def load_perfbench(name):
+    """``perfbench/<name>.py``, loaded by path as a module of its own."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_export_verify_names_the_bumped_entry(tmp_path, monkeypatch):
     """The export-verify job's check: a 400-row export with entry (300, 17)
     bumped fails verify, naming that entry first."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = load_perfbench("workloads")
     table = tmp_path / "export.json"
     assert run_job("table", {"table": str(table)})["exit"] == 0
     workloads.bump_entry(table, 300, 17)
     result = run_job("verify-table", {"table": str(table)})
     assert workloads.check_fault_report(result["exit"], result["payload"], 300, 17) is None
+
+
+def test_numeric_mix_fails_only_by_known_defects(monkeypatch):
+    """The numeric-mix job's check: every failed call of two batches has a
+    cause that ``reference.KNOWN_DEFECTS`` lists, so the run stays correct."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    reference = load_perfbench("reference")
+    result = run_job("numeric", {"seed": 1, "job": 0, "batches": 2})
+    assert result["attempted"] == 800
+    assert result["failed"] == sum(result["causes"].values())
+    assert all(tuple(key.split(":", 1)) in reference.KNOWN_DEFECTS
+               for key in result["causes"])

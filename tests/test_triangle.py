@@ -1,4 +1,7 @@
+from decimal import Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +14,7 @@ from wderiv import (
     double_factorial,
     poly_eval_exact,
     recurrence_step,
+    triangle,
 )
 from conftest import GOLDEN_ROWS
 
@@ -51,6 +55,41 @@ class TestBuildTable:
     def test_recurrence_step_needs_a_row_number(self, n):
         with pytest.raises(ValueError, match="n must be >= 1"):
             recurrence_step(n, ())
+
+
+def reference_step(n, row):
+    """The recurrence step with int multipliers from ``range``, three ``map``s."""
+    own = map(mul, range(3 * n - 1, 2 * n - 2, -1), row + (0,))  # (3n-k-1) b(k)
+    left = map(mul, repeat(n), (0,) + row)  # n b(k-1)
+    right = map(mul, range(1, n + 2), row[1:] + (0, 0))  # (k+1) b(k+1)
+    return tuple(map(sub, map(add, own, left), right))
+
+
+class DecimalOnly(Decimal):
+    """A ``Decimal`` whose arithmetic refuses any operand but a ``Decimal``."""
+
+    def _only_decimal(name):
+        def op(self, other):
+            if not isinstance(other, Decimal):
+                raise TypeError(f"{name} with a {type(other).__name__} operand")
+            return getattr(Decimal, name)(self, other)
+        return op
+
+    __mul__, __rmul__ = _only_decimal("__mul__"), _only_decimal("__rmul__")
+    __add__, __radd__ = _only_decimal("__add__"), _only_decimal("__radd__")
+    __sub__, __rsub__ = _only_decimal("__sub__"), _only_decimal("__rsub__")
+
+
+class TestRowStep:
+    @given(st.lists(st.integers(), min_size=1, max_size=60).map(tuple))
+    def test_recurrence_step_on_any_int_row(self, row):
+        assert recurrence_step(len(row), row) == reference_step(len(row), row)
+
+    def test_decimal_rows_take_no_int_operand(self):
+        """Decimal rows are stepped with Decimal multipliers and zero pads."""
+        with localcontext(Context(prec=200, traps=[Inexact, Rounded])):
+            got = [tuple(map(str, row)) for row in triangle._rows(40, DecimalOnly(1))]
+        assert got == [tuple(map(str, row)) for row in triangle._rows(40, 1)]
 
 
 class TestBoundaryValue:
