@@ -281,6 +281,22 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments: --lambda-samples 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_table_with_horizon_below_one_is_usage_error(self, tmp_path, n_max):
+        path = tmp_path / "t5.csv"
+        path.write_text(csv_text(build_table(5)), encoding="ascii")
+        proc = subprocess.run(
+            [sys.executable, "-m", "wderiv", "verify", "--table", str(path),
+             "--n-max", n_max],
+            capture_output=True, text=True, timeout=60, env=src_env())
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: n_max must be >= 1, got {n_max}\n"
+
+    def test_built_table_with_horizon_zero_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--n-max", "0")
+        assert (code, out, err) == (2, "", "error: n_max must be >= 1, got 0\n")
+
     @pytest.mark.parametrize("argv, message", [
         (("--n-max", "0"), "n_max must be >= 1, got 0"),
         (("--n-max", "-3"), "n_max must be >= 1, got -3"),
