@@ -12,8 +12,8 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 ``eval`` also exits 2 (``numeric fault``) when the derivative it would print
 is infinite, zero or subnormal: binary64 ran out, and no derivative of W is 0.
-On the closed form it does so at the first row binary64 cannot hold (row
-139), before making any later row.
+On the closed form it does so for any n past row 138, the last row whose
+entries binary64 can hold, before making any row.
 
 Importing this module loads the exact layer that the default ``verify``
 runs (``verify``, ``closed_forms``, ``properties``, ``triangle``).  Each
@@ -31,6 +31,10 @@ import sys
 from . import triangle, verify
 
 __all__ = ["main", "build_parser"]
+
+# The last row of the triangle whose entries all convert to binary64: the
+# largest entry of row 138 has 1023 bits, that of row 139 has 1032.
+_LAST_FLOAT_ROW = 138
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,19 +138,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     elif args.route == numeric.ROUTE_FD:
         deriv = numeric.w_derivative_fd(args.n, args.x)
     else:
-        if args.n < 1:  # or CoefficientTable would name its n_max, not eval's --n
+        if args.n < 1:  # or build_table would name its n_max, not eval's --n
             raise ValueError(f"n must be >= 1, got {args.n}")
-        rows = []
-        for n, row in enumerate(triangle._rows(args.n, 1), 1):
-            try:  # entries only grow, so the first row past binary64 ends it
-                float(max(row))
-            except OverflowError:
-                raise OverflowError(
-                    f"row {n} of the triangle has an entry past binary64, so the "
-                    f"closed form stops at n = {n - 1}") from None
-            rows.append(row)
-        table = triangle.CoefficientTable(args.n, ((),) + tuple(rows))
-        deriv = numeric.w_derivative(args.n, args.x, table)
+        if args.n > _LAST_FLOAT_ROW:
+            raise OverflowError(
+                f"row {_LAST_FLOAT_ROW + 1} of the triangle has an entry past binary64, "
+                f"so the closed form stops at n = {_LAST_FLOAT_ROW}")
+        deriv = numeric.w_derivative(args.n, args.x, triangle.build_table(args.n))
     # no derivative of W is 0, so 0, a subnormal or inf means binary64 ran out
     if not (math.isfinite(deriv.value) and abs(deriv.value) >= sys.float_info.min):
         raise ArithmeticError(

@@ -22,18 +22,19 @@ of negative integer order and iterated forward differences of a power.
 sums: the explicit inner sum sum_q C(m, q) (-1)^q (q+n)^(m+n-1) is (-1)^m
 times power sum m.  So they check their normalisation identities, not the
 power sum itself, and the tests pin the literal double sum.  Every route
-returns a whole row; each kernel-sum route makes its n inner values in a
-private helper, in O(n) passes of ``map``, ``sum`` or ``accumulate``, and
-its row is ``_convolve`` of them.  Each inner value is a signed r-Stirling
-number: a route that divides asserts that the quotient is exact, raising
-:class:`ConsistencyError` naming the route, the row and the index m
-otherwise, and the binomial convolution then works on integers alone.  The
-inversion ``rstirling_from_beta_row`` runs the same triangular sum with the
-kernel of (1-w)^-(2n-1); the two kernels are inverse power series, so
-convolving the inverted values back gives any integer row, and only the
-inverted values themselves are worth checking.  Both kernels are unit
-lower-triangular, so a kernel-sum route's row equals a table row exactly
-where its inner values equal the table row's signed inverted values;
+returns a whole row; each kernel-sum route makes its n inner values, the
+plain r-Stirling numbers S_m = {2n-1+m brace n+m}_n, in O(n) passes of
+``map``, ``sum`` or ``accumulate``, and its row is ``_convolve`` of them,
+the one place that applies the sign (-1)^m and the binomials C(2n-1, k-m).
+A route that divides asserts that each quotient is exact
+(``_exact_quotients``), raising :class:`ConsistencyError` naming the route,
+the row and the index m otherwise, so the convolution works on integers
+alone.  The inversion ``rstirling_from_beta_row`` runs the same triangular
+sum on the signed row with the kernel of (1-w)^-(2n-1); the two kernels are
+inverse power series, so convolving the inverted values back gives any
+integer row, and only the inverted values themselves are worth checking.
+Both kernels are unit lower-triangular, so a kernel-sum route's row equals
+a table row exactly where its S_m equal the table row's inverted values;
 ``verify`` decides the routes that way, row by row
 (``_kernel_inner_values``), and convolves only where they differ.
 """
@@ -42,7 +43,7 @@ from __future__ import annotations
 from collections.abc import Collection, Iterable, Iterator
 from itertools import accumulate, repeat
 from math import comb, factorial
-from operator import add, attrgetter, mul, neg, sub
+from operator import add, mul, neg, sub
 from typing import TYPE_CHECKING, Callable
 
 from .triangle import CoefficientTable
@@ -70,12 +71,6 @@ __all__ = [
 
 class ConsistencyError(ArithmeticError):
     """An integer-valued sum came out with a denominator != 1 (a bug, not bad input)."""
-
-
-def _as_integer(total: int | Fraction, context: str) -> int:
-    if total.denominator != 1:
-        raise ConsistencyError(f"{context}: non-integer result {total}")
-    return total.numerator
 
 
 def _check_n(n: int) -> None:
@@ -119,17 +114,14 @@ def _triangular(kernel: list[int], values: list[int]) -> list[int]:
     return [sum(map(mul, kernel[k::-1], values)) for k in range(len(values))]
 
 
-def _convolve(n: int, inner: list[int | Fraction], context: str) -> tuple[int, ...]:
-    """Row n of the kernel sum: entry k is sum_{m<=k} C(2n-1, k-m) inner[m].
+def _convolve(n: int, values: list[int]) -> tuple[int, ...]:
+    """Row n of the kernel sum from its r-Stirling values S_m = ``values[m]``:
+    entry k is sum_{m<=k} C(2n-1, k-m) (-1)^m S_m.
 
-    An inner value that is not an integer raises :class:`ConsistencyError`
-    naming its index m.  The kernel's diagonal entry C(2n-1, 0) is 1, so m is
-    also the first entry that would not be an integer.
+    The one place the sign (-1)^m is applied.
     """
-    values = _exact_quotients(n, map(attrgetter("numerator"), inner),
-                              map(attrgetter("denominator"), inner), context)
-    return tuple(_triangular(list(map(comb, repeat(2 * n - 1), range(len(values)))),
-                             values))
+    kernel = list(map(comb, repeat(2 * n - 1), range(len(values))))
+    return tuple(_triangular(kernel, _alternating(list(values))))
 
 
 def _power_diff(m: int, p: int, r: int | Fraction) -> int | Fraction:
@@ -160,10 +152,10 @@ def _power_sums(n: int) -> list[int]:
 
 
 def _explicit_inner(n: int, sums: list[int]) -> list[int]:
-    """Row n's inner values from its power sums ``sums``: entry m is
-    (1/m!) sum_{q=0}^{m} C(m, q) (-1)^q (q+n)^(m+n-1), that is (-1)^m
-    times ``sums[m]``, divided exactly by m!."""
-    return _alternating(_exact_quotients(n, sums, _factorials(n), "beta_explicit_row"))
+    """Row n's r-Stirling values from its power sums ``sums``: entry m is
+    ``sums[m]`` divided exactly by m!, that is (-1)^m times the explicit
+    inner sum (1/m!) sum_{q=0}^{m} C(m, q) (-1)^q (q+n)^(m+n-1)."""
+    return _exact_quotients(n, sums, _factorials(n), "beta_explicit_row")
 
 
 def beta_explicit_row(n: int) -> tuple[int, ...]:
@@ -172,7 +164,7 @@ def beta_explicit_row(n: int) -> tuple[int, ...]:
         beta(n, k) = sum_{m=0}^{k} (1/m!) C(2n-1, k-m) sum_{q=0}^{m} C(m, q) (-1)^q (q+n)^(m+n-1).
     """
     _check_n(n)
-    return _convolve(n, _explicit_inner(n, _power_sums(n)), "beta_explicit_row")
+    return _convolve(n, _explicit_inner(n, _power_sums(n)))
 
 
 def rstirling_shifted(n: int, m: int, r: int) -> int:
@@ -184,10 +176,7 @@ def rstirling_shifted(n: int, m: int, r: int) -> int:
     """
     if n < 0 or m < 0 or r < 0:
         raise ValueError("arguments must be nonnegative")
-    from fractions import Fraction
-
-    total = Fraction(_power_diff(m, n, r), factorial(m))
-    return _as_integer(total, f"rstirling_shifted({n}, {m}, {r})")
+    return _exact_quotients(n, [_power_diff(m, n, r)], [factorial(m)], "rstirling_shifted")[0]
 
 
 def rstirling_values(n: int) -> list[int]:
@@ -207,14 +196,9 @@ def rstirling_values(n: int) -> list[int]:
     return column
 
 
-def _rstirling_inner(n: int) -> list[int]:
-    """Row n's inner values, (-1)^m {2n-1+m brace n+m}_n, by the r-Stirling recurrence."""
-    return _alternating(rstirling_values(n))
-
-
 def beta_rstirling_row(n: int) -> tuple[int, ...]:
     """Row n as alternating binomial sums of shifted r-Stirling numbers."""
-    return _convolve(n, _rstirling_inner(n), "beta_rstirling_row")
+    return _convolve(n, rstirling_values(n))
 
 
 def bernoulli_higher(order: int, m: int, r: int | Fraction) -> Fraction:
@@ -232,18 +216,18 @@ def bernoulli_higher(order: int, m: int, r: int | Fraction) -> Fraction:
 
 
 def _bernoulli_inner(n: int, sums: list[int]) -> list[int]:
-    """Row n's inner values from its power sums ``sums``: entry m is
-    (-1)^m C(m+n-1, n-1) B_(n-1)^(-m)(n), the power sum times
-    C(m+n-1, n-1), divided exactly by (m+n-1)!/(n-1)!."""
+    """Row n's r-Stirling values from its power sums ``sums``: entry m is
+    C(m+n-1, n-1) B_(n-1)^(-m)(n), the power sum times C(m+n-1, n-1),
+    divided exactly by (m+n-1)!/(n-1)!."""
     nums = map(mul, map(comb, range(n - 1, 2 * n - 1), repeat(n - 1)), sums)
     dens = accumulate(range(n, 2 * n - 1), mul, initial=1)
-    return _alternating(_exact_quotients(n, nums, dens, "beta_bernoulli_row"))
+    return _exact_quotients(n, nums, dens, "beta_bernoulli_row")
 
 
 def beta_bernoulli_row(n: int) -> tuple[int, ...]:
     """Row n via Bernoulli polynomials of negative order."""
     _check_n(n)
-    return _convolve(n, _bernoulli_inner(n, _power_sums(n)), "beta_bernoulli_row")
+    return _convolve(n, _bernoulli_inner(n, _power_sums(n)))
 
 
 def forward_diff_power(m: int, n: int) -> int:
@@ -259,16 +243,15 @@ def forward_diff_power(m: int, n: int) -> int:
 
 
 def _forward_diff_inner(n: int, sums: list[int]) -> list[int]:
-    """Row n's inner values from its power sums ``sums``: entry m is
-    (-1)^m Delta^m x^(m+n-1) at x = n, divided exactly by m!."""
-    return _alternating(
-        _exact_quotients(n, sums, _factorials(n), "beta_forward_diff_row"))
+    """Row n's r-Stirling values from its power sums ``sums``: entry m is
+    Delta^m x^(m+n-1) at x = n, divided exactly by m!."""
+    return _exact_quotients(n, sums, _factorials(n), "beta_forward_diff_row")
 
 
 def beta_forward_diff_row(n: int) -> tuple[int, ...]:
     """Row n via iterated forward differences of a power."""
     _check_n(n)
-    return _convolve(n, _forward_diff_inner(n, _power_sums(n)), "beta_forward_diff_row")
+    return _convolve(n, _forward_diff_inner(n, _power_sums(n)))
 
 
 def carlitz_row(kappa: int, lam: int) -> tuple[int, ...]:
@@ -309,26 +292,24 @@ ROUTE_ROWS: dict[str, Callable[[int], tuple[int, ...]]] = {
 }
 
 
-def _kernel_inner_values(
-    n: int, names: Collection[str]
-) -> Iterator[tuple[str, str, list[int]]]:
-    """(route name, row function name, inner values) of row n for each
-    kernel-sum route in ``names``, in ``ROUTE_ROWS`` order.
+def _kernel_inner_values(n: int, names: Collection[str]) -> Iterator[tuple[str, list[int]]]:
+    """(route name, r-Stirling values) of row n for each kernel-sum route in
+    ``names``, in ``ROUTE_ROWS`` order.
 
-    ``_convolve(n, inner, row function name)`` is the route's row.
-    ``explicit``, ``bernoulli`` and ``fdiff`` normalise one row of
-    ``_power_sums``, made only if one of them is asked for.
+    ``_convolve(n, values)`` is the route's row.  ``explicit``,
+    ``bernoulli`` and ``fdiff`` normalise one row of ``_power_sums``, made
+    only if one of them is asked for.
     """
     power_routes = ("explicit", "bernoulli", "fdiff")
     sums = _power_sums(n) if any(name in names for name in power_routes) else []
     if "explicit" in names:
-        yield "explicit", "beta_explicit_row", _explicit_inner(n, sums)
+        yield "explicit", _explicit_inner(n, sums)
     if "rstirling" in names:
-        yield "rstirling", "beta_rstirling_row", _rstirling_inner(n)
+        yield "rstirling", rstirling_values(n)
     if "bernoulli" in names:
-        yield "bernoulli", "beta_bernoulli_row", _bernoulli_inner(n, sums)
+        yield "bernoulli", _bernoulli_inner(n, sums)
     if "fdiff" in names:
-        yield "fdiff", "beta_forward_diff_row", _forward_diff_inner(n, sums)
+        yield "fdiff", _forward_diff_inner(n, sums)
 
 
 def rstirling_from_beta_row(n: int, table: CoefficientTable) -> list[int]:

@@ -12,7 +12,9 @@ Three derivative routes are provided so they can check each other:
 
 ``bernstein_scan`` checks the alternating-sign law (-1)^(n-1) d^nW/dx^n > 0
 on a grid, the numeric witness that W' is completely monotonic and W is a
-Bernstein function.
+Bernstein function.  Row positivity settles that law exactly; the scan
+measures binary64 evaluation, and sets aside as unresolved every value
+outside the normal binary64 range.
 """
 from __future__ import annotations
 
@@ -80,11 +82,16 @@ class DerivativeValue(NamedTuple):
 
 
 class BernsteinScanReport(NamedTuple):
-    """Result of the alternating-sign scan; violations hold (n, x, value)."""
+    """Result of the alternating-sign scan; violations hold (n, x, value).
+
+    ``unresolved`` holds the (n, x, value) whose value is not a normal
+    binary64 (zero, subnormal, inf or NaN), so its sign says nothing.
+    """
 
     n_max: int
     grid: tuple[float, ...]
     violations: tuple[tuple[int, float, float], ...]
+    unresolved: tuple[tuple[int, float, float], ...] = ()
 
     @property
     def holds(self) -> bool:
@@ -298,8 +305,12 @@ def bernstein_scan(
 ) -> BernsteinScanReport:
     """Check (-1)^(n-1) d^nW/dx^n > 0 for each n <= n_max and x in grid.
 
-    W is solved once per grid point and each row converted to binary64
-    once; each value is the one ``w_derivative`` gives there.
+    The sign law itself is settled exactly by row positivity, which
+    ``verify`` proves; this scan measures binary64 evaluation only.  A value
+    that is not a normal binary64 (zero, subnormal, inf or NaN: the
+    evaluation ran out of range) goes to ``unresolved``, never to
+    ``violations``.  W is solved once per grid point and each row converted
+    to binary64 once; each value is the one ``w_derivative`` gives there.
     """
     if not 1 <= n_max <= table.n_max:
         raise ValueError(f"n_max must be in 1..{table.n_max}, got {n_max}")
@@ -309,14 +320,16 @@ def bernstein_scan(
         raise ValueError("grid points must be finite and > 0")
     ws = [_lambert(x)[0] for x in grid]
     violations = []
+    unresolved = []
     for n in range(1, n_max + 1):
         coefficients = [float(b) for b in reversed(table.rows[n])]
         for x, w in zip(grid, ws):
             value = _closed_form(n, coefficients, w)
-            signed = value if n % 2 else -value
-            if not signed > 0.0:
+            if not (math.isfinite(value) and abs(value) >= sys.float_info.min):
+                unresolved.append((n, x, value))
+            elif not (value if n % 2 else -value) > 0.0:
                 violations.append((n, x, value))
-    return BernsteinScanReport(n_max, tuple(grid), tuple(violations))
+    return BernsteinScanReport(n_max, tuple(grid), tuple(violations), tuple(unresolved))
 
 
 def log_grid(lo: float, hi: float, count: int) -> list[float]:

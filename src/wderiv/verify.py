@@ -12,8 +12,9 @@ rows that fail, never the whole table.  The checks:
   the full table, streamed one row at a time, so any corrupted entry is
   caught) and against the chosen closed-form routes up to a configurable
   row.  The four kernel-sum routes are decided row by row on their inner
-  values, against the table row inverted once (convolution only on a
-  mismatch, to name the entries), and Carlitz on its row, in one pass.
+  values, the unsigned r-Stirling numbers, against the table row inverted
+  once (convolution only on a mismatch, to name the entries), and Carlitz
+  on its row, in one pass.
   ``explicit``, ``bernoulli`` and ``fdiff`` normalise one row of power
   sums, so only the recurrence, the power sum, the r-Stirling recurrence
   and Carlitz are independent.  ``verify_table_file`` is ``wderiv
@@ -127,7 +128,8 @@ def _check_rows(
     then the properties', each in row order.  Row n is inverted once
     (``_rstirling_from_row``) and its r-Stirling values made once: the
     ``rstirling`` route's inner values and the inversion identity's direct
-    values are the same list, signed.
+    values are the same list.  Every kernel-sum route's values are compared
+    with the inverted row as they come.
     """
     if unknown := set(routes) - set(ROUTE_NAMES):
         raise ValueError(f"unknown routes: {sorted(unknown)}")
@@ -154,19 +156,17 @@ def _check_rows(
                         n, None, "identity:alternating_sum",
                         f"sum {alt} != (2n-3)!! = {want}"))
             inverted = None
-            for name, context, inner in closed_forms._kernel_inner_values(n, kernel_routes):
+            for name, values in closed_forms._kernel_inner_values(n, kernel_routes):
                 if inverted is None:
-                    inverted = closed_forms._alternating(closed_forms._rstirling_from_row(n, row))
+                    inverted = closed_forms._rstirling_from_row(n, row)
                 if identities and name == "rstirling":
-                    # entry m of both lists carries the sign (-1)^m
                     identity_failures += [
                         CheckFailure(n, m, "identity:inversion",
-                                     f"inverted value {-s if m % 2 else s} != "
-                                     f"direct r-Stirling {-direct if m % 2 else direct}")
-                        for m, (s, direct) in enumerate(zip(inverted, inner))
+                                     f"inverted value {s} != direct r-Stirling {direct}")
+                        for m, (s, direct) in enumerate(zip(inverted, values))
                         if s != direct]
-                if name in differing and inner != inverted:
-                    differing[name][n] = (row, closed_forms._convolve(n, inner, context))
+                if name in differing and values != inverted:
+                    differing[name][n] = (row, closed_forms._convolve(n, values))
             if "carlitz" in differing and (carlitz := closed_forms.beta_carlitz_row(n)) != row:
                 differing["carlitz"][n] = (row, carlitz)
         if n <= property_end:
@@ -203,7 +203,7 @@ def verify_routes(
     operations.  The kernel-sum routes are decided row by row on their
     inner values: row n of the table is inverted once
     (``rstirling_from_beta_row``), and a route's row equals the table row
-    iff its inner values equal the signed inverted ones, since both kernels
+    iff its r-Stirling values equal the inverted ones, since both kernels
     are unit lower-triangular and inverse to each other.  Only a route whose
     inner values differ is convolved, to name the entries that differ.
     Failures come route by route, in ``ROUTE_NAMES`` order; a route that

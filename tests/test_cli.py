@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from wderiv import (build_table, closed_forms, numeric, parse_table,
+from wderiv import (build_table, cli, closed_forms, numeric, parse_table,
                     properties, table_to_json, triangle, verify)
 from wderiv.cli import main
 from conftest import csv_text, src_env
@@ -477,7 +477,7 @@ class TestEvalCommand:
 
     def test_closed_form_stops_at_the_first_row_past_binary64(self, capsys, monkeypatch):
         """Row 139 holds the first entry a float cannot (1032 bits), so
-        ``--n 500`` is refused there, without making the rows after it."""
+        ``--n 500`` is refused there, before any row is made."""
         drawn = []
         rows = triangle._rows
 
@@ -491,7 +491,14 @@ class TestEvalCommand:
         assert (code, out) == (2, "")
         assert err == ("numeric fault: row 139 of the triangle has an entry past "
                        "binary64, so the closed form stops at n = 138\n")
-        assert len(drawn) <= 139
+        assert drawn == []
+
+    def test_last_float_row_is_the_last_row_binary64_holds(self):
+        last = cli._LAST_FLOAT_ROW
+        table = build_table(last + 1)
+        assert all(math.isfinite(float(b)) for b in table.rows[last])
+        with pytest.raises(OverflowError):
+            float(max(table.rows[last + 1]))
 
     def test_tiny_normal_derivative_is_printed(self, capsys):
         code, out, err = run_cli(capsys, "eval", "--x", "1e6", "--n", "65")

@@ -25,7 +25,7 @@ from wderiv import (
     rstirling_values,
 )
 from wderiv import closed_forms
-from wderiv.closed_forms import _convolve, _power_diff, _power_sums
+from wderiv.closed_forms import _convolve, _exact_quotients, _power_diff, _power_sums
 
 
 def ref_explicit_inner(n):
@@ -37,9 +37,10 @@ def ref_explicit_inner(n):
 class TestExplicit:
     def test_stepped_powers_match_one_pow_per_term(self):
         # the route normalises the row of power sums; the reference is the
-        # literal double sum
+        # literal double sum, which is (-1)^m times the plain r-Stirling value
         for n in range(1, 61):
-            assert closed_forms._explicit_inner(n, _power_sums(n)) == ref_explicit_inner(n), n
+            assert closed_forms._explicit_inner(n, _power_sums(n)) == [
+                (-1) ** m * s for m, s in enumerate(ref_explicit_inner(n))], n
 
     def test_examples(self, table8):
         assert beta_explicit_row(5)[2] == 622
@@ -231,17 +232,31 @@ class TestRouteRegistry:
             with pytest.raises(ValueError):
                 ROUTE_ROWS[name](n)
 
+    def test_kernel_routes_give_the_plain_rstirling_values(self):
+        # one currency: each kernel-sum route hands back the unsigned S_m,
+        # and only the convolution signs them
+        names = ("explicit", "rstirling", "bernoulli", "fdiff")
+        table = build_table(60)
+        for n in range(1, 61):
+            want = rstirling_values(n)
+            assert rstirling_from_beta_row(n, table) == want, n
+            assert list(closed_forms._kernel_inner_values(n, names)) == [
+                (name, want) for name in names], n
+
     def test_convolution_asserts_integrality(self):
-        assert _convolve(2, [2, -1], "test") == (2, 5)  # C(3,0)*2, C(3,1)*2 - 1
-        with pytest.raises(ConsistencyError, match=r"test\(2\)\[0\]"):
-            _convolve(2, [Fraction(1, 2), 0], "test")
+        # the convolution signs its values: C(3,0)*2, C(3,1)*2 - 1
+        assert _convolve(2, [2, 1]) == (2, 5)
+        # it takes ints only; a quotient that is not one raises before it
+        assert _exact_quotients(2, [4, 3], [2, 3], "test") == [2, 1]
+        with pytest.raises(ConsistencyError, match=r"test\(2\)\[0\]: non-integer result 1/2$"):
+            _exact_quotients(2, [1, 0], [2, 1], "test")
 
     def test_non_integral_inner_value_is_named_by_its_index(self):
         for m in range(5):
-            inner = [3, -1, 4, -1, 5]
-            inner[m] += Fraction(1, 2)
+            nums = [6, 2, 8, 2, 10]  # twice 3, 1, 4, 1, 5
+            nums[m] += 1  # a half added to the quotient
             with pytest.raises(ConsistencyError, match=rf"test\(5\)\[{m}\]: "):
-                _convolve(5, inner, "test")
+                _exact_quotients(5, nums, [2] * 5, "test")
 
 
 def ref_rstirling_from_beta(n, m, row):
@@ -290,8 +305,8 @@ class TestInversion:
                 rstirling_from_beta_row(n, table8)
 
     # The two kernels are inverse power series, so inverting any integer row
-    # and convolving the signed values back gives the row: this is why the
-    # round trip is no check of a table.
+    # and convolving the values back gives the row: this is why the round
+    # trip is no check of a table.
     @settings(max_examples=200)
     @given(st.integers(min_value=1, max_value=24).flatmap(
         lambda n: st.lists(st.integers(min_value=-(10**40), max_value=10**40),
@@ -299,9 +314,7 @@ class TestInversion:
     def test_convolution_inverts_any_integer_row(self, row):
         n = len(row)
         table = with_row(build_table(n), n, row)
-        stirlings = rstirling_from_beta_row(n, table)
-        signed = [-s if m % 2 else s for m, s in enumerate(stirlings)]
-        assert _convolve(n, signed, "test") == tuple(row)
+        assert _convolve(n, rstirling_from_beta_row(n, table)) == tuple(row)
 
     def test_round_trip_reproduces_rows(self, table8):
         for n in range(1, 9):

@@ -79,6 +79,13 @@ def test_exact_layer_imports_neither_decimal_nor_fractions(statement):
     assert not (DECIMAL | {"fractions"}) & added_by(statement)
 
 
+def test_exact_rstirling_value_loads_no_fractions():
+    # the quotient is checked with divmod; only an inexact one needs a Fraction
+    assert "fractions" not in added_by(
+        "from wderiv.closed_forms import rstirling_shifted\n"
+        "assert rstirling_shifted(8, 3, 2) == 35574")
+
+
 def test_default_verify_loads_no_table_file_module():
     assert not (DECIMAL | {"fractions", "wderiv.tableio"}) & imported_by_command(
         "verify", "--n-max", "5")

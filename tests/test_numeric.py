@@ -456,6 +456,16 @@ class TestBernsteinScan:
         assert report == bernstein_scan(8, log_grid(0.01, 10, 20), table8)
         assert sorted(reads) == list(range(1, 9))
 
+    def test_underflow_is_unresolved_not_a_violation(self):
+        """Past binary64's range the closed form gives ±0.0, inf or NaN;
+        row positivity settles the sign law there, so none is a violation."""
+        report = bernstein_scan(120, log_grid(1e-3, 1e6, 30), build_table(120))
+        assert report.violations == ()
+        assert len(report.unresolved) == 294
+        assert all(not (math.isfinite(value) and abs(value) >= sys.float_info.min)
+                   for _, _, value in report.unresolved)
+        assert sum(value == 0.0 for _, _, value in report.unresolved) == 258
+
     def test_grid_validation(self, table8):
         with pytest.raises(ValueError):
             bernstein_scan(2, [], table8)

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 # computed by perfbench/run.py from several jobs, not reported by one
 RUN_LAYERS = {"trace.overhead_share", "verify.untraced_s"}
@@ -24,17 +26,6 @@ def run_job(mode, spec):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_traced_verify_default_job_reports_every_layer(tmp_path):
-    spec = {"trace": True, "run_id": "contract", "trace_file": str(tmp_path / "t.json"),
-            "seed": 1}
-    result = run_job("verify-default", spec)
-    assert result["exit"] == 0
-    assert result["payload"]["passed"]
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    declared = {layer["name"] for layer in benchmark["per_layer"]}
-    assert declared - RUN_LAYERS <= set(result["layers"])
-
-
 def load_perfbench(name):
     """``perfbench/<name>.py``, loaded by path as a module of its own."""
     spec = importlib.util.spec_from_file_location(
@@ -42,6 +33,52 @@ def load_perfbench(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# what a job did, as against how long it took
+OUTCOME = ("exit", "payload", "attempted", "failed", "causes")
+
+
+def traced_job(mode, spec, tmp_path):
+    """The layers of ``mode`` run traced, whose outcome must be the
+    untraced job's."""
+    traced = run_job(mode, dict(spec, trace=True, run_id="contract",
+                                trace_file=str(tmp_path / f"{mode}.json")))
+    plain = run_job(mode, spec)
+    assert {key: traced.get(key) for key in OUTCOME} == {key: plain.get(key) for key in OUTCOME}
+    return traced["layers"]
+
+
+def traced_verify_default(tmp_path):
+    return [traced_job("verify-default", {"seed": 1}, tmp_path)]
+
+
+def traced_export(tmp_path):
+    """table, then verify-table on its 400-row export with (300, 17) bumped,
+    as the export-verify workload runs them."""
+    workloads = load_perfbench("workloads")
+    table = tmp_path / "export.json"
+    spec = {"table": str(table)}
+    written = traced_job("table", spec, tmp_path)
+    workloads.bump_entry(table, 300, 17)
+    return [written, traced_job("verify-table", spec, tmp_path)]
+
+
+def traced_numeric(tmp_path):
+    return [traced_job("numeric", {"seed": 1, "job": 0, "batches": 2}, tmp_path)]
+
+
+@pytest.mark.parametrize("jobs", [traced_verify_default, traced_export, traced_numeric],
+                         ids=["verify-default", "export", "numeric"])
+def test_traced_job_reports_every_layer(jobs, tmp_path, monkeypatch):
+    """Every traced benchmark job ends as its untraced job does, and its
+    layers, merged over the jobs of its workload, name every per-layer
+    metric that ``BENCHMARK.json`` declares for one job."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    layers = set().union(*jobs(tmp_path))
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    declared = {layer["name"] for layer in benchmark["per_layer"]}
+    assert declared - RUN_LAYERS <= layers
 
 
 def test_export_verify_names_the_bumped_entry(tmp_path, monkeypatch):

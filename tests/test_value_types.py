@@ -104,11 +104,11 @@ REPRS = [
     (lambda: w_derivative(2, 1.0, build_table(3)),
      "DerivativeValue(n=2, x=1.0, value=-0.2145406462821437, route='closed_form')"),
     (lambda: bernstein_scan(2, [0.5, 1.0], build_table(2)),
-     "BernsteinScanReport(n_max=2, grid=(0.5, 1.0), violations=())"),
+     "BernsteinScanReport(n_max=2, grid=(0.5, 1.0), violations=(), unresolved=())"),
     (lambda: bernstein_scan(2, [0.5, 1.0],
                             CoefficientTable(n_max=2, rows=((), (1,), (-5, 1)))),
      "BernsteinScanReport(n_max=2, grid=(0.5, 1.0), violations=((2, 0.5, "
-     "0.9313341873879291), (2, 1.0, 0.37046157372844296)))"),
+     "0.9313341873879291), (2, 1.0, 0.37046157372844296)), unresolved=())"),
 ]
 
 
@@ -158,7 +158,8 @@ def test_fields_defaults_and_methods():
     assert CheckFailure._fields == ("n", "k", "check", "detail")
     assert WEvaluation._fields == ("x", "w", "residual", "iterations")
     assert DerivativeValue._fields == ("n", "x", "value", "route")
-    assert BernsteinScanReport._fields == ("n_max", "grid", "violations")
+    assert BernsteinScanReport._fields == ("n_max", "grid", "violations", "unresolved")
+    assert BernsteinScanReport._field_defaults == {"unresolved": ()}
     table = build_table(3)
     assert table.row(3) == (9, 8, 2) and table.beta(3, 1) == 8
     assert table.beta(3, 3) == 0

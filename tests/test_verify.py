@@ -7,7 +7,6 @@ import math
 import sys
 import tracemalloc
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -170,7 +169,7 @@ def test_kernel_routes_build_each_row_in_one_pass(monkeypatch):
         assert run_verification(build_table(40), routes) == []
         assert Counter(calls) == {
             ("_power_sums", "_kernel_inner_values"): 40,
-            ("rstirling_values", "_rstirling_inner"): 40,
+            ("rstirling_values", "_kernel_inner_values"): 40,
             ("_rstirling_from_row", "_check_rows"): 40,
         }, routes
 
@@ -227,8 +226,8 @@ def ref_verify_routes(table, routes, n_max):
     return failures
 
 
-# the private helper behind each kernel-sum route's inner values
-INNER_HELPERS = {"explicit": "_explicit_inner", "rstirling": "_rstirling_inner",
+# the helper behind each kernel-sum route's inner values
+INNER_HELPERS = {"explicit": "_explicit_inner", "rstirling": "rstirling_values",
                  "bernoulli": "_bernoulli_inner", "fdiff": "_forward_diff_inner"}
 ROW_FUNCTIONS = {"explicit": "beta_explicit_row", "rstirling": "beta_rstirling_row",
                  "bernoulli": "beta_bernoulli_row", "fdiff": "beta_forward_diff_row"}
@@ -293,18 +292,16 @@ class TestRoutesMatchRouteByRouteRows:
         assert bool(got) == (route in routes and n <= horizon)
 
     @settings(max_examples=40, deadline=None)
-    @given(inner_mutants().filter(lambda mutant: mutant[2] >= 2), st.booleans(),
-           route_subsets, horizons)
-    def test_inexact_quotient(self, mutant, in_helper, routes, horizon):
-        """A quotient with a remainder raises the route's ConsistencyError,
-        inside the helper (from m = 2 on, the divisor of inner value m is at
-        least 2, so the dividend plus one leaves a remainder) or in the
-        convolution (a half added to the inner value).  The r-Stirling
-        route divides nothing, so it gets only the latter."""
+    @given(inner_mutants().filter(lambda mutant: mutant[2] >= 2), route_subsets, horizons)
+    def test_inexact_quotient(self, mutant, routes, horizon):
+        """A quotient with a remainder raises the route's ConsistencyError
+        inside its helper: from m = 2 on, the divisor of inner value m is at
+        least 2, so the dividend plus one leaves a remainder.  The r-Stirling
+        route divides nothing, so it never raises, and the convolution takes
+        the ints the helpers made."""
         route, n, m = mutant
         context = ROW_FUNCTIONS[route]
         exact = closed_forms._exact_quotients
-        helper = getattr(closed_forms, INNER_HELPERS[route])
 
         def inexact_dividend(row, nums, dens, where):
             nums = list(nums)
@@ -312,23 +309,16 @@ class TestRoutesMatchRouteByRouteRows:
                 nums[m] += 1
             return exact(row, nums, dens, where)
 
-        def half_off(row, *args):
-            inner = helper(row, *args)
-            if row == n:
-                inner[m] += Fraction(1, 2)
-            return inner
-
         with pytest.MonkeyPatch.context() as mp:
-            if in_helper and route != "rstirling":
-                mp.setattr(closed_forms, "_exact_quotients", inexact_dividend)
-            else:
-                mp.setattr(closed_forms, INNER_HELPERS[route], half_off)
+            mp.setattr(closed_forms, "_exact_quotients", inexact_dividend)
             got = outcome(verify.verify_routes, TABLE50, routes, horizon)
             want = outcome(ref_verify_routes, TABLE50, routes, horizon)
         assert got == want
-        if route in routes and n <= horizon:
+        if route in routes and n <= horizon and route != "rstirling":
             assert got[0] == "ConsistencyError"
             assert got[1].startswith(f"{context}({n})[{m}]: non-integer result ")
+        else:
+            assert got == []
 
 
 def ref_verify_identities(table, n_max):
