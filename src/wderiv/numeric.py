@@ -149,26 +149,46 @@ def _lambert(x: float) -> tuple[float, int, float]:
     return best, iterations, best_defect
 
 
-def _closed_form(n: int, coefficients: Iterable[float], w: float) -> float:
-    """d^nW/dx^n at the x whose W is w: exp(-nw) p_n(w) / (1+w)^(2n-1).
+def _closed_form(n: int, x: float, coefficients: Iterable[float], w: float) -> float:
+    """d^nW/dx^n at x, whose W is w: exp(-nw) p_n(w) / (1+w)^(2n-1).
 
     p_n(w) is evaluated in binary64 by Horner on row n's entries as floats,
-    ``coefficients``, from the top down.
+    ``coefficients``, from the top down.  Where (1+w)^(2n-1) overflows,
+    raises ``OverflowError`` naming n and x rather than divide by inf,
+    which gives 0, or NaN where p_n(w) is inf too.
     """
     acc = 0.0
     for b in coefficients:
         acc = acc * w + b
     pn = -acc if n % 2 == 0 else acc
-    return exp(-n * w) * pn / (1.0 + w) ** (2 * n - 1)
+    try:
+        scale = (1.0 + w) ** (2 * n - 1)
+    except OverflowError:
+        # The value is then far below binary64's range: the row converted
+        # to floats, so n <= 138 and 2n-1 <= 275, and the power overflows
+        # only for (2n-1) log(1+w) > 1024 log 2, that is w >= 12.2, where
+        # log(1+w) <= 0.2115 w; hence (2n-1) w > 3356 and nw >= 1684.  Since
+        # w^k <= (1+w)^(2n-1) and the n entries are positive and below
+        # 1.8e308, |value| <= e^(-nw) 2.5e310 < 1e-420 (mpmath gives
+        # -5.2e-1004 at n = 120, x = 1e10); it rounds to (-1)^(n-1) 0.0.
+        raise OverflowError(
+            f"d^{n}W/dx^{n} (closed_form) at x = {x} is below 1e-420 in magnitude: "
+            f"(1 + W)^{2 * n - 1} overflows binary64") from None
+    return exp(-n * w) * pn / scale
 
 
 def w_derivative(n: int, x: float, table: CoefficientTable) -> DerivativeValue:
-    """d^nW/dx^n for x > 0 via the closed form and the exact coefficient row."""
+    """d^nW/dx^n for x > 0 via the closed form and the exact coefficient row.
+
+    Raises ``OverflowError`` naming n and x where (1+W)^(2n-1) overflows
+    binary64 (from about x = 2e9 at n = 120): the value, below 1e-420 in
+    magnitude, is then out of binary64's range.
+    """
     if not 1 <= n <= table.n_max:
         raise ValueError(f"n must be in 1..{table.n_max}, got {n}")
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"derivative route needs x > 0, got {x}")
-    value = _closed_form(n, map(float, reversed(table.rows[n])), _lambert(x)[0])
+    value = _closed_form(n, x, map(float, reversed(table.rows[n])), _lambert(x)[0])
     return DerivativeValue(n, x, value, ROUTE_CLOSED)
 
 
@@ -274,6 +294,12 @@ def pn_series_eval(n: int, w: float, rel_tol: float = 1e-10) -> float:
     keeps the heavy cancellation at positive w from eating into the
     tolerance.  Stops after two consecutive terms below rel_tol times the
     running sum.
+
+    Accurate only for small n: the terms' floats still cancel.  At w = 0.2
+    the relative error against ``poly_eval_exact`` is 4.2e-6 at n = 16,
+    1.4 at n = 24 and 5.4e10 at n = 40 (rel_tol is not met past about
+    n = 13).  ``tests/golden/pn_series_grid.txt`` pins the values as
+    computed, not the true values.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -310,7 +336,9 @@ def bernstein_scan(
     that is not a normal binary64 (zero, subnormal, inf or NaN: the
     evaluation ran out of range) goes to ``unresolved``, never to
     ``violations``.  W is solved once per grid point and each row converted
-    to binary64 once; each value is the one ``w_derivative`` gives there.
+    to binary64 once; each value is the one ``w_derivative`` gives there,
+    or, where it raises ``OverflowError`` since (1+W)^(2n-1) overflows, the
+    signed zero (-1)^(n-1) 0.0 that the value rounds to.
     """
     if not 1 <= n_max <= table.n_max:
         raise ValueError(f"n_max must be in 1..{table.n_max}, got {n_max}")
@@ -324,7 +352,10 @@ def bernstein_scan(
     for n in range(1, n_max + 1):
         coefficients = [float(b) for b in reversed(table.rows[n])]
         for x, w in zip(grid, ws):
-            value = _closed_form(n, coefficients, w)
+            try:
+                value = _closed_form(n, x, coefficients, w)
+            except OverflowError:  # the value rounds to the signed zero there
+                value = -0.0 if n % 2 == 0 else 0.0
             if not (math.isfinite(value) and abs(value) >= sys.float_info.min):
                 unresolved.append((n, x, value))
             elif not (value if n % 2 else -value) > 0.0:

@@ -3,44 +3,42 @@
 Every verdict here is exact: the property checks screen comparisons with
 bounded-error floats but decide every close call with integers (see
 ``properties``).  Every check in the battery reads the table and can fail
-on some table.  They run in one pass over the rows (``_check_rows``): rows
-are made, checked and dropped one at a time, each getting every check due
-on it before the next is drawn, so a run holds the current row and the
-rows that fail, never the whole table.  The checks:
+on some table.  The battery is one pass over the rows (``_check_rows``)
+through a list of stages, each a last row, a failure list and a check of
+row n: row n is drawn, given every stage whose last row it has not passed,
+and dropped, so a run holds the current row and the rows that fail, never
+the whole table.  The stages, in the order their failures come, each list
+in row order:
 
-* route agreement: every table entry against the recurrence (always over
-  the full table, streamed one row at a time, so any corrupted entry is
-  caught) and against the chosen closed-form routes up to a configurable
-  row.  The four kernel-sum routes are decided row by row on their inner
-  values, the unsigned r-Stirling numbers, against the table row inverted
-  once (convolution only on a mismatch, to name the entries), and Carlitz
-  on its row, in one pass.
-  ``explicit``, ``bernoulli`` and ``fdiff`` normalise one row of power
-  sums, so only the recurrence, the power sum, the r-Stirling recurrence
-  and Carlitz are independent.  ``verify_table_file`` is ``wderiv
-  verify``'s one entry, with one path: the pass checks the recurrence's
-  int rows with a file's rows that differ from them converted in their
-  place (``tableio`` gives those from one read, and they are the
-  recurrence route's failures); with no file none differ, and the rows
-  are not compared with the recurrence, which they are.  Both forms check
-  their arguments in one place and order: ``_check_rows``, after any file
-  is read, refuses unknown routes, then a horizon below 1.  Every route
-  reports only the rows that differ to ``_route_failures``.  ``tableio``
-  and ``decimal`` load only for a file;
-* sequence properties per row: positivity, log-concavity of k! times the
-  row (decided as (k+1) c_{k-1} c_{k+1} <= k c_k^2) and the strict ratio
-  bound (for n >= 3).  On a positive row that log-concavity decides the
-  binomial inequality (Lemma 1), implies plain log-concavity, hence
-  unimodality, and reduces the ratio bound to its first comparison; the
-  full checks run only on rows where it fails (unimodality also on rows
-  that are not positive), which gives the failure list of all five;
-* identities: the alternating row sum against (2n-3)!!, and the inversion
-  row -> r-Stirling values against the direct r-Stirling values, one row at
-  a time.  The inversion compares the same two lists as the ``rstirling``
-  route, so it adds a check only where the routes leave ``rstirling`` out.
-  Convolving the inverted values back gives the row for any integer row,
-  so that round trip is not run.  The identities run with the kernel-sum
-  routes, so each row is inverted and its r-Stirling values made once.
+* ``route:<name>``, each chosen closed-form route in ``ROUTE_NAMES`` order,
+  to the route horizon (n_max, default 40).  The four kernel-sum routes
+  are decided on their inner values, the unsigned r-Stirling numbers,
+  against the row inverted once (convolved only on a mismatch, to name the
+  entries); Carlitz on its row.  ``explicit``, ``bernoulli`` and ``fdiff``
+  normalise one row of power sums, so only the recurrence, the power sum,
+  the r-Stirling recurrence and Carlitz are independent;
+* ``identity:alternating_sum`` (the row's alternating sum against
+  (2n-3)!!) and ``identity:inversion`` (the inverted row against the
+  direct r-Stirling values), to the route horizon, in one list.  The
+  inversion compares the same two lists as the ``rstirling`` route, so it
+  adds a check only where the routes leave ``rstirling`` out.  Convolving
+  the inverted values back gives the row for any integer row, so that
+  round trip is not run;
+* ``property:<name>``, to the property horizon (n_max, default 200):
+  positivity, log-concavity of k! times the row (decided as
+  (k+1) c_{k-1} c_{k+1} <= k c_k^2) and the strict ratio bound (for
+  n >= 3).  On a positive row that log-concavity decides the binomial
+  inequality (Lemma 1), implies plain log-concavity, hence unimodality,
+  and reduces the ratio bound to its first comparison; the full checks
+  run only on rows where it fails (unimodality also on rows that are not
+  positive), which gives the failure list of all five.
+
+``route:recurrence`` is not a stage: the rows that differ from the
+recurrence's are passed in, and their failures come first.  A table's come
+from one ``zip`` with the recurrence's rows, a file's from
+``tableio._recurrence_differences``; ``wderiv verify`` without a file
+checks the recurrence's own rows, so it is not compared.  Every route
+reports only the rows that differ to ``_route_failures``.
 
 ``verify_carlitz_sums`` proves the Carlitz row-sum identity up to a given
 kappa.  It reads no table, so the battery does not run it.
@@ -48,6 +46,7 @@ kappa.  It reads no table, so the battery does not run it.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from functools import cached_property, partial
 from itertools import islice
 from typing import NamedTuple
 
@@ -69,6 +68,9 @@ ROUTE_NAMES = ("recurrence",) + tuple(closed_forms.ROUTE_ROWS)
 
 DEFAULT_ROUTE_N_MAX = 40
 DEFAULT_PROPERTY_N_MAX = 200
+
+# n -> (table row n, a route's row n), on the rows where they differ
+_Differing = Mapping[int, tuple[Sequence, Sequence]]
 
 
 def _horizon(n_max: int | None, default: int) -> int:
@@ -92,9 +94,7 @@ class CheckFailure(NamedTuple):
         return (self.n, 10**9 if self.k is None else self.k, self.check)
 
 
-def _route_failures(
-    name: str, differing: Mapping[int, tuple[Sequence, Sequence]]
-) -> list[CheckFailure]:
+def _route_failures(name: str, differing: _Differing) -> list[CheckFailure]:
     """The entries where a table row and route ``name``'s row differ.
 
     ``differing`` maps n to (table row n, route row n), in increasing n, for
@@ -107,117 +107,128 @@ def _route_failures(
             for k, (got, want) in enumerate(zip(got_row, want_row)) if _differ(got, want)]
 
 
-def _check_rows(
-    rows: Iterable[tuple[int, ...]],
-    routes: tuple[str, ...],
-    n_max: int | None,
-    *,
-    identities: bool,
-    with_properties: bool,
-) -> list[CheckFailure]:
-    """The battery's failures on ``rows``, rows 1, 2, ... of a table,
-    checked in one pass: each row gets every check due on it and is dropped
-    before the next is drawn; only the rows that fail are kept.  Unless the
-    recurrence is compared, no row past the last horizon is drawn.
+class _Shared:
+    """Values of row n that several stages read, each made once, when a
+    stage first reads it: ``inverted``, the row's r-Stirling values
+    (``_rstirling_from_row``), and ``inner(name)``, a kernel-sum route's
+    (``_kernel_inner_values``).  The pass's routes are made together, so
+    ``explicit``, ``bernoulli`` and ``fdiff`` share one row of power sums;
+    any other name, such as the inversion identity's ``rstirling`` when
+    that route is not run, is made alone."""
 
-    Row n gets the recurrence comparison if ``recurrence`` is among the
-    routes; the other routes and, if ``identities``, the identities while
-    n <= the route horizon; and, if ``with_properties``, the properties
-    while n <= the property horizon (see ``verify_properties``).  Failures
-    come route by route in ``ROUTE_NAMES`` order, then the identities',
-    then the properties', each in row order.  Row n is inverted once
-    (``_rstirling_from_row``) and its r-Stirling values made once: the
-    ``rstirling`` route's inner values and the inversion identity's direct
-    values are the same list.  Every kernel-sum route's values are compared
-    with the inverted row as they come.
+    def __init__(self, n: int, row: tuple[int, ...], routes: tuple[str, ...]) -> None:
+        self.n, self.row, self.routes, self.values = n, row, routes, {}
+
+    @cached_property
+    def inverted(self) -> list[int]:
+        return closed_forms._rstirling_from_row(self.n, self.row)
+
+    def inner(self, name: str) -> list[int]:
+        if name not in self.values:
+            names = self.routes if name in self.routes else (name,)
+            self.values.update(closed_forms._kernel_inner_values(self.n, names))
+        return self.values[name]
+
+
+def _check_route(name: str, n: int, row: tuple[int, ...], shared: _Shared) -> _Differing:
+    """{n: (row, route ``name``'s row n)} if they differ, else {}.  A
+    kernel-sum route is decided on its inner values against the inverted
+    row, and convolved only on a mismatch, to name the entries."""
+    if name == "carlitz":
+        made = closed_forms.beta_carlitz_row(n)
+    else:
+        values = shared.inner(name)
+        made = row if values == shared.inverted else closed_forms._convolve(n, values)
+    return {} if made == row else {n: (row, made)}
+
+
+def _check_identities(n: int, row: tuple[int, ...], shared: _Shared) -> list[CheckFailure]:
+    """The alternating sum against (2n-3)!!, then the inverted row against
+    the direct r-Stirling values."""
+    alt, want = triangle._alternating_sum(row), triangle.double_factorial(2 * n - 3)
+    failures = [CheckFailure(n, None, "identity:alternating_sum",
+                             f"sum {alt} != (2n-3)!! = {want}")] if alt != want else []
+    pairs = enumerate(zip(shared.inverted, shared.inner("rstirling")))
+    return failures + [CheckFailure(n, m, "identity:inversion",
+                                    f"inverted value {s} != direct r-Stirling {direct}")
+                       for m, (s, direct) in pairs if s != direct]
+
+
+def _check_properties(n: int, row: tuple[int, ...], shared: _Shared) -> list[CheckFailure]:
+    """The property failures of row n (see ``verify_properties``)."""
+    positive = properties.is_positive(row)
+    reports = [positive]
+    if not positive.holds:
+        reports.append(properties.is_unimodal(row))
+    else:
+        weighted = properties.is_log_concave_weighted(row)
+        if not weighted.holds:
+            reports += [properties.is_unimodal(row), properties.is_log_concave(row)]
+        reports.append(weighted)
+        if n >= 3 and not (weighted.holds and row[1] < (n - 1) * row[0]):
+            reports.append(properties.check_ratio_bound(n, row))
+    return [CheckFailure(n, None, f"property:{report.property}",
+                         f"first violation at index {report.first_violation}")
+            for report in reports if not report.holds]
+
+
+def _check_rows(rows: Iterable[tuple[int, ...]], routes: tuple[str, ...], n_max: int | None,
+                recurrence: _Differing | None, *, identities: bool,
+                with_properties: bool) -> list[CheckFailure]:
+    """The battery's failures on ``rows``, rows 1, 2, ... of a table, and on
+    ``recurrence``, the rows that differ from the recurrence's (None if it
+    is not compared), in one pass through the stages that ``routes``,
+    ``identities`` and ``with_properties`` ask for (a stage not asked for
+    has last row 0).  No row past the last horizon is drawn.
     """
     if unknown := set(routes) - set(ROUTE_NAMES):
         raise ValueError(f"unknown routes: {sorted(unknown)}")
     route_end = _horizon(n_max, DEFAULT_ROUTE_N_MAX)
     property_end = _horizon(n_max, DEFAULT_PROPERTY_N_MAX) if with_properties else 0
-    recurrence = triangle._rows(None, 1) if "recurrence" in routes else None
-    # route -> {n: (row n, its row n)} on the rows where they differ
-    differing: dict[str, dict[int, tuple[tuple[int, ...], tuple[int, ...]]]] = {
-        name: {} for name in ROUTE_NAMES if name in routes}
-    identity_failures: list[CheckFailure] = []
-    property_failures: list[CheckFailure] = []
-    kernel_routes = set(routes) | ({"rstirling"} if identities else set())
-    want = 1  # (2n-3)!!, carried from row to row
-    last = None if recurrence is not None else max(route_end, property_end)
-    for n, row in enumerate(islice(rows, last), 1):
-        if recurrence is not None and row != (made := next(recurrence)):
-            differing["recurrence"][n] = (row, made)
-        if n <= route_end:
-            if identities:
-                alt = triangle._alternating_sum(row)
-                want *= max(2 * n - 3, 1)
-                if alt != want:
-                    identity_failures.append(CheckFailure(
-                        n, None, "identity:alternating_sum",
-                        f"sum {alt} != (2n-3)!! = {want}"))
-            inverted = None
-            for name, values in closed_forms._kernel_inner_values(n, kernel_routes):
-                if inverted is None:
-                    inverted = closed_forms._rstirling_from_row(n, row)
-                if identities and name == "rstirling":
-                    identity_failures += [
-                        CheckFailure(n, m, "identity:inversion",
-                                     f"inverted value {s} != direct r-Stirling {direct}")
-                        for m, (s, direct) in enumerate(zip(inverted, values))
-                        if s != direct]
-                if name in differing and values != inverted:
-                    differing[name][n] = (row, closed_forms._convolve(n, values))
-            if "carlitz" in differing and (carlitz := closed_forms.beta_carlitz_row(n)) != row:
-                differing["carlitz"][n] = (row, carlitz)
-        if n <= property_end:
-            positive = properties.is_positive(row)
-            reports = [positive]
-            if not positive.holds:
-                reports.append(properties.is_unimodal(row))
-            else:
-                weighted = properties.is_log_concave_weighted(row)
-                if not weighted.holds:
-                    reports += [properties.is_unimodal(row), properties.is_log_concave(row)]
-                reports.append(weighted)
-                if n >= 3 and not (weighted.holds and row[1] < (n - 1) * row[0]):
-                    reports.append(properties.check_ratio_bound(n, row))
-            property_failures += [
-                CheckFailure(n, None, f"property:{report.property}",
-                             f"first violation at index {report.first_violation}")
-                for report in reports if not report.holds]
+    differing = {} if recurrence is None else {"recurrence": recurrence}
+    differing |= {name: {} for name in closed_forms.ROUTE_ROWS if name in routes}
+    identity_failures, property_failures = [], []
+    stages = [(route_end, differing[name].update, partial(_check_route, name))
+              for name in closed_forms.ROUTE_ROWS if name in routes] + [
+        (route_end if identities else 0, identity_failures.extend, _check_identities),
+        (property_end, property_failures.extend, _check_properties)]
+    for n, row in enumerate(islice(rows, max(end for end, _, _ in stages)), 1):
+        shared = _Shared(n, row, routes)
+        for end, add, check in stages:
+            if n <= end:
+                add(check(n, row, shared))
     failures = [failure for name, rows_of in differing.items()
                 for failure in _route_failures(name, rows_of)]
     return failures + identity_failures + property_failures
 
 
-def verify_routes(
-    table: CoefficientTable,
-    routes: tuple[str, ...] = ROUTE_NAMES,
-    n_max: int | None = None,
-) -> list[CheckFailure]:
+def _check_table(table: CoefficientTable, routes: tuple[str, ...], n_max: int | None,
+                 **flags: bool) -> list[CheckFailure]:
+    """``_check_rows`` on ``table``, compared with the recurrence if that is
+    among the routes."""
+    made = enumerate(zip(table.rows[1:], triangle._rows(table.n_max, 1)), 1)
+    recurrence = ({n: pair for n, pair in made if pair[0] != pair[1]}
+                  if "recurrence" in routes else None)
+    return _check_rows(table.rows[1:], routes, n_max, recurrence, **flags)
+
+
+def verify_routes(table: CoefficientTable, routes: tuple[str, ...] = ROUTE_NAMES,
+                  n_max: int | None = None) -> list[CheckFailure]:
     """Compare table rows against the requested routes.
 
-    The recurrence reference always covers every row of the table, streamed
-    one row at a time; the closed-form routes are evaluated up to n_max
-    (default 40), since each of their rows costs O(n^2) big-integer
-    operations.  The kernel-sum routes are decided row by row on their
-    inner values: row n of the table is inverted once
-    (``rstirling_from_beta_row``), and a route's row equals the table row
-    iff its r-Stirling values equal the inverted ones, since both kernels
-    are unit lower-triangular and inverse to each other.  Only a route whose
-    inner values differ is convolved, to name the entries that differ.
-    Failures come route by route, in ``ROUTE_NAMES`` order; a route that
-    raises ``ConsistencyError`` does so on the first row where any route
-    does.  The entry comparison is shared with ``verify_table_file``, which
-    feeds it text rows.
+    The recurrence reference always covers every row of the table; the
+    closed-form routes are evaluated up to n_max (default 40), since each
+    of their rows costs O(n^2) big-integer operations.  A kernel-sum
+    route's row equals the table row iff its r-Stirling values equal the
+    inverted row (``rstirling_from_beta_row``), since both kernels are unit
+    lower-triangular and inverse to each other.  Failures come route by
+    route, in ``ROUTE_NAMES`` order; a route that raises
+    ``ConsistencyError`` does so on the first row where any route does.
     """
-    return _check_rows(table.rows[1:], routes, n_max,
-                       identities=False, with_properties=False)
+    return _check_table(table, routes, n_max, identities=False, with_properties=False)
 
 
-def verify_properties(
-    table: CoefficientTable, n_max: int | None = None
-) -> list[CheckFailure]:
+def verify_properties(table: CoefficientTable, n_max: int | None = None) -> list[CheckFailure]:
     """Run the sequence-property checks on each row up to n_max (default 200).
 
     Plain log-concavity and unimodality, implied on a positive row by the
@@ -228,16 +239,12 @@ def verify_properties(
     it fails first at (0, 1); ``check_ratio_bound`` scans the row only where
     the weighted check or that one comparison fails.
     """
-    return _check_rows(table.rows[1:], (), n_max,
-                       identities=False, with_properties=True)
+    return _check_table(table, (), n_max, identities=False, with_properties=True)
 
 
-def verify_identities(
-    table: CoefficientTable, n_max: int | None = None
-) -> list[CheckFailure]:
+def verify_identities(table: CoefficientTable, n_max: int | None = None) -> list[CheckFailure]:
     """Alternating sum and inversion per row, up to n_max (default 40)."""
-    return _check_rows(table.rows[1:], (), n_max,
-                       identities=True, with_properties=False)
+    return _check_table(table, (), n_max, identities=True, with_properties=False)
 
 
 def verify_carlitz_sums(kappa_max: int) -> list[CheckFailure]:
@@ -263,54 +270,42 @@ def verify_carlitz_sums(kappa_max: int) -> list[CheckFailure]:
     return failures
 
 
-def run_verification(
-    table: CoefficientTable,
-    routes: tuple[str, ...] = ROUTE_NAMES,
-    n_max: int | None = None,
-) -> list[CheckFailure]:
+def run_verification(table: CoefficientTable, routes: tuple[str, ...] = ROUTE_NAMES,
+                     n_max: int | None = None) -> list[CheckFailure]:
     """Run the full battery to row n_max and return all failures sorted by
     (n, k, check).  A horizon of None leaves each stage its own default."""
-    failures = _check_rows(table.rows[1:], routes, n_max,
-                           identities=True, with_properties=True)
+    failures = _check_table(table, routes, n_max, identities=True, with_properties=True)
     return sorted(failures, key=CheckFailure.sort_key)
 
 
-def verify_table_file(
-    path: str | None,
-    routes: tuple[str, ...] = ROUTE_NAMES,
-    n_max: int | None = None,
-) -> tuple[int, list[CheckFailure]]:
+def verify_table_file(path: str | None, routes: tuple[str, ...] = ROUTE_NAMES,
+                      n_max: int | None = None) -> tuple[int, list[CheckFailure]]:
     """The file's n_max and ``run_verification`` of ``load_table(path)`` to
     row n_max (the file's n_max if None); with no path, n_max (default 200)
     and the battery on the recurrence's own rows, which are that route and
     so are not compared with it.
 
-    Both forms take one path.  A file is read once, by
-    ``tableio._recurrence_differences``, which gives its row count and the
-    rows whose values differ from the recurrence's, as decimal strings:
-    every row if ``recurrence`` is among the routes or n_max is None, else
-    rows 1..n_max only; those rows are the recurrence route's failures.
-    ``_check_rows`` then makes, checks and drops the recurrence's int rows
-    one at a time, with the rows that differ (none without a file)
-    converted in their place, so no table is built and a row beyond the
-    horizon is never converted to ``int``.  A file that ``load_table``
-    rejects raises the same ``ValueError`` as there.  The arguments are
-    checked in one place and order, after any file is read: ``_check_rows``
-    refuses unknown routes, then a horizon below 1, with ``ValueError``.  A
-    horizon of None leaves each stage its own default.  With ``rstirling``
-    among the routes, ``identity:inversion`` re-checks that route's lists.
+    A file is read once, by ``tableio._recurrence_differences``: its row
+    count and the rows whose values differ from the recurrence's, as
+    decimal strings, every row if ``recurrence`` is among the routes (they
+    are then its failures) or n_max is None, else rows 1..n_max.  The pass
+    checks the recurrence's int rows with those converted in their place,
+    so no table is built and no row beyond the horizon becomes ``int``.  A
+    file that ``load_table`` rejects raises the same ``ValueError`` as
+    there.  After any file is read, ``_check_rows`` refuses unknown routes,
+    then a horizon below 1, with ``ValueError``; None leaves each stage its
+    own default horizon.  ``tableio`` and ``decimal`` load only for a file.
     """
-    checked, read, differing, rows = False, None, {}, triangle._rows(None, 1)
+    read, recurrence, rows = None, None, triangle._rows(None, 1)
     if path is not None:
         from . import tableio
 
-        checked = "recurrence" in routes
-        read, differing = tableio._recurrence_differences(path, None if checked else n_max)
-        n_max = read if n_max is None else n_max
+        compared = "recurrence" in routes
+        read, differing = tableio._recurrence_differences(path, None if compared else n_max)
+        n_max, recurrence = read if n_max is None else n_max, differing if compared else None
         rows = (tuple(map(int, differing[n][0])) if n in differing else row
                 for n, row in enumerate(triangle._rows(min(n_max, read), 1), 1))
-    failures = _route_failures("recurrence", differing) if checked else []
-    failures += _check_rows(rows, tuple(route for route in routes if route != "recurrence"),
-                            n_max, identities=True, with_properties=True)
+    failures = _check_rows(rows, routes, n_max, recurrence,
+                           identities=True, with_properties=True)
     return (_horizon(n_max, DEFAULT_PROPERTY_N_MAX) if read is None else read,
             sorted(failures, key=CheckFailure.sort_key))

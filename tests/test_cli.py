@@ -475,6 +475,12 @@ class TestEvalCommand:
         assert err == (f"numeric fault: d^{n}W/dx^{n} (closed_form) at x = {float(x)} "
                        f"came out {value}, outside the normal binary64 range\n")
 
+    def test_power_overflow_exits_2_naming_n_and_x(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--x", "1e10", "--n", "120")
+        assert (code, out) == (2, "")
+        assert err == ("numeric fault: d^120W/dx^120 (closed_form) at x = 10000000000.0 is "
+                       "below 1e-420 in magnitude: (1 + W)^239 overflows binary64\n")
+
     def test_closed_form_stops_at_the_first_row_past_binary64(self, capsys, monkeypatch):
         """Row 139 holds the first entry a float cannot (1032 bits), so
         ``--n 500`` is refused there, before any row is made."""

@@ -157,6 +157,23 @@ class TestClosedFormDerivative:
                 value = w_derivative(n, x, table8).value
                 assert (value > 0) == (n % 2 == 1)
 
+    def test_power_overflow_raises_naming_n_and_x(self):
+        """(1 + W)^(2n-1) overflows from about x = 2e9 at n = 120; the value
+        is then far below the least subnormal, so no binary64 but a signed
+        zero holds it, and ``w_derivative`` raises a typed error instead."""
+        table = build_table(121)
+        for n in (120, 121):
+            with pytest.raises(OverflowError, match=(
+                    rf"^d\^{n}W/dx\^{n} \(closed_form\) at x = 10000000000\.0 is below "
+                    rf"1e-420 in magnitude: \(1 \+ W\)\^{2 * n - 1} overflows binary64$")):
+                w_derivative(n, 1e10, table)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            w = mpmath.lambertw(mpmath.mpf(10) ** 10).real
+            exact = (-mpmath.exp(-120 * w) * mpmath.polyval(table.rows[120][::-1], w)
+                     / (1 + w) ** 239)
+            assert exact < 0 and abs(exact) < mpmath.mpf(2) ** -1075  # rounds to -0.0
+
 
 def outcome(call):
     """The float ``call()`` returns, as hex, or the type and text of its error."""
@@ -167,13 +184,19 @@ def outcome(call):
 
 
 def closed_form_on_lambert_w(n, x, table):
-    """The closed form evaluated on ``lambert_w(x).w``, one term at a time."""
+    """The closed form evaluated on ``lambert_w(x).w``, one term at a time;
+    where (1 + w)^(2n-1) overflows, the ``OverflowError`` naming n and x."""
     w = lambert_w(x).w
     acc = 0.0
     for b in reversed(table.rows[n]):
         acc = acc * w + float(b)
     pn = -acc if n % 2 == 0 else acc
-    return math.exp(-n * w) * pn / (1.0 + w) ** (2 * n - 1)
+    try:
+        scale = (1.0 + w) ** (2 * n - 1)
+    except OverflowError:
+        raise OverflowError(f"d^{n}W/dx^{n} (closed_form) at x = {x} is below 1e-420 in "
+                            f"magnitude: (1 + W)^{2 * n - 1} overflows binary64") from None
+    return math.exp(-n * w) * pn / scale
 
 
 def fd_on_lambert_w(n, x):
@@ -465,6 +488,12 @@ class TestBernsteinScan:
         assert all(not (math.isfinite(value) and abs(value) >= sys.float_info.min)
                    for _, _, value in report.unresolved)
         assert sum(value == 0.0 for _, _, value in report.unresolved) == 258
+
+    def test_power_overflow_is_unresolved(self):
+        report = bernstein_scan(120, [1e10], build_table(120))
+        assert report.violations == ()
+        assert (120, 1e10, -0.0) in report.unresolved
+        assert math.copysign(1.0, report.unresolved[-1][2]) == -1.0
 
     def test_grid_validation(self, table8):
         with pytest.raises(ValueError):

@@ -119,6 +119,18 @@ def test_default_verify_builds_no_table(monkeypatch, capsys):
     assert drawn == list(range(1, 201))
 
 
+def test_default_verify_calls_the_property_checks_through_the_module(monkeypatch, capsys):
+    """The default ``verify`` looks ``is_positive`` and
+    ``is_log_concave_weighted`` up on ``properties`` at each call, once per
+    row for rows 1..200, so a wrapper installed there sees every call."""
+    calls = Counter()
+    for name in ("is_positive", "is_log_concave_weighted"):
+        monkeypatch.setattr(properties, name, lambda row, name=name, func=getattr(properties, name):
+                            calls.update([name]) or func(row))
+    assert main(["verify"]) == 0
+    assert calls == {"is_positive": 200, "is_log_concave_weighted": 200}
+
+
 class TestRowPassMemory:
     """``verify`` holds the row it checks and the rows that fail, not the
     table.  Each call runs once first, so the modules it imports on first
@@ -170,7 +182,7 @@ def test_kernel_routes_build_each_row_in_one_pass(monkeypatch):
         assert Counter(calls) == {
             ("_power_sums", "_kernel_inner_values"): 40,
             ("rstirling_values", "_kernel_inner_values"): 40,
-            ("_rstirling_from_row", "_check_rows"): 40,
+            ("_rstirling_from_row", "inverted"): 40,
         }, routes
 
 
