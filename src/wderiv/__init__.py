@@ -10,9 +10,15 @@ recurrence, checks it against a forward-difference kernel sum (in four
 normalisations) and a Carlitz-style triangular recurrence, proves the
 rows' structural properties (positivity, log-concavity, unimodality, ratio
 and binomial inequalities) by exhaustive checks that integers decide (floats
-of bounded error only pass the clear cases), and verifies
-numerically that the alternating-sign law of the derivatives holds, i.e.
-that W is a Bernstein function.
+of bounded error only pass the clear cases), and evaluates W and its
+derivatives in binary64.  Exact positivity of rows 1..N, which ``verify``
+proves, gives the alternating-sign law
+
+    (-1)^(n-1) W^(n)(x) = exp(-n W) sum_k beta(n, k) W^k / (1+W)^(2n-1) > 0
+
+for every n <= N and x >= 0, the law that makes W a Bernstein function;
+the float layer (``numeric.bernstein_scan``) measures binary64 evaluation
+only.
 
 Names resolve on first use (PEP 562), so importing a submodule loads only
 that submodule and what it imports.  A submodule name imports just that

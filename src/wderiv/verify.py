@@ -4,11 +4,14 @@ Every verdict here is exact: the property checks screen comparisons with
 bounded-error floats but decide every close call with integers (see
 ``properties``).  Every check in the battery reads the table and can fail
 on some table.  The battery is one pass over the rows (``_check_rows``)
-through a list of stages, each a last row, a failure list and a check of
-row n: row n is drawn, given every stage whose last row it has not passed,
-and dropped, so a run holds the current row and the rows that fail, never
-the whole table.  The stages, in the order their failures come, each list
-in row order:
+through a list of stages, each a last row, its own failure list and a
+check of row n that returns row n's failures: row n is drawn, given every
+stage whose last row it has not passed, and dropped, so a run holds the
+current row, the rows that differ from the recurrence's and the failures,
+never the whole table.  Row n's kernel-sum values and its inverted row
+(see below) are made once, at the top of the row, for the stages that
+read them.  The stages, in the order their failures come, each list in
+row order:
 
 * ``route:<name>``, each chosen closed-form route in ``ROUTE_NAMES`` order,
   to the route horizon (n_max, default 40).  The four kernel-sum routes
@@ -34,11 +37,12 @@ in row order:
   positive), which gives the failure list of all five.
 
 ``route:recurrence`` is not a stage: the rows that differ from the
-recurrence's are passed in, and their failures come first.  A table's come
-from one ``zip`` with the recurrence's rows, a file's from
-``tableio._recurrence_differences``; ``wderiv verify`` without a file
-checks the recurrence's own rows, so it is not compared.  Every route
-reports only the rows that differ to ``_route_failures``.
+recurrence's are passed in, and their failures, made before the pass, come
+first.  A table's come from one ``zip`` with the recurrence's rows, a
+file's from ``tableio._recurrence_differences``; ``wderiv verify`` without
+a file checks the recurrence's own rows, so it is not compared.  Every
+route hands ``_route_failures`` only rows that differ: the recurrence all
+of its rows at once, a closed-form route stage one row at a time.
 
 ``verify_carlitz_sums`` proves the Carlitz row-sum identity up to a given
 kappa.  It reads no table, so the battery does not run it.
@@ -46,7 +50,7 @@ kappa.  It reads no table, so the battery does not run it.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from functools import cached_property, partial
+from functools import partial
 from itertools import islice
 from typing import NamedTuple
 
@@ -107,55 +111,34 @@ def _route_failures(name: str, differing: _Differing) -> list[CheckFailure]:
             for k, (got, want) in enumerate(zip(got_row, want_row)) if _differ(got, want)]
 
 
-class _Shared:
-    """Values of row n that several stages read, each made once, when a
-    stage first reads it: ``inverted``, the row's r-Stirling values
-    (``_rstirling_from_row``), and ``inner(name)``, a kernel-sum route's
-    (``_kernel_inner_values``).  The pass's routes are made together, so
-    ``explicit``, ``bernoulli`` and ``fdiff`` share one row of power sums;
-    any other name, such as the inversion identity's ``rstirling`` when
-    that route is not run, is made alone."""
-
-    def __init__(self, n: int, row: tuple[int, ...], routes: tuple[str, ...]) -> None:
-        self.n, self.row, self.routes, self.values = n, row, routes, {}
-
-    @cached_property
-    def inverted(self) -> list[int]:
-        return closed_forms._rstirling_from_row(self.n, self.row)
-
-    def inner(self, name: str) -> list[int]:
-        if name not in self.values:
-            names = self.routes if name in self.routes else (name,)
-            self.values.update(closed_forms._kernel_inner_values(self.n, names))
-        return self.values[name]
-
-
-def _check_route(name: str, n: int, row: tuple[int, ...], shared: _Shared) -> _Differing:
-    """{n: (row, route ``name``'s row n)} if they differ, else {}.  A
-    kernel-sum route is decided on its inner values against the inverted
-    row, and convolved only on a mismatch, to name the entries."""
+def _check_route(name: str, n: int, row: tuple[int, ...], values: Mapping[str, list[int]],
+                 inverted: list[int]) -> list[CheckFailure]:
+    """The failures of row n against route ``name``.  A kernel-sum route is
+    decided on its inner values against the inverted row, and convolved
+    only on a mismatch, to name the entries."""
     if name == "carlitz":
         made = closed_forms.beta_carlitz_row(n)
     else:
-        values = shared.inner(name)
-        made = row if values == shared.inverted else closed_forms._convolve(n, values)
-    return {} if made == row else {n: (row, made)}
+        made = row if values[name] == inverted else closed_forms._convolve(n, values[name])
+    return [] if made == row else _route_failures(name, {n: (row, made)})
 
 
-def _check_identities(n: int, row: tuple[int, ...], shared: _Shared) -> list[CheckFailure]:
+def _check_identities(n: int, row: tuple[int, ...], values: Mapping[str, list[int]],
+                      inverted: list[int]) -> list[CheckFailure]:
     """The alternating sum against (2n-3)!!, then the inverted row against
     the direct r-Stirling values."""
     alt, want = triangle._alternating_sum(row), triangle.double_factorial(2 * n - 3)
     failures = [CheckFailure(n, None, "identity:alternating_sum",
                              f"sum {alt} != (2n-3)!! = {want}")] if alt != want else []
-    pairs = enumerate(zip(shared.inverted, shared.inner("rstirling")))
+    pairs = enumerate(zip(inverted, values["rstirling"]))
     return failures + [CheckFailure(n, m, "identity:inversion",
                                     f"inverted value {s} != direct r-Stirling {direct}")
                        for m, (s, direct) in pairs if s != direct]
 
 
-def _check_properties(n: int, row: tuple[int, ...], shared: _Shared) -> list[CheckFailure]:
-    """The property failures of row n (see ``verify_properties``)."""
+def _check_properties(n: int, row: tuple[int, ...], *_: object) -> list[CheckFailure]:
+    """The property failures of row n (see ``verify_properties``); it reads
+    no shared values."""
     positive = properties.is_positive(row)
     reports = [positive]
     if not positive.holds:
@@ -177,29 +160,38 @@ def _check_rows(rows: Iterable[tuple[int, ...]], routes: tuple[str, ...], n_max:
                 with_properties: bool) -> list[CheckFailure]:
     """The battery's failures on ``rows``, rows 1, 2, ... of a table, and on
     ``recurrence``, the rows that differ from the recurrence's (None if it
-    is not compared), in one pass through the stages that ``routes``,
-    ``identities`` and ``with_properties`` ask for (a stage not asked for
-    has last row 0).  No row past the last horizon is drawn.
+    is not compared): the recurrence's first, then each stage's own list,
+    in stage order.  The stages are those that ``routes``, ``identities``
+    and ``with_properties`` ask for (a stage not asked for has last row
+    0); each check takes (n, row, values, inverted).  Row n's shared values
+    are made once, at the top of the row: ``values``, the r-Stirling values
+    of ``kernel``, the chosen kernel-sum routes plus ``rstirling`` when the
+    identities run (one ``_kernel_inner_values`` call, so the power-sum
+    routes share one row of power sums), and ``inverted``, the row's own
+    (``_rstirling_from_row``).  They are made on the rows to the route
+    horizon, and only if ``kernel`` is not empty; every stage that reads
+    them reads them on every row it checks.  No row past the last horizon
+    is drawn.
     """
     if unknown := set(routes) - set(ROUTE_NAMES):
         raise ValueError(f"unknown routes: {sorted(unknown)}")
     route_end = _horizon(n_max, DEFAULT_ROUTE_N_MAX)
     property_end = _horizon(n_max, DEFAULT_PROPERTY_N_MAX) if with_properties else 0
-    differing = {} if recurrence is None else {"recurrence": recurrence}
-    differing |= {name: {} for name in closed_forms.ROUTE_ROWS if name in routes}
-    identity_failures, property_failures = [], []
-    stages = [(route_end, differing[name].update, partial(_check_route, name))
+    failures = [] if recurrence is None else _route_failures("recurrence", recurrence)
+    stages = [(route_end, [], partial(_check_route, name))
               for name in closed_forms.ROUTE_ROWS if name in routes] + [
-        (route_end if identities else 0, identity_failures.extend, _check_identities),
-        (property_end, property_failures.extend, _check_properties)]
+        (route_end if identities else 0, [], _check_identities),
+        (property_end, [], _check_properties)]
+    kernel = ({*routes, "rstirling"} if identities else set(routes)) - {"recurrence", "carlitz"}
+    values, inverted = {}, []
     for n, row in enumerate(islice(rows, max(end for end, _, _ in stages)), 1):
-        shared = _Shared(n, row, routes)
-        for end, add, check in stages:
+        if kernel and n <= route_end:
+            values = dict(closed_forms._kernel_inner_values(n, kernel))
+            inverted = closed_forms._rstirling_from_row(n, row)
+        for end, own, check in stages:
             if n <= end:
-                add(check(n, row, shared))
-    failures = [failure for name, rows_of in differing.items()
-                for failure in _route_failures(name, rows_of)]
-    return failures + identity_failures + property_failures
+                own += check(n, row, values, inverted)
+    return failures + [failure for _, own, _ in stages for failure in own]
 
 
 def _check_table(table: CoefficientTable, routes: tuple[str, ...], n_max: int | None,

@@ -160,8 +160,10 @@ def test_kernel_routes_build_each_row_in_one_pass(monkeypatch):
     route is decided on its inner values.  ``explicit``, ``bernoulli`` and
     ``fdiff`` share one row of power sums per row, made also for
     ``explicit`` alone; the ``rstirling`` route and the identities share
-    one row of r-Stirling values and one inverted table row, and nothing
-    calls the scalar power sum ``_power_diff``.
+    one row of r-Stirling values and one inverted table row, made by the
+    row pass, and nothing calls the scalar power sum ``_power_diff``.  A
+    pass that runs no kernel-sum route and no identity makes none of
+    them, and none is made past the route horizon.
     """
     calls = []
 
@@ -176,24 +178,40 @@ def test_kernel_routes_build_each_row_in_one_pass(monkeypatch):
     for name in ("_convolve", "_power_diff", "_power_sums", "rstirling_values",
                  "_rstirling_from_row"):
         monkeypatch.setattr(closed_forms, name, spy(name))
+    every = {
+        ("_power_sums", "_kernel_inner_values"): 40,
+        ("rstirling_values", "_kernel_inner_values"): 40,
+        ("_rstirling_from_row", "_check_rows"): 40,
+    }
+    table40 = build_table(40)
     for routes in (tuple(closed_forms.ROUTE_ROWS), ("explicit",)):
         calls.clear()
-        assert run_verification(build_table(40), routes) == []
-        assert Counter(calls) == {
-            ("_power_sums", "_kernel_inner_values"): 40,
-            ("rstirling_values", "_kernel_inner_values"): 40,
-            ("_rstirling_from_row", "inverted"): 40,
-        }, routes
+        assert run_verification(table40, routes) == []
+        assert Counter(calls) == every, routes
+    runs = [
+        (lambda: verify.verify_routes(table40, ("carlitz",)), {}),
+        (lambda: verify_properties(table40), {}),
+        (lambda: verify.verify_identities(table40),
+         {("rstirling_values", "_kernel_inner_values"): 40,
+          ("_rstirling_from_row", "_check_rows"): 40}),
+        (lambda: run_verification(build_table(60)), every),
+    ]
+    for run, made in runs:
+        calls.clear()
+        assert run() == []
+        assert Counter(calls) == made
 
 
 def test_only_a_given_table_meets_the_recurrence(monkeypatch, tmp_path):
     """The table ``verify`` builds is the recurrence route; a file is not.
 
-    Every route reports its failures through ``_route_failures``, once per
-    run, also where no row of it differs, and hands it only the rows that
-    differ: none on a clean run or a clean 60-row file, row 41 alone on
-    that file with entry (41, 7) bumped, whether the byte matcher (JSON) or
-    the strict reader (CSV) reads it."""
+    A route hands ``_route_failures`` only the rows that differ, one call
+    per differing row; the recurrence's rows are handed over once, before
+    the pass.  So a clean run makes no call, a clean 60-row file one
+    ``recurrence`` call with no rows, and that file with entry (41, 7)
+    bumped the ``recurrence`` call first, then one call of row 41 alone
+    per route, whether the byte matcher (JSON) or the strict reader (CSV)
+    reads it."""
     calls = []
     compare = verify._route_failures
 
@@ -203,13 +221,12 @@ def test_only_a_given_table_meets_the_recurrence(monkeypatch, tmp_path):
 
     monkeypatch.setattr(verify, "_route_failures", spy)
     assert main(["verify"]) == 0
-    assert calls == [(name, {}) for name in closed_forms.ROUTE_ROWS]
-    calls.clear()
+    assert calls == []
     rows = [[str(b) for b in row] for row in TABLE60.rows[1:]]
     path = tmp_path / "clean.json"
     path.write_text(table_text(rows, "json"), encoding="ascii")
     assert main(["verify", "--table", str(path)]) == 0
-    assert calls == [(name, {}) for name in ROUTE_NAMES]
+    assert calls == [("recurrence", {})]
     rows[40][7] = spelled(TABLE60.rows[41][7], "bump")
     for fmt in ("json", "csv"):
         calls.clear()
