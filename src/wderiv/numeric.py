@@ -1,7 +1,9 @@
 """Floating-point layer: W on [0, inf), its derivatives, and sign scans.
 
 The exact triangle is the single source of truth for coefficients; this
-module converts rows to binary64 where they are used and keeps none past a call.
+module converts rows to binary64 where they are used and keeps none past a call:
+``w_derivative`` converts each entry inside Horner's step, ``bernstein_scan``
+converts each row once into a float list that it reuses across the grid.
 Three derivative routes are provided so they can check each other:
 
 * ``w_derivative``      -- the closed form exp(-nW) p_n(W) / (1+W)^(2n-1),
@@ -111,7 +113,8 @@ def lambert_w(x: float) -> WEvaluation:
     binary64 permits.
     """
     w, iterations, residual = _lambert(x)
-    return WEvaluation(x, w, residual, iterations)
+    # the body of the class's generated __new__, without its Python frame
+    return tuple.__new__(WEvaluation, (x, w, residual, iterations))
 
 
 def _lambert(x: float) -> tuple[float, int, float]:
@@ -149,13 +152,16 @@ def _lambert(x: float) -> tuple[float, int, float]:
     return best, iterations, best_defect
 
 
-def _closed_form(n: int, x: float, coefficients: Iterable[float], w: float) -> float:
+def _closed_form(n: int, x: float, coefficients: Iterable[int | float], w: float) -> float:
     """d^nW/dx^n at x, whose W is w: exp(-nw) p_n(w) / (1+w)^(2n-1).
 
-    p_n(w) is evaluated in binary64 by Horner on row n's entries as floats,
-    ``coefficients``, from the top down.  Where (1+w)^(2n-1) overflows,
-    raises ``OverflowError`` naming n and x rather than divide by inf,
-    which gives 0, or NaN where p_n(w) is inf too.
+    p_n(w) is evaluated in binary64 by Horner on row n's entries,
+    ``coefficients``, top entry first, as ints or floats.  The step
+    ``acc * w + b`` converts an int entry as ``float(b)`` does, with the
+    same rounding, and raises the same ``OverflowError`` at the first entry
+    past binary64, so ints and their floats give the same bits.  Where
+    (1+w)^(2n-1) overflows, raises ``OverflowError`` naming n and x rather
+    than divide by inf, which gives 0, or NaN where p_n(w) is inf too.
     """
     acc = 0.0
     for b in coefficients:
@@ -180,16 +186,20 @@ def _closed_form(n: int, x: float, coefficients: Iterable[float], w: float) -> f
 def w_derivative(n: int, x: float, table: CoefficientTable) -> DerivativeValue:
     """d^nW/dx^n for x > 0 via the closed form and the exact coefficient row.
 
-    Raises ``OverflowError`` naming n and x where (1+W)^(2n-1) overflows
-    binary64 (from about x = 2e9 at n = 120): the value, below 1e-420 in
-    magnitude, is then out of binary64's range.
+    Horner takes row n's ints, top entry first, and converts each inside
+    its step; from row 139 on an entry is past binary64, and this raises
+    ``OverflowError: int too large to convert to float``.  It raises
+    ``OverflowError`` naming n and x where (1+W)^(2n-1) overflows binary64
+    (from about x = 2e9 at n = 120): the value, below 1e-420 in magnitude,
+    is then out of binary64's range.
     """
     if not 1 <= n <= table.n_max:
         raise ValueError(f"n must be in 1..{table.n_max}, got {n}")
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"derivative route needs x > 0, got {x}")
-    value = _closed_form(n, x, map(float, reversed(table.rows[n])), _lambert(x)[0])
-    return DerivativeValue(n, x, value, ROUTE_CLOSED)
+    value = _closed_form(n, x, reversed(table.rows[n]), _lambert(x)[0])
+    # the body of the class's generated __new__, without its Python frame
+    return tuple.__new__(DerivativeValue, (n, x, value, ROUTE_CLOSED))
 
 
 def _settled_sum(terms: Iterator[float], rel_tol: float, what: str) -> float:

@@ -22,11 +22,12 @@ row order:
   the r-Stirling recurrence and Carlitz are independent;
 * ``identity:alternating_sum`` (the row's alternating sum against
   (2n-3)!!) and ``identity:inversion`` (the inverted row against the
-  direct r-Stirling values), to the route horizon, in one list.  The
-  inversion compares the same two lists as the ``rstirling`` route, so it
-  adds a check only where the routes leave ``rstirling`` out.  Convolving
-  the inverted values back gives the row for any integer row, so that
-  round trip is not run;
+  direct r-Stirling values, named at the first index that differs only,
+  since one wrong entry k moves every inverted value from m = k on), to
+  the route horizon, in one list.  The inversion compares the same two
+  lists as the ``rstirling`` route, so it adds a check only where the
+  routes leave ``rstirling`` out.  Convolving the inverted values back
+  gives the row for any integer row, so that round trip is not run;
 * ``property:<name>``, to the property horizon (n_max, default 200):
   positivity, log-concavity of k! times the row (decided as
   (k+1) c_{k-1} c_{k+1} <= k c_k^2) and the strict ratio bound (for
@@ -126,14 +127,20 @@ def _check_route(name: str, n: int, row: tuple[int, ...], values: Mapping[str, l
 def _check_identities(n: int, row: tuple[int, ...], values: Mapping[str, list[int]],
                       inverted: list[int]) -> list[CheckFailure]:
     """The alternating sum against (2n-3)!!, then the inverted row against
-    the direct r-Stirling values."""
+    the direct r-Stirling values.  The inversion is triangular: a wrong
+    entry k moves every inverted value from m = k on, so only the first m
+    that differs is reported."""
     alt, want = triangle._alternating_sum(row), triangle.double_factorial(2 * n - 3)
     failures = [CheckFailure(n, None, "identity:alternating_sum",
                              f"sum {alt} != (2n-3)!! = {want}")] if alt != want else []
-    pairs = enumerate(zip(inverted, values["rstirling"]))
-    return failures + [CheckFailure(n, m, "identity:inversion",
-                                    f"inverted value {s} != direct r-Stirling {direct}")
-                       for m, (s, direct) in pairs if s != direct]
+    if inverted != values["rstirling"]:
+        for m, (s, direct) in enumerate(zip(inverted, values["rstirling"])):
+            if s != direct:
+                failures.append(CheckFailure(
+                    n, m, "identity:inversion",
+                    f"inverted value {s} != direct r-Stirling {direct}"))
+                break
+    return failures
 
 
 def _check_properties(n: int, row: tuple[int, ...], *_: object) -> list[CheckFailure]:

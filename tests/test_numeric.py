@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wderiv import (
     MACHINE_EPS,
@@ -231,6 +231,21 @@ class TestSameBitsAsOnLambertW:
            st.floats(min_value=0.05, max_value=1e60))
     def test_finite_difference(self, n, x):
         assert w_derivative_fd(n, x).value.hex() == fd_on_lambert_w(n, x).hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=200),
+           st.floats(min_value=-6.0, max_value=6.0).map(lambda e: 10.0 ** e))
+    @example(138, 10.0)
+    @example(139, 1.0)
+    @example(120, 1e10)
+    def test_closed_form_on_the_float_row(self, table200, n, x):
+        """Horner converts row n's ints inside its step: the bits of the
+        float row ``bernstein_scan`` hands it, and the same error where an
+        entry is past binary64 (n >= 139) or the power overflows."""
+        w = numeric._lambert(x)[0]
+        assert (outcome(lambda: w_derivative(n, x, table200).value)
+                == outcome(lambda: numeric._closed_form(
+                    n, x, [float(b) for b in reversed(table200.rows[n])], w)))
 
 
 class TestTaylorDerivative:

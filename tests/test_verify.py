@@ -351,7 +351,8 @@ class TestRoutesMatchRouteByRouteRows:
 
 
 def ref_verify_identities(table, n_max):
-    """The loop verify_identities ran before it shared the routes' pass."""
+    """The loop verify_identities ran before it shared the routes' pass,
+    naming only the first inverted value of a row that differs."""
     failures = []
     for n in range(1, min(n_max, table.n_max) + 1):
         alt = triangle.alternating_sum(n, table)
@@ -366,6 +367,7 @@ def ref_verify_identities(table, n_max):
                 failures.append(CheckFailure(
                     n, m, "identity:inversion",
                     f"inverted value {got} != direct r-Stirling {direct}"))
+                break
     return failures
 
 
@@ -385,6 +387,12 @@ class TestIdentitiesShareTheRoutePass:
     def test_changed_entry(self, table, routes, horizon):
         assert verify.verify_identities(table, horizon) == ref_verify_identities(
             table, horizon)
+        # the inversion is triangular: one changed entry (n, k) moves every
+        # inverted value from m = k on, and is named once, at (n, k)
+        changed = [(n, k) for n in range(1, min(horizon, table.n_max) + 1)
+                   for k in range(n) if table.rows[n][k] != TABLE50.rows[n][k]]
+        assert [(f.n, f.k) for f in verify.verify_identities(table, horizon)
+                if f.check == "identity:inversion"] == changed
         assert run_verification(table, routes, horizon) == self.apart(
             table, routes, horizon)
 
