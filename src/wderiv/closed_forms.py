@@ -8,7 +8,10 @@ Four independent computations of beta(n, k) exist in the package:
       beta(n, k) = sum_{m=0}^{k} C(2n-1, k-m) (-1)^m Delta^m x^(m+n-1)|_(x=n) / m!,
 
   whose power sums Delta^m x^(m+n-1) at x = n are made for a whole row in
-  one pass (``_power_sums``),
+  one pass (``_power_sums``); the signed binomial rows they read do not
+  depend on n, so ``verify`` makes each once per run, in a list of its own
+  (not a module-level one: two threads extending one list could misalign
+  its rows), and a route function makes its own per call,
 * the same kernel sum with its inner values, the shifted r-Stirling numbers
   {2n-1+m brace n+m}_n, made by their own triangle recurrence
   (``rstirling_values``) instead of by the power sum,
@@ -133,21 +136,29 @@ def _power_diff(m: int, p: int, r: int | Fraction) -> int | Fraction:
     return total
 
 
-def _power_sums(n: int) -> list[int]:
+def _power_sums(n: int, signed: list[list[int]] | None = None) -> list[int]:
     """Delta^m x^(m+n-1) at x = n for 0 <= m < n: row n's power sums.
 
-    Step m holds the powers (n+q)^(n-1+m), q < n, and the signed binomials
-    (-1)^(m-q) C(m, q), q <= m, as lists.  The next step multiplies the
-    powers by n+q and steps the binomials by Pascal's rule, each in one
-    ``map``.  Entry m equals ``_power_diff(m, m+n-1, n)``.
+    Step m multiplies the powers of step m-1 by n+q in one ``map``, so
+    that they are (n+q)^(n-1+m) for q < m, makes (n+m)^(n-1+m), the power
+    first read at this step, and sums them times the signed binomials
+    (-1)^(m-q) C(m, q), q <= m, in one ``map``.  ``signed[m]`` is binomial
+    row m, made from row m-1 by Pascal's rule.  None depends on n, so a run
+    that makes many rows passes one list, and each binomial row is made
+    once, the first time a row needs it.  The list is the caller's, not
+    module-level, so two threads never extend the same one; without it
+    each call makes its own.  Entry m equals ``_power_diff(m, m+n-1, n)``.
     """
-    powers = list(map(pow, range(n, 2 * n), repeat(n - 1)))
-    signed = [1]
+    if signed is None:
+        signed = []
+    for m in range(len(signed), n):
+        signed.append(list(map(sub, [0] + signed[-1], signed[-1] + [0])) if m else [1])
+    powers = [n ** (n - 1)]
     sums = [powers[0]]
-    for _ in range(1, n):
-        powers = list(map(mul, powers, range(n, 2 * n)))
-        signed = list(map(sub, [0] + signed, signed + [0]))
-        sums.append(sum(map(mul, signed, powers)))
+    for m in range(1, n):
+        powers = list(map(mul, powers, range(n, n + m)))
+        powers.append((n + m) ** (n - 1 + m))
+        sums.append(sum(map(mul, signed[m], powers)))
     return sums
 
 
@@ -186,13 +197,14 @@ def rstirling_values(n: int) -> list[int]:
     S(e, K) = {K+e brace K}_n, the recurrence reads
     S(e, K) = S(e, K-1) + K S(e-1, K), with S(e, n) = n^e and S(0, K) = 1.
     Each excess e = 1..n-1 is one ``accumulate`` over K = n..2n-1, and the
-    values are S(n-1, n+m).
+    values are S(n-1, n+m); n^e is carried from one excess to the next.
     """
     _check_n(n)
-    column = [1] * n
-    for e in range(1, n):
+    column, power = [1] * n, 1
+    for _ in range(1, n):
+        power *= n
         column = list(accumulate(map(mul, range(n + 1, 2 * n), column[1:]),
-                                 initial=n**e))
+                                 initial=power))
     return column
 
 
@@ -292,16 +304,18 @@ ROUTE_ROWS: dict[str, Callable[[int], tuple[int, ...]]] = {
 }
 
 
-def _kernel_inner_values(n: int, names: Collection[str]) -> Iterator[tuple[str, list[int]]]:
+def _kernel_inner_values(n: int, names: Collection[str], signed: list[list[int]] | None = None
+                         ) -> Iterator[tuple[str, list[int]]]:
     """(route name, r-Stirling values) of row n for each kernel-sum route in
     ``names``, in ``ROUTE_ROWS`` order.
 
     ``_convolve(n, values)`` is the route's row.  ``explicit``,
     ``bernoulli`` and ``fdiff`` normalise one row of ``_power_sums``, made
-    only if one of them is asked for.
+    only if one of them is asked for, with the run's binomial rows
+    ``signed`` (see there).
     """
     power_routes = ("explicit", "bernoulli", "fdiff")
-    sums = _power_sums(n) if any(name in names for name in power_routes) else []
+    sums = _power_sums(n, signed) if any(name in names for name in power_routes) else []
     if "explicit" in names:
         yield "explicit", _explicit_inner(n, sums)
     if "rstirling" in names:

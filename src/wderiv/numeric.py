@@ -228,6 +228,9 @@ def w_derivative_taylor(n: int, x: float, rel_tol: float = 1e-12) -> DerivativeV
 
     Terms are accumulated until two consecutive terms fall below rel_tol
     times the running sum; more than 10^4 terms raises ConvergenceError.
+    Where a term's ``exp`` or the ``fsum`` of the terms passes binary64
+    (from n = 113 at x = 0.3, n = 112 at x = -0.3), raises
+    ``OverflowError`` naming n and x.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -249,7 +252,11 @@ def w_derivative_taylor(n: int, x: float, rel_tol: float = 1e-12) -> DerivativeV
                 t = -t
             yield t
 
-    value = _settled_sum(terms(), rel_tol, f"taylor series for n={n}, x={x}")
+    try:
+        value = _settled_sum(terms(), rel_tol, f"taylor series for n={n}, x={x}")
+    except OverflowError as err:  # "math range error" or "intermediate overflow in fsum"
+        raise OverflowError(
+            f"d^{n}W/dx^{n} (taylor) at x = {x}: the series passes binary64 ({err})") from None
     return DerivativeValue(n, x, value, ROUTE_TAYLOR)
 
 

@@ -71,17 +71,23 @@ def _require_nonempty(seq: Sequence[int]) -> None:
 
 def _require_positive(seq: Sequence[int]) -> None:
     _require_nonempty(seq)
-    for i, c in enumerate(seq):
-        if c <= 0:
-            raise ValueError(f"sequence must be positive, entry {i} is {c}")
+    if not min(seq) > 0:
+        for i, c in enumerate(seq):
+            if c <= 0:
+                raise ValueError(f"sequence must be positive, entry {i} is {c}")
 
 
 def is_positive(seq: Sequence[int]) -> PropertyReport:
-    """Every entry strictly positive."""
+    """Every entry strictly positive.
+
+    One ``min`` decides a positive row; the row is walked only to name the
+    first entry that is not.
+    """
     _require_nonempty(seq)
-    for i, c in enumerate(seq):
-        if c <= 0:
-            return PropertyReport("positive", False, first_violation=(i,))
+    if not min(seq) > 0:
+        for i, c in enumerate(seq):
+            if c <= 0:
+                return PropertyReport("positive", False, first_violation=(i,))
     return PropertyReport("positive", True)
 
 

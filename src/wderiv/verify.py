@@ -174,11 +174,12 @@ def _check_rows(rows: Iterable[tuple[int, ...]], routes: tuple[str, ...], n_max:
     are made once, at the top of the row: ``values``, the r-Stirling values
     of ``kernel``, the chosen kernel-sum routes plus ``rstirling`` when the
     identities run (one ``_kernel_inner_values`` call, so the power-sum
-    routes share one row of power sums), and ``inverted``, the row's own
-    (``_rstirling_from_row``).  They are made on the rows to the route
-    horizon, and only if ``kernel`` is not empty; every stage that reads
-    them reads them on every row it checks.  No row past the last horizon
-    is drawn.
+    routes share one row of power sums, and all rows share the run's list
+    ``signed`` of binomial rows, each made once), and ``inverted``, the
+    row's own (``_rstirling_from_row``).  They are made on the rows to the
+    route horizon, and only if ``kernel`` is not empty; every stage that
+    reads them reads them on every row it checks.  No row past the last
+    horizon is drawn.
     """
     if unknown := set(routes) - set(ROUTE_NAMES):
         raise ValueError(f"unknown routes: {sorted(unknown)}")
@@ -190,10 +191,10 @@ def _check_rows(rows: Iterable[tuple[int, ...]], routes: tuple[str, ...], n_max:
         (route_end if identities else 0, [], _check_identities),
         (property_end, [], _check_properties)]
     kernel = ({*routes, "rstirling"} if identities else set(routes)) - {"recurrence", "carlitz"}
-    values, inverted = {}, []
+    values, inverted, signed = {}, [], []
     for n, row in enumerate(islice(rows, max(end for end, _, _ in stages)), 1):
         if kernel and n <= route_end:
-            values = dict(closed_forms._kernel_inner_values(n, kernel))
+            values = dict(closed_forms._kernel_inner_values(n, kernel, signed=signed))
             inverted = closed_forms._rstirling_from_row(n, row)
         for end, own, check in stages:
             if n <= end:

@@ -448,6 +448,13 @@ class TestEvalCommand:
         want = numeric.w_derivative_taylor(2, -1e-3).value
         assert out == f"d^2W/dx^2 (taylor) = {want:.17g}\n"
 
+    def test_taylor_overflow_names_the_route_n_and_x(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--x", "0.3", "--n", "5000",
+                                 "--route", "taylor")
+        assert (code, out) == (2, "")
+        assert err == ("numeric fault: d^5000W/dx^5000 (taylor) at x = 0.3: "
+                       "the series passes binary64 (math range error)\n")
+
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_n_below_one_names_n(self, capsys, n):
         code, out, err = run_cli(capsys, "eval", "--x", "1", "--n", n)

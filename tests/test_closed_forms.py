@@ -205,6 +205,18 @@ class TestRouteAgreement:
         for n in range(1, 61):
             assert _power_sums(n) == [_power_diff(m, m + n - 1, n) for m in range(n)], n
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=8))
+    def test_rows_in_any_order_share_one_binomial_list(self, ns):
+        # the list grows to the longest row asked for so far, and a shorter
+        # row after it reads the rows it needs from the front
+        signed = []
+        for n in ns:
+            assert _power_sums(n, signed) == [
+                _power_diff(m, m + n - 1, n) for m in range(n)], (ns, n)
+        assert signed == [[(-1) ** (m - q) * comb(m, q) for q in range(m + 1)]
+                          for m in range(max(ns))]
+
     @pytest.mark.parametrize(
         "route", ["beta_explicit_row", "beta_bernoulli_row", "beta_forward_diff_row"])
     def test_a_power_sum_off_by_one_is_named(self, monkeypatch, route):

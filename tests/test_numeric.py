@@ -296,6 +296,20 @@ class TestTaylorDerivative:
         with pytest.raises(ConvergenceError):
             w_derivative_taylor(1, 0.3678, 1e-12)
 
+    @pytest.mark.parametrize("n, x, cause", [
+        (113, 0.3, "math range error"),  # a term's exp
+        (138, 0.1, "math range error"),
+        (144, 1e-9, "math range error"),
+        (112, -0.3, "intermediate overflow in fsum"),  # the sum
+    ])
+    def test_overflow_names_the_route_n_and_x(self, n, x, cause):
+        # it raised a bare OverflowError with the cause alone
+        with pytest.raises(OverflowError) as info:
+            w_derivative_taylor(n, x)
+        assert str(info.value) == (
+            f"d^{n}W/dx^{n} (taylor) at x = {x}: the series passes binary64 ({cause})")
+        w_derivative_taylor(n - 1, x)  # the row before still sums
+
 
 class TestFiniteDifference:
     def test_examples(self, table8):

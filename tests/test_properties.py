@@ -1,4 +1,4 @@
-from math import comb, factorial
+from math import comb, factorial, log2
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -374,3 +374,95 @@ class TestScreenMatchesExactReference:
         # reference runs in full and must agree that the inequality holds
         assert outcome(ref_is_log_concave_weighted, seq) == (True, None)
         assert outcome(check_lemma1, seq) == outcome(ref_check_lemma1, seq) == (True, None)
+
+
+# References for rewrites of the two row walks the battery runs on every
+# row: ``is_positive`` as it walked every entry, and the log-concavity
+# screen as it indexes its list of logs at each k.  Each report, and each
+# count of comparisons that reach the exact test, must be the same.
+
+def walked_is_positive(seq):
+    if len(seq) == 0:
+        raise ValueError("sequence must be nonempty")
+    for i, c in enumerate(seq):
+        if c <= 0:
+            return PropertyReport("positive", False, first_violation=(i,))
+    return PropertyReport("positive", True)
+
+
+def indexed_log_concave(seq, name, weighted):
+    _ref_require_positive(seq)
+    logs = list(map(log2, seq))
+    tol = 1e-9 * max(1.0, max(map(abs, logs)))
+    for k in range(1, len(seq) - 1):
+        shift = log2((k + 1) / k) if weighted else 0.0
+        if 2 * logs[k] - logs[k - 1] - logs[k + 1] - shift <= tol:
+            p, q = (k + 1, k) if weighted else (1, 1)
+            if p * seq[k - 1] * seq[k + 1] > q * seq[k] * seq[k]:
+                return PropertyReport(name, False, first_violation=(k,))
+    return PropertyReport(name, True)
+
+
+class IndexCounted(list):
+    """A list that counts its indexed reads.  Iteration, ``len``, ``min``
+    and ``map`` do not index it, so only the exact test does, four reads a
+    comparison."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+TABLE60 = build_table(60)
+
+
+@st.composite
+def edited_rows(draw):
+    """A table row, a binomial row s C(n-1, k) p^k q^(n-1-k), a tie row or a
+    random list, then perhaps one entry set to 0, negated, or moved by +-1."""
+    row = draw(st.one_of(
+        st.integers(min_value=1, max_value=60).map(lambda n: list(TABLE60.rows[n])),
+        st.tuples(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=6),
+                  st.integers(min_value=1, max_value=6),
+                  st.integers(min_value=1, max_value=10**6)).map(
+            lambda a: [a[3] * comb(a[0] - 1, k) * a[1]**k * a[2]**(a[0] - 1 - k)
+                       for k in range(a[0])]),
+        st.integers(min_value=1, max_value=12).flatmap(lambda length: st.sampled_from([
+            lemma1_tie_row(length, 7), log_concave_tie_row(length),
+            weighted_unit_break_row(length)])),
+        st.lists(st.integers(min_value=-3, max_value=2**200), min_size=1, max_size=12)))
+    j = draw(st.integers(min_value=0, max_value=len(row) - 1))
+    edit = draw(st.sampled_from(["none", "zero", "negate", "up", "down"]))
+    row[j] = {"none": row[j], "zero": 0, "negate": -row[j],
+              "up": row[j] + 1, "down": row[j] - 1}[edit]
+    return row
+
+
+class TestRowWalksMatchTheirCopies:
+    @staticmethod
+    def counted(check, seq):
+        seq = IndexCounted(seq)
+        return outcome(check, seq), seq.reads
+
+    @settings(max_examples=400, deadline=None)
+    @given(edited_rows())
+    def test_reports_and_exact_comparisons(self, seq):
+        assert outcome(is_positive, seq) == outcome(walked_is_positive, seq)
+        for check, name, weighted in ((is_log_concave, "log_concave", False),
+                                      (is_log_concave_weighted, "log_concave_weighted", True)):
+            assert self.counted(check, seq) == self.counted(
+                lambda s: indexed_log_concave(s, name, weighted), seq), name
+
+    def test_ties_reach_the_exact_test(self):
+        # the count is not vacuous: a geometric row sends every interior k
+        # to the exact test, four reads each
+        row = log_concave_tie_row(9)
+        assert self.counted(is_log_concave, row) == ((True, None), 4 * 7)
+        assert self.counted(lambda s: indexed_log_concave(s, "log_concave", False),
+                            row) == ((True, None), 4 * 7)
+
+    def test_the_default_rows_reach_no_exact_test(self):
+        for n, row in enumerate(build_table(200).rows[1:], 1):
+            assert self.counted(is_log_concave_weighted, row) == ((True, None), 0), n

@@ -202,6 +202,27 @@ def test_kernel_routes_build_each_row_in_one_pass(monkeypatch):
         assert Counter(calls) == made
 
 
+def test_a_run_makes_each_signed_binomial_row_once(monkeypatch):
+    """The signed binomial rows (-1)^(m-q) C(m, q) behind the power sums do
+    not depend on the table row, so a run makes each once: rows 1..39 by
+    Pascal's rule for table rows 1..40, where making them afresh for each
+    table row took 780.  Each is made from the one before by ``sub`` over
+    the shifted row, which ends with the one ``sub(b, 0)``, so those calls
+    count the rows made."""
+    made = Counter()
+
+    def counted_sub(a, b):
+        made.update([b == 0])
+        return a - b
+
+    monkeypatch.setattr(closed_forms, "sub", counted_sub)
+    assert run_verification(build_table(40)) == []
+    assert made[True] == 39
+    made.clear()
+    assert closed_forms.beta_explicit_row(40) == TABLE40.rows[40]
+    assert made[True] == 39  # a route function makes its own per call
+
+
 def test_only_a_given_table_meets_the_recurrence(monkeypatch, tmp_path):
     """The table ``verify`` builds is the recurrence route; a file is not.
 
