@@ -13,6 +13,17 @@ integer test.  So a pass is still a proof, and each report is the one the
 exact tests alone give.  On a positive row the weighted log-concavity
 implies the plain one (hence unimodality) and the binomial inequality,
 which is therefore decided by it alone.
+
+What does not depend on the row is made once per process: the weighted
+screen reads its shifts log2((k+1)/k) from the module-level tuple
+``_SHIFTS``, and a passing positivity or log-concavity check returns one
+prebuilt report.  The tuple lives here, not in the battery's row pass, so
+that ``is_log_concave_weighted(row)`` stays a one-argument call: a shift
+parameter would let a caller pass wrong shifts and screen a failing row
+through, and a private call would hide the checks from wrappers installed
+on this module.  The screen's margin scales with ``max(logs)``: on a
+positive int row every log is >= 0, so that is the old ``max |log|`` and
+the error bound is unchanged.
 """
 from __future__ import annotations
 
@@ -64,6 +75,26 @@ class PropertyReport(_PropertyReportFields):
         return type(self), tuple(self)
 
 
+_POSITIVE = PropertyReport("positive", True)
+_LOG_CONCAVE = PropertyReport("log_concave", True)
+_LOG_CONCAVE_WEIGHTED = PropertyReport("log_concave_weighted", True)
+
+# _SHIFTS[k] = log2((k+1)/k) for k >= 1 (entry 0 is unused), grown by
+# ``_shifts``.  It is only ever replaced whole, so a caller that binds it to
+# a local reads a complete table.
+_SHIFTS: tuple[float, ...] = (0.0,)
+
+
+def _shifts(length: int) -> tuple[float, ...]:
+    """The shift table, with entries for every k < length."""
+    global _SHIFTS
+    shifts = _SHIFTS
+    if len(shifts) < length:
+        shifts = _SHIFTS = shifts + tuple(
+            log2((k + 1) / k) for k in range(len(shifts), 2 * length))
+    return shifts
+
+
 def _require_nonempty(seq: Sequence[int]) -> None:
     if len(seq) == 0:
         raise ValueError("sequence must be nonempty")
@@ -88,17 +119,27 @@ def is_positive(seq: Sequence[int]) -> PropertyReport:
         for i, c in enumerate(seq):
             if c <= 0:
                 return PropertyReport("positive", False, first_violation=(i,))
-    return PropertyReport("positive", True)
+    return _POSITIVE
 
 
-def _log_concave(seq: Sequence[int], name: str, weighted: bool) -> PropertyReport:
+def _log_concave(seq: Sequence[int], passed: PropertyReport, weighted: bool) -> PropertyReport:
     """p c_{k-1} c_{k+1} <= q c_k^2 at every interior k: p = q = 1, or if
     weighted p = k+1 and q = k, which is a_{k-1} a_{k+1} <= a_k^2 for
     a_k = k! c_k divided through by (k-1)! k!.  With L = log2(c), a sum
     2 L[k] - L[k-1] - L[k+1] - log2(p/q) above the margin 1e-9 max(1, M)
     proves the strict inequality; anything else goes to the exact test.
+    A row that passes gets ``passed``.
 
-    Error bound, with M = max |L| over the sequence.  math.log2 on an int
+    The shift log2(p/q) is 0.0, or log2((k+1)/k) read from ``_SHIFTS``:
+    that very expression, made once per process and not once per row.  The
+    table is module-level, not handed down by the battery's row pass, so
+    that the public checks keep their one argument, through which no caller
+    can pass wrong shifts (see the module docstring).
+
+    Error bound, with M = max |L| over the sequence.  On an int row that
+    ``_require_positive`` passes, every entry is >= 1 and every log >= 0, so
+    M is ``max(logs)``, the same float as ``max(map(abs, logs))``, and the
+    bound below is unchanged.  math.log2 on an int
     below 2**1024 rounds it to a double (relative error 2**-53, so at most
     2**-52 in the log) and takes a libm log2 (1 ulp, at most 2**-52 |L|).
     On a larger int it takes the 53-bit mantissa x of frexp (again at most
@@ -113,24 +154,24 @@ def _log_concave(seq: Sequence[int], name: str, weighted: bool) -> PropertyRepor
     """
     _require_positive(seq)
     logs = list(map(log2, seq))
-    tol = 1e-9 * max(1.0, max(map(abs, logs)))
+    tol = 1e-9 * max(1.0, max(logs))
+    shifts = _shifts(len(seq)) if weighted else (0.0,) * len(seq)
     for k in range(1, len(seq) - 1):
-        shift = log2((k + 1) / k) if weighted else 0.0
-        if 2 * logs[k] - logs[k - 1] - logs[k + 1] - shift <= tol:
+        if 2 * logs[k] - logs[k - 1] - logs[k + 1] - shifts[k] <= tol:
             p, q = (k + 1, k) if weighted else (1, 1)
             if p * seq[k - 1] * seq[k + 1] > q * seq[k] * seq[k]:
-                return PropertyReport(name, False, first_violation=(k,))
-    return PropertyReport(name, True)
+                return PropertyReport(passed.property, False, first_violation=(k,))
+    return passed
 
 
 def is_log_concave(seq: Sequence[int]) -> PropertyReport:
     """c_{k-1} c_{k+1} <= c_k^2 at every interior index (positive input only)."""
-    return _log_concave(seq, "log_concave", weighted=False)
+    return _log_concave(seq, _LOG_CONCAVE, weighted=False)
 
 
 def is_log_concave_weighted(seq: Sequence[int]) -> PropertyReport:
     """Log-concavity of the weighted sequence k! * c_k (positive input only)."""
-    return _log_concave(seq, "log_concave_weighted", weighted=True)
+    return _log_concave(seq, _LOG_CONCAVE_WEIGHTED, weighted=True)
 
 
 def is_unimodal(seq: Sequence[int]) -> PropertyReport:

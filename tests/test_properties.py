@@ -1,3 +1,4 @@
+import threading
 from math import comb, factorial, log2
 
 import pytest
@@ -12,7 +13,9 @@ from wderiv import (
     is_log_concave_weighted,
     is_positive,
     is_unimodal,
+    properties,
 )
+from wderiv.cli import main
 
 
 def log_concave_sequences():
@@ -416,6 +419,7 @@ class IndexCounted(list):
 
 
 TABLE60 = build_table(60)
+TABLE300 = build_table(300)
 
 
 @st.composite
@@ -466,3 +470,69 @@ class TestRowWalksMatchTheirCopies:
     def test_the_default_rows_reach_no_exact_test(self):
         for n, row in enumerate(build_table(200).rows[1:], 1):
             assert self.counted(is_log_concave_weighted, row) == ((True, None), 0), n
+
+    # The weighted screen reads its shifts from ``properties._SHIFTS``, which
+    # grows when a longer row arrives.  From the initial table, the walks must
+    # give the same reports, and the same exact-test reads, as their copies
+    # whatever order the rows come in, and from two threads at once.
+
+    @classmethod
+    def walks(cls, seq):
+        return (outcome(is_positive, seq), cls.counted(is_log_concave, seq),
+                cls.counted(is_log_concave_weighted, seq))
+
+    @classmethod
+    def copied_walks(cls, seq):
+        return (outcome(walked_is_positive, seq),
+                cls.counted(lambda s: indexed_log_concave(s, "log_concave", False), seq),
+                cls.counted(lambda s: indexed_log_concave(s, "log_concave_weighted", True), seq))
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.randoms(use_true_random=False), st.lists(edited_rows(), max_size=20))
+    def test_the_shift_table_grows_partway(self, rnd, edited):
+        seqs = [list(row) for row in TABLE300.rows[1:]] + edited
+        rnd.shuffle(seqs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(properties, "_SHIFTS", (0.0,))
+            for seq in seqs:
+                assert self.walks(seq) == self.copied_walks(seq), seq
+
+    def test_two_threads_grow_one_table(self, monkeypatch):
+        rows = [list(row) for row in TABLE300.rows[1:201]]
+        monkeypatch.setattr(properties, "_SHIFTS", (0.0,))
+        start = threading.Barrier(2)
+        results = {}
+
+        def run(order):
+            start.wait()
+            results[order] = [self.walks(rows[n - 1]) for n in order]
+
+        orders = (range(1, 201), range(200, 0, -1))
+        threads = [threading.Thread(target=run, args=(order,)) for order in orders]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for order in orders:
+            assert results[order] == [self.walks(rows[n - 1]) for n in order]
+
+
+def test_default_verify_computes_each_shift_once(monkeypatch, capsys):
+    """The default ``verify`` makes each weighted shift log2((k+1)/k) once
+    per process (it made one per interior k of rows 1..200, 19,701 in all),
+    and the table holds that very float at every k >= 1."""
+    calls = []
+
+    def counted_log2(x):
+        if isinstance(x, float):
+            calls.append(x)
+        return log2(x)
+
+    monkeypatch.setattr(properties, "_SHIFTS", (0.0,))
+    monkeypatch.setattr(properties, "log2", counted_log2)
+    assert main(["verify"]) == 0
+    assert len(calls) < 1000
+    shifts = properties._SHIFTS
+    assert len(shifts) >= 199
+    for k in range(1, len(shifts)):
+        assert shifts[k] == log2((k + 1) / k) and shifts[k].hex() == log2((k + 1) / k).hex(), k
