@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from itertools import count, islice
-from math import comb, exp, factorial, fsum, log1p
+from math import comb, exp, expm1, factorial, fsum, log1p
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
@@ -54,8 +54,9 @@ ROUTE_TAYLOR = "taylor"
 ROUTE_FD = "finite_difference"
 
 _MAX_HALLEY_ITERATIONS = 50
-# Below this x the Halley step's products stay finite: from w0 = ln(1+x) <= 691,
-# |f| <= x*w0 and (w+2)*|f| < 5e305.  They overflow from about x = 3.6e302.
+# Below this x the Halley step's products stay finite: from x = 100 the start
+# lies above W, by 0.008 at x = 1e300, and (w+2)*f, largest at the start and
+# at the top x, stays below 5.5*x <= 5.5e300.  They overflow from x = 3.3e307.
 _HALLEY_FINITE_X = 1e300
 _MAX_SERIES_TERMS = 10_000
 _SERIES_W_BOUND = 0.2  # |w| guard for the p_n series; term ratio ~ e|w|e^w < 1 here
@@ -66,7 +67,8 @@ class ConvergenceError(ArithmeticError):
 
 
 class WEvaluation(NamedTuple):
-    """W(x) on the principal branch plus its round-trip defect w*e^w - x."""
+    """W(x) on the principal branch, its Halley steps, and its defect
+    w*e^w - x, computed accurately as (w - x) + w*expm1(w)."""
 
     x: float
     w: float
@@ -101,16 +103,18 @@ class BernsteinScanReport(NamedTuple):
 
 
 def lambert_w(x: float) -> WEvaluation:
-    """Principal-branch W(x) for finite x >= 0 by Halley's method.
+    """Principal-branch W(x) for finite x >= 0, faithfully rounded: w is one
+    of the two floats either side of W(x), so |w - W| < 1 ulp.
 
-    Start from w0 = ln(1+x); stop when the Halley step drops below
-    2*eps*(1+|w|) (or immediately on an exact root).  Where the step's
-    products overflow (x from about 1e302) the step is taken with f and its
-    derivatives divided by e^w, so the whole float range converges; every
-    other step is left as it was.  The converged value
-    is then nudged to whichever of its ulp neighbours minimises the
-    measured defect |w*e^w - x|, so the reported residual is as small as
-    binary64 permits.
+    Halley's method (Corless et al. 1996) starts from Winitzki's uniform
+    approximation w0 = L (1 - ln(1+L)/(2+L)), L = ln(1+x), within 0.08 of
+    W, and stops after the first step with |dw|^3 <= eps*w/2 (or at once
+    on a zero defect).  From there w steps one ulp against the sign of its
+    defect while the defect's magnitude strictly falls.  The defect
+    w*e^w - x is computed as (w - x) + w*expm1(w), in the steps and the
+    walk alike, and is the reported residual.  Where the step's products
+    overflow (x from about 3.3e307) it is taken with f and its derivatives
+    divided by e^w, so the whole float range converges.
     """
     w, iterations, residual = _lambert(x)
     # the body of the class's generated __new__, without its Python frame
@@ -118,19 +122,30 @@ def lambert_w(x: float) -> WEvaluation:
 
 
 def _lambert(x: float) -> tuple[float, int, float]:
-    """W(x) as ``lambert_w`` finds it, its Halley iterations and w*e^w - x."""
+    """W(x) as ``lambert_w`` finds it, its Halley steps and w*e^w - x.
+
+    A step from an error e leaves C e^3, where for f = w e^w - x Halley's
+    constant C = f''^2/(4f'^2) - f'''/(6f') = 1/12 + 1/(6t) + 1/(4t^2),
+    t = 1 + w, is at most 1/2 for w >= 0.  So after a step with
+    |dw|^3 <= eps*w/2 the error is at most eps*w/4, under half an ulp of
+    w; the walk took 0 steps or 1 on every x sampled.  For x <= 1, w - x is
+    exact (W(x) >= x/2) and w*expm1(w) ~ w^2 rounds by about eps*w^2, below
+    the eps*w/2 or more by which neighbours' defects differ; w*exp(w) - x
+    rounds by about eps*x, enough to pick the wrong neighbour.
+    """
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"lambert_w needs finite x >= 0, got {x}")
     w = log1p(x)
+    w *= 1.0 - log1p(w) / (2.0 + w)
     iterations = 0
     large = x > _HALLEY_FINITE_X
     for _ in range(_MAX_HALLEY_ITERATIONS):
-        ew = exp(w)
-        f = w * ew - x
+        em1 = expm1(w)
+        f = (w - x) + w * em1
         if f == 0.0:
             break
         wp1 = w + 1.0
-        denominator = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
+        denominator = (em1 + 1.0) * wp1 - (w + 2.0) * f / (2.0 * wp1)
         if large and not math.isfinite(denominator):
             # the same step with f and the denominator divided by e^w
             g = w - x * exp(-w)
@@ -139,17 +154,19 @@ def _lambert(x: float) -> tuple[float, int, float]:
             dw = f / denominator
         w -= dw
         iterations += 1
-        if abs(dw) <= 2.0 * MACHINE_EPS * (1.0 + abs(w)):
+        if dw * dw * abs(dw) <= 0.5 * MACHINE_EPS * w:
             break
     else:
         raise ConvergenceError(f"lambert_w({x}) did not converge in "
                                f"{_MAX_HALLEY_ITERATIONS} iterations")
-    best, best_defect = w, w * exp(w) - x
-    for cand in (math.nextafter(w, math.inf), math.nextafter(w, -math.inf)):
-        defect = cand * exp(cand) - x
-        if abs(defect) < abs(best_defect):
-            best, best_defect = cand, defect
-    return best, iterations, best_defect
+    defect = (w - x) + w * expm1(w)
+    while defect:
+        cand = math.nextafter(w, -math.inf if defect > 0.0 else math.inf)
+        cand_defect = (cand - x) + cand * expm1(cand)
+        if not abs(cand_defect) < abs(defect):
+            break
+        w, defect = cand, cand_defect
+    return w, iterations, defect
 
 
 def _closed_form(n: int, x: float, coefficients: Iterable[int | float], w: float) -> float:
@@ -228,9 +245,9 @@ def w_derivative_taylor(n: int, x: float, rel_tol: float = 1e-12) -> DerivativeV
 
     Terms are accumulated until two consecutive terms fall below rel_tol
     times the running sum; more than 10^4 terms raises ConvergenceError.
-    Where a term's ``exp`` or the ``fsum`` of the terms passes binary64
-    (from n = 113 at x = 0.3, n = 112 at x = -0.3), raises
-    ``OverflowError`` naming n and x.
+    Where a term's ``exp``, the ``fsum`` of the terms or, at x = 0, the one
+    term (-n)^(n-1) passes binary64 (from n = 113 at x = 0.3, n = 112 at
+    x = -0.3, n = 144 at x = 0), raises ``OverflowError`` naming n and x.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -238,11 +255,9 @@ def w_derivative_taylor(n: int, x: float, rel_tol: float = 1e-12) -> DerivativeV
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     if not (math.isfinite(x) and abs(x) < 1.0 / math.e):
         raise ValueError(f"taylor route needs |x| < 1/e, got {x}")
-    if x == 0.0:
-        return DerivativeValue(n, x, float((-n) ** (n - 1)), ROUTE_TAYLOR)
-    log_ax = math.log(abs(x))
 
     def terms() -> Iterator[float]:
+        log_ax = math.log(abs(x))
         for m in count(n):
             # (-m)^(m-1) x^(m-n) / (m-n)!, assembled in log space
             t = exp((m - 1) * math.log(m) + (m - n) * log_ax - math.lgamma(m - n + 1))
@@ -253,8 +268,9 @@ def w_derivative_taylor(n: int, x: float, rel_tol: float = 1e-12) -> DerivativeV
             yield t
 
     try:
-        value = _settled_sum(terms(), rel_tol, f"taylor series for n={n}, x={x}")
-    except OverflowError as err:  # "math range error" or "intermediate overflow in fsum"
+        value = (float((-n) ** (n - 1)) if x == 0.0 else
+                 _settled_sum(terms(), rel_tol, f"taylor series for n={n}, x={x}"))
+    except OverflowError as err:  # from a term's exp, the fsum, or float() at x = 0
         raise OverflowError(
             f"d^{n}W/dx^{n} (taylor) at x = {x}: the series passes binary64 ({err})") from None
     return DerivativeValue(n, x, value, ROUTE_TAYLOR)

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -6,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wderiv import (build_table, cli, closed_forms, numeric, parse_table,
                     properties, table_to_json, triangle, verify)
@@ -455,6 +458,17 @@ class TestEvalCommand:
         assert err == ("numeric fault: d^5000W/dx^5000 (taylor) at x = 0.3: "
                        "the series passes binary64 (math range error)\n")
 
+    def test_taylor_overflow_at_zero_names_the_route_n_and_x(self, capsys):
+        # it printed "numeric fault: int too large to convert to float"
+        code, out, err = run_cli(capsys, "eval", "--x", "0", "--n", "144",
+                                 "--route", "taylor")
+        assert (code, out) == (2, "")
+        assert err == ("numeric fault: d^144W/dx^144 (taylor) at x = 0.0: the series "
+                       "passes binary64 (int too large to convert to float)\n")
+        code, out, _ = run_cli(capsys, "eval", "--x", "0", "--n", "143", "--route", "taylor")
+        assert code == 0
+        assert out.endswith(f"d^143W/dx^143 (taylor) = {float(143 ** 142):.17g}\n")
+
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_n_below_one_names_n(self, capsys, n):
         code, out, err = run_cli(capsys, "eval", "--x", "1", "--n", n)
@@ -526,6 +540,29 @@ class TestEvalCommand:
                                  "--route", "taylor", "--tol-rel", tol)
         assert (code, out) == (2, "")
         assert err.startswith("error: rel_tol must be finite and positive")
+
+
+class TestEvalExitCodes:
+    """``eval`` verifies nothing, so it never exits 1: a fault on any route is
+    exit 2 with stdout empty, in process and with no thread or process."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(), n=st.integers(min_value=-2, max_value=400),
+           route=st.sampled_from(["closed_form", "taylor", "finite_difference"]))
+    @example(x=-0.0, n=144, route="taylor")
+    @example(x=5e-324, n=138, route="closed_form")
+    @example(x=math.nan, n=1, route="finite_difference")
+    @example(x=-math.inf, n=400, route="taylor")
+    def test_exit_code_is_0_or_2(self, x, n, route):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["eval", f"--x={x!r}", f"--n={n}", f"--route={route}"])
+        if code == 0:
+            assert err.getvalue() == ""
+        else:
+            assert code == 2
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith(("error: ", "numeric fault: "))
 
 
 class TestUsage:
