@@ -16,9 +16,10 @@ proves, gives the alternating-sign law
 
     (-1)^(n-1) W^(n)(x) = exp(-n W) sum_k beta(n, k) W^k / (1+W)^(2n-1) > 0
 
-for every n <= N and x >= 0, the law that makes W a Bernstein function;
-the float layer (``numeric.bernstein_scan``) measures binary64 evaluation
-only.
+for every n <= N and x >= 0, the law that makes W a Bernstein function.
+That exact positivity is the proof; the float layer (``numeric``) proves
+nothing, and raises ``OverflowError`` rather than return a derivative
+outside binary64's normal range.
 
 Names resolve on first use (PEP 562), so importing a submodule loads only
 that submodule and what it imports.  A submodule name imports just that

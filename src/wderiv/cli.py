@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import sys
 
 from . import triangle, verify
@@ -145,11 +144,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 f"row {_LAST_FLOAT_ROW + 1} of the triangle has an entry past binary64, "
                 f"so the closed form stops at n = {_LAST_FLOAT_ROW}")
         deriv = numeric.w_derivative(args.n, args.x, triangle.build_table(args.n))
-    # no derivative of W is 0, so 0, a subnormal or inf means binary64 ran out
-    if not (math.isfinite(deriv.value) and abs(deriv.value) >= sys.float_info.min):
-        raise ArithmeticError(
-            f"d^{args.n}W/dx^{args.n} ({deriv.route}) at x = {args.x} came out "
-            f"{deriv.value}, outside the normal binary64 range")
     # lambert_w covers x >= 0; the Taylor route also reaches -1/e < x < 0
     if args.x >= 0.0:
         evaluation = numeric.lambert_w(args.x)

@@ -1,10 +1,8 @@
-"""Floating-point layer: W on [0, inf), its derivatives, and sign scans.
+"""Floating-point layer: W on [0, inf) and its derivatives in binary64.
 
-The exact triangle is the single source of truth for coefficients; this
-module converts rows to binary64 where they are used and keeps none past a call:
-``w_derivative`` converts each entry inside Horner's step, ``bernstein_scan``
-converts each row once into a float list that it reuses across the grid.
-Three derivative routes are provided so they can check each other:
+The exact triangle is the single source of truth for coefficients:
+``w_derivative`` converts each entry inside Horner's step and keeps no
+float row.  Three derivative routes are provided so they can check each other:
 
 * ``w_derivative``      -- the closed form exp(-nW) p_n(W) / (1+W)^(2n-1),
 * ``w_derivative_taylor`` -- the series sum_{m>=n} (-m)^(m-1) x^(m-n)/(m-n)!,
@@ -12,11 +10,10 @@ Three derivative routes are provided so they can check each other:
 * ``w_derivative_fd``   -- a central finite difference with one Richardson
   extrapolation step, usable as an independent oracle for n <= 5.
 
-``bernstein_scan`` checks the alternating-sign law (-1)^(n-1) d^nW/dx^n > 0
-on a grid, the numeric witness that W' is completely monotonic and W is a
-Bernstein function.  Row positivity settles that law exactly; the scan
-measures binary64 evaluation, and sets aside as unresolved every value
-outside the normal binary64 range.
+Each route returns a normal binary64 or raises ``OverflowError`` naming the
+route, n and x: no derivative of W is 0.  The alternating-sign law
+(-1)^(n-1) d^nW/dx^n > 0, which makes W a Bernstein function, is proved by
+exact row positivity, not by any float here.
 """
 from __future__ import annotations
 
@@ -24,7 +21,7 @@ import math
 import sys
 from itertools import count, islice
 from math import comb, exp, expm1, factorial, fsum, log1p
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     from .triangle import CoefficientTable
@@ -37,17 +34,17 @@ __all__ = [
     "ConvergenceError",
     "WEvaluation",
     "DerivativeValue",
-    "BernsteinScanReport",
     "lambert_w",
     "w_derivative",
     "w_derivative_taylor",
     "w_derivative_fd",
     "pn_series_eval",
-    "bernstein_scan",
     "log_grid",
 ]
 
 MACHINE_EPS = sys.float_info.epsilon
+_NORMAL_MIN = sys.float_info.min
+_FLOAT_MAX = sys.float_info.max
 
 ROUTE_CLOSED = "closed_form"
 ROUTE_TAYLOR = "taylor"
@@ -83,23 +80,6 @@ class DerivativeValue(NamedTuple):
     x: float
     value: float
     route: str
-
-
-class BernsteinScanReport(NamedTuple):
-    """Result of the alternating-sign scan; violations hold (n, x, value).
-
-    ``unresolved`` holds the (n, x, value) whose value is not a normal
-    binary64 (zero, subnormal, inf or NaN), so its sign says nothing.
-    """
-
-    n_max: int
-    grid: tuple[float, ...]
-    violations: tuple[tuple[int, float, float], ...]
-    unresolved: tuple[tuple[int, float, float], ...] = ()
-
-    @property
-    def holds(self) -> bool:
-        return not self.violations
 
 
 def lambert_w(x: float) -> WEvaluation:
@@ -169,52 +149,48 @@ def _lambert(x: float) -> tuple[float, int, float]:
     return w, iterations, defect
 
 
-def _closed_form(n: int, x: float, coefficients: Iterable[int | float], w: float) -> float:
-    """d^nW/dx^n at x, whose W is w: exp(-nw) p_n(w) / (1+w)^(2n-1).
-
-    p_n(w) is evaluated in binary64 by Horner on row n's entries,
-    ``coefficients``, top entry first, as ints or floats.  The step
-    ``acc * w + b`` converts an int entry as ``float(b)`` does, with the
-    same rounding, and raises the same ``OverflowError`` at the first entry
-    past binary64, so ints and their floats give the same bits.  Where
-    (1+w)^(2n-1) overflows, raises ``OverflowError`` naming n and x rather
-    than divide by inf, which gives 0, or NaN where p_n(w) is inf too.
-    """
-    acc = 0.0
-    for b in coefficients:
-        acc = acc * w + b
-    pn = -acc if n % 2 == 0 else acc
-    try:
-        scale = (1.0 + w) ** (2 * n - 1)
-    except OverflowError:
-        # The value is then far below binary64's range: the row converted
-        # to floats, so n <= 138 and 2n-1 <= 275, and the power overflows
-        # only for (2n-1) log(1+w) > 1024 log 2, that is w >= 12.2, where
-        # log(1+w) <= 0.2115 w; hence (2n-1) w > 3356 and nw >= 1684.  Since
-        # w^k <= (1+w)^(2n-1) and the n entries are positive and below
-        # 1.8e308, |value| <= e^(-nw) 2.5e310 < 1e-420 (mpmath gives
-        # -5.2e-1004 at n = 120, x = 1e10); it rounds to (-1)^(n-1) 0.0.
-        raise OverflowError(
-            f"d^{n}W/dx^{n} (closed_form) at x = {x} is below 1e-420 in magnitude: "
-            f"(1 + W)^{2 * n - 1} overflows binary64") from None
-    return exp(-n * w) * pn / scale
+def _outside_normal_range(n: int, x: float, value: float, route: str) -> OverflowError:
+    """The error for a derivative that came out zero, subnormal, inf or NaN."""
+    return OverflowError(f"d^{n}W/dx^{n} ({route}) at x = {x} came out {value}, "
+                         "outside the normal binary64 range")
 
 
 def w_derivative(n: int, x: float, table: CoefficientTable) -> DerivativeValue:
-    """d^nW/dx^n for x > 0 via the closed form and the exact coefficient row.
+    """d^nW/dx^n for x > 0 via the closed form exp(-nW) p_n(W) / (1+W)^(2n-1).
 
-    Horner takes row n's ints, top entry first, and converts each inside
-    its step; from row 139 on an entry is past binary64, and this raises
-    ``OverflowError: int too large to convert to float``.  It raises
-    ``OverflowError`` naming n and x where (1+W)^(2n-1) overflows binary64
-    (from about x = 2e9 at n = 120): the value, below 1e-420 in magnitude,
-    is then out of binary64's range.
+    Horner takes row n's ints, top entry first, converting each in its step
+    as ``float(b)`` does, so from row 139 on it raises ``OverflowError: int
+    too large to convert to float``.  For w >= 0 every Horner term is
+    positive: p_n(W) is within gamma_(2n) relative error (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, section 5.1), and a normal result
+    has the sign (-1)^(n-1), a law exact row positivity proves.  Where
+    exp(-nW) is subnormal a normal result loses bits (7.7e-6 relative at
+    n = 65, x = 1e6).  Any other result raises ``OverflowError`` naming n
+    and x: where (1+W)^(2n-1) overflows (from about x = 2e9 at n = 120) the
+    value is below 1e-420 in magnitude; elsewhere it came out zero,
+    subnormal, infinite or NaN.
     """
     if not 1 <= n <= table.n_max:
         raise ValueError(f"n must be in 1..{table.n_max}, got {n}")
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"derivative route needs x > 0, got {x}")
-    value = _closed_form(n, x, reversed(table.rows[n]), _lambert(x)[0])
+    w = _lambert(x)[0]
+    acc = 0.0
+    for b in reversed(table.rows[n]):
+        acc = acc * w + b
+    try:
+        scale = (1.0 + w) ** (2 * n - 1)
+    except OverflowError:
+        # Then |value| < 1e-420: the row converted, so n <= 138, and the power
+        # overflows only for (2n-1) log(1+w) > 1024 log 2, so w >= 12.2 and,
+        # as log(1+w) <= 0.2115 w there, nw >= 1684; with w^k <= (1+w)^(2n-1)
+        # |value| <= e^(-nw) 2.5e310 (mpmath: -5.2e-1004 at n = 120, x = 1e10).
+        raise OverflowError(
+            f"d^{n}W/dx^{n} (closed_form) at x = {x} is below 1e-420 in magnitude: "
+            f"(1 + W)^{2 * n - 1} overflows binary64") from None
+    value = exp(-n * w) * (-acc if n % 2 == 0 else acc) / scale
+    if not _NORMAL_MIN <= abs(value) <= _FLOAT_MAX:
+        raise _outside_normal_range(n, x, value, ROUTE_CLOSED)
     # the body of the class's generated __new__, without its Python frame
     return tuple.__new__(DerivativeValue, (n, x, value, ROUTE_CLOSED))
 
@@ -273,6 +249,8 @@ def w_derivative_taylor(n: int, x: float, rel_tol: float = 1e-12) -> DerivativeV
     except OverflowError as err:  # from a term's exp, the fsum, or float() at x = 0
         raise OverflowError(
             f"d^{n}W/dx^{n} (taylor) at x = {x}: the series passes binary64 ({err})") from None
+    if not _NORMAL_MIN <= abs(value) <= _FLOAT_MAX:
+        raise _outside_normal_range(n, x, value, ROUTE_TAYLOR)
     return DerivativeValue(n, x, value, ROUTE_TAYLOR)
 
 
@@ -313,6 +291,8 @@ def w_derivative_fd(n: int, x: float) -> DerivativeValue:
             f"finite-difference route at x = {x}, n = {n}: (2h)^n overflows "
             f"binary64 for the step h = {h}") from None
     value = (4.0 * _central_diff(n, x, h, h_n) - _central_diff(n, x, 2.0 * h, h2_n)) / 3.0
+    if not _NORMAL_MIN <= abs(value) <= _FLOAT_MAX:
+        raise _outside_normal_range(n, x, value, ROUTE_FD)
     return DerivativeValue(n, x, value, ROUTE_FD)
 
 
@@ -357,43 +337,6 @@ def pn_series_eval(n: int, w: float, rel_tol: float = 1e-10) -> float:
 
     return (_settled_sum(terms(), rel_tol, f"series for p_{n}({w})")
             * (1.0 + w) ** (2 * n - 1))
-
-
-def bernstein_scan(
-    n_max: int, grid: list[float] | tuple[float, ...], table: CoefficientTable
-) -> BernsteinScanReport:
-    """Check (-1)^(n-1) d^nW/dx^n > 0 for each n <= n_max and x in grid.
-
-    The sign law itself is settled exactly by row positivity, which
-    ``verify`` proves; this scan measures binary64 evaluation only.  A value
-    that is not a normal binary64 (zero, subnormal, inf or NaN: the
-    evaluation ran out of range) goes to ``unresolved``, never to
-    ``violations``.  W is solved once per grid point and each row converted
-    to binary64 once; each value is the one ``w_derivative`` gives there,
-    or, where it raises ``OverflowError`` since (1+W)^(2n-1) overflows, the
-    signed zero (-1)^(n-1) 0.0 that the value rounds to.
-    """
-    if not 1 <= n_max <= table.n_max:
-        raise ValueError(f"n_max must be in 1..{table.n_max}, got {n_max}")
-    if len(grid) == 0:
-        raise ValueError("grid must be nonempty")
-    if any(not (math.isfinite(x) and x > 0.0) for x in grid):
-        raise ValueError("grid points must be finite and > 0")
-    ws = [_lambert(x)[0] for x in grid]
-    violations = []
-    unresolved = []
-    for n in range(1, n_max + 1):
-        coefficients = [float(b) for b in reversed(table.rows[n])]
-        for x, w in zip(grid, ws):
-            try:
-                value = _closed_form(n, x, coefficients, w)
-            except OverflowError:  # the value rounds to the signed zero there
-                value = -0.0 if n % 2 == 0 else 0.0
-            if not (math.isfinite(value) and abs(value) >= sys.float_info.min):
-                unresolved.append((n, x, value))
-            elif not (value if n % 2 else -value) > 0.0:
-                violations.append((n, x, value))
-    return BernsteinScanReport(n_max, tuple(grid), tuple(violations), tuple(unresolved))
 
 
 def log_grid(lo: float, hi: float, count: int) -> list[float]:

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -488,13 +489,14 @@ class TestEvalCommand:
                                              ("1e6", 80, "-0.0"),
                                              ("1e10", 35, "2.780702483116e-312")])
     def test_derivative_outside_the_normal_range_exits_2(self, capsys, x, n, value):
-        # the library still returns the value; only eval refuses to print it
-        table = build_table(n)
-        assert repr(numeric.w_derivative(n, float(x), table).value) == value
+        # the library raises the error that eval prints
+        with pytest.raises(OverflowError) as info:
+            numeric.w_derivative(n, float(x), build_table(n))
         code, out, err = run_cli(capsys, "eval", "--x", x, "--n", str(n))
         assert (code, out) == (2, "")
         assert err == (f"numeric fault: d^{n}W/dx^{n} (closed_form) at x = {float(x)} "
                        f"came out {value}, outside the normal binary64 range\n")
+        assert err == f"numeric fault: {info.value}\n"
 
     def test_power_overflow_exits_2_naming_n_and_x(self, capsys):
         code, out, err = run_cli(capsys, "eval", "--x", "1e10", "--n", "120")
@@ -554,15 +556,134 @@ class TestEvalExitCodes:
     @example(x=math.nan, n=1, route="finite_difference")
     @example(x=-math.inf, n=400, route="taylor")
     def test_exit_code_is_0_or_2(self, x, n, route):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["eval", f"--x={x!r}", f"--n={n}", f"--route={route}"])
+        code, out, err = run_in_process("eval", f"--x={x!r}", f"--n={n}", f"--route={route}")
         if code == 0:
-            assert err.getvalue() == ""
+            assert err == ""
         else:
-            assert code == 2
-            assert out.getvalue() == ""
-            assert err.getvalue().startswith(("error: ", "numeric fault: "))
+            assert_usage_or_numeric_fault(code, out, err)
+
+
+def run_in_process(*argv):
+    """``main``'s exit code, stdout and stderr, without capsys, so that
+    Hypothesis tests can call it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_usage_or_numeric_fault(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith(("error: ", "numeric fault: "))
+
+
+def export_text(rows, fmt):
+    """The bytes ``table`` writes for these rows of decimal strings."""
+    if fmt == "csv":
+        return "n,k,beta\n" + "".join(f"{n},{k},{v}\n" for n, row in enumerate(rows, 1)
+                                       for k, v in enumerate(row))
+    return json.dumps({"n_max": len(rows), "rows": rows}, separators=(",", ":")) + "\n"
+
+
+@st.composite
+def mutated_exports(draw):
+    """A CSV or JSON export of ``build_table(m)``, m <= 8, as bytes, either
+    intact or mutated once."""
+    m = draw(st.integers(min_value=1, max_value=8))
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    rows = [[str(b) for b in row] for row in build_table(m).rows[1:]]
+    n = draw(st.integers(min_value=1, max_value=m))
+    k = draw(st.integers(min_value=0, max_value=n - 1))
+    # intact and bumped exports are drawn more often: they reach exits 0 and 1
+    mutation = draw(st.sampled_from(["none", "none", "bump", "bump", "bump", "delete",
+                                     "insert", "change", "truncate", "long entry",
+                                     "nested"]))
+    if mutation == "bump":
+        rows[n - 1][k] = str(int(rows[n - 1][k]) + draw(st.sampled_from([1, -1])))
+    elif mutation == "long entry":
+        rows[n - 1][k] = "1" + "0" * 4999
+    data = export_text(rows, fmt).encode("ascii")
+    if mutation == "nested":
+        data = b'{"n_max":%d,"rows":[%s%s]}\n' % (m, b"[" * 2000, b"]" * 2000)
+    elif mutation in ("delete", "insert", "change", "truncate"):
+        i = draw(st.integers(min_value=0, max_value=len(data) - 1))
+        byte = bytes([draw(st.integers(min_value=0, max_value=255))])
+        data = {"delete": data[:i] + data[i + 1:], "insert": data[:i] + byte + data[i:],
+                "change": data[:i] + byte + data[i + 1:], "truncate": data[:i]}[mutation]
+    return data
+
+
+class TestVerifyTableExitCodes:
+    """``verify --table`` on exports, intact or mutated once: exit 0 means
+    an OK report, exit 1 only a report that lists failures, and exit 2 an
+    error with stdout empty, in process and with no thread or process."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=mutated_exports(),
+           fmt=st.sampled_from([None, "text", "json"]),
+           n_max=st.one_of(st.none(), st.integers(min_value=1, max_value=12),
+                           st.integers(min_value=-3, max_value=0)),
+           routes=st.one_of(st.none(), st.sampled_from(
+               ["recurrence", "explicit,carlitz", ",".join(verify.ROUTE_NAMES)]),
+               st.sampled_from(["", "turbo"])))
+    def test_exit_code_is_0_1_or_2(self, data, fmt, n_max, routes):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table"
+            path.write_bytes(data)
+            argv = ["verify", "--table", str(path)]
+            for option, value in (("--format", fmt), ("--n-max", n_max),
+                                  ("--routes", routes)):
+                if value is not None:
+                    argv.append(f"{option}={value}")
+            code, out, err = run_in_process(*argv)
+        if code == 2:
+            assert_usage_or_numeric_fault(code, out, err)
+            return
+        assert code in (0, 1) and err == ""
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["passed"] is (code == 0)
+            assert bool(payload["failures"]) is (code == 1)
+        elif code == 0:
+            assert out.startswith("OK n_max=") and out.endswith(" all checks passed\n")
+            assert out.count("\n") == 1
+        else:
+            lines = out.splitlines()
+            assert lines[0].startswith("FAIL first failure: n=")
+            assert len(lines) >= 2 and all(line.startswith("FAIL n=") for line in lines[1:])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_intact_export_is_what_table_writes(self, capsys, fmt):
+        rows = [[str(b) for b in row] for row in build_table(8).rows[1:]]
+        code, out, _ = run_cli(capsys, "table", "--n-max", "8", "--format", fmt)
+        assert (code, out) == (0, export_text(rows, fmt))
+
+
+class TestTableExitCodes:
+    """``table`` never exits 1: exit 0 writes the export to stdout or to
+    ``--out``, and exit 2 leaves stdout empty and makes no file."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_max=st.integers(min_value=-3, max_value=40),
+           fmt=st.sampled_from(["csv", "json"]),
+           out=st.sampled_from([None, "file", "missing directory"]))
+    def test_exit_code_is_0_or_2(self, n_max, fmt, out):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / ("missing" if out == "missing directory" else "") / "t"
+            argv = ["table", f"--n-max={n_max}", f"--format={fmt}"]
+            if out is not None:
+                argv.append(f"--out={path}")
+            code, stdout, err = run_in_process(*argv)
+            written = path.read_text(encoding="ascii") if path.exists() else None
+        if code == 2:
+            assert_usage_or_numeric_fault(code, stdout, err)
+            assert written is None
+            return
+        assert code == 0 and err == ""
+        table = build_table(n_max)
+        expected = csv_text(table) if fmt == "csv" else table_to_json(table)
+        assert (stdout, written) == ((expected, None) if out is None else ("", expected))
 
 
 class TestUsage:

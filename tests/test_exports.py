@@ -9,6 +9,11 @@ def test_no_duplicates():
     assert len(wderiv.__all__) == len(set(wderiv.__all__))
 
 
+def test_public_surface_size():
+    # pinned, so that any growth or shrinkage of the public surface is a diff
+    assert len(wderiv.__all__) == 56
+
+
 def test_union_of_module_lists():
     union = {name for module in MODULES for name in module.__all__}
     assert set(wderiv.__all__) == union | {"__version__"}

@@ -13,10 +13,7 @@ from wderiv import (
     ROUTE_CLOSED,
     ROUTE_FD,
     ROUTE_TAYLOR,
-    BernsteinScanReport,
-    CoefficientTable,
     ConvergenceError,
-    bernstein_scan,
     build_table,
     lambert_w,
     log_grid,
@@ -156,6 +153,16 @@ class TestLambertWAgainstMpmath:
         assert len(made) <= 3, (x, made)
 
 
+@pytest.fixture(scope="module")
+def table138():
+    return build_table(138)
+
+
+@pytest.fixture(scope="module")
+def table200():
+    return build_table(200)
+
+
 class TestClosedFormDerivative:
     def test_first_derivative_at_e(self, table8):
         d = w_derivative(1, math.e, table8)
@@ -186,6 +193,32 @@ class TestClosedFormDerivative:
                 value = w_derivative(n, x, table8).value
                 assert (value > 0) == (n % 2 == 1)
 
+    def test_second_derivative_negative(self, table8):
+        assert w_derivative(2, math.e, table8).value < 0
+
+    def test_w_prime_strictly_decreasing(self, table8):
+        grid = log_grid(0.01, 10, 50)
+        values = [w_derivative(1, x, table8).value for x in grid]
+        assert all(a > b for a, b in zip(values, values[1:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=138),
+           st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    @example(138, 10.0)  # -inf before the range check
+    @example(80, 1e6)  # -0.0
+    @example(35, 1e10)  # subnormal
+    @example(138, 5e-324)
+    @example(1, sys.float_info.max)
+    def test_sign_law_in_floats(self, table138, n, x):
+        """For w >= 0 every Horner term is positive, so a normal value
+        has the sign (-1)^(n-1); any other value raises."""
+        try:
+            value = w_derivative(n, x, table138).value
+        except OverflowError:
+            return
+        assert sys.float_info.min <= abs(value) <= sys.float_info.max
+        assert (value > 0.0) == (n % 2 == 1), (n, x, value)
+
     def test_power_overflow_raises_naming_n_and_x(self):
         """(1 + W)^(2n-1) overflows from about x = 2e9 at n = 120; the value
         is then far below the least subnormal, so no binary64 but a signed
@@ -214,7 +247,8 @@ def outcome(call):
 
 def closed_form_on_lambert_w(n, x, table):
     """The closed form evaluated on ``lambert_w(x).w``, one term at a time;
-    where (1 + w)^(2n-1) overflows, the ``OverflowError`` naming n and x."""
+    where (1 + w)^(2n-1) overflows or the value is not a normal binary64,
+    the ``OverflowError`` naming n and x."""
     w = lambert_w(x).w
     acc = 0.0
     for b in reversed(table.rows[n]):
@@ -225,7 +259,11 @@ def closed_form_on_lambert_w(n, x, table):
     except OverflowError:
         raise OverflowError(f"d^{n}W/dx^{n} (closed_form) at x = {x} is below 1e-420 in "
                             f"magnitude: (1 + W)^{2 * n - 1} overflows binary64") from None
-    return math.exp(-n * w) * pn / scale
+    value = math.exp(-n * w) * pn / scale
+    if not (math.isfinite(value) and abs(value) >= sys.float_info.min):
+        raise OverflowError(f"d^{n}W/dx^{n} (closed_form) at x = {x} came out {value}, "
+                            "outside the normal binary64 range")
+    return value
 
 
 def fd_on_lambert_w(n, x):
@@ -239,11 +277,6 @@ def fd_on_lambert_w(n, x):
     return (4.0 * diff(h) - diff(2.0 * h)) / 3.0
 
 
-@pytest.fixture(scope="module")
-def table200():
-    return build_table(200)
-
-
 class TestSameBitsAsOnLambertW:
     """The derivative routes solve W without building a ``WEvaluation``; the
     values are those of the same formulas on ``lambert_w(x).w``."""
@@ -251,6 +284,9 @@ class TestSameBitsAsOnLambertW:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=1, max_value=200),
            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    @example(138, 10.0)  # -inf at the last float row
+    @example(139, 1.0)  # an entry past binary64
+    @example(120, 1e10)  # (1 + W)^239 overflows
     def test_closed_form(self, table200, n, x):
         assert (outcome(lambda: w_derivative(n, x, table200).value)
                 == outcome(lambda: closed_form_on_lambert_w(n, x, table200)))
@@ -260,21 +296,6 @@ class TestSameBitsAsOnLambertW:
            st.floats(min_value=0.05, max_value=1e60))
     def test_finite_difference(self, n, x):
         assert w_derivative_fd(n, x).value.hex() == fd_on_lambert_w(n, x).hex()
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(min_value=1, max_value=200),
-           st.floats(min_value=-6.0, max_value=6.0).map(lambda e: 10.0 ** e))
-    @example(138, 10.0)
-    @example(139, 1.0)
-    @example(120, 1e10)
-    def test_closed_form_on_the_float_row(self, table200, n, x):
-        """Horner converts row n's ints inside its step: the bits of the
-        float row ``bernstein_scan`` hands it, and the same error where an
-        entry is past binary64 (n >= 139) or the power overflows."""
-        w = numeric._lambert(x)[0]
-        assert (outcome(lambda: w_derivative(n, x, table200).value)
-                == outcome(lambda: numeric._closed_form(
-                    n, x, [float(b) for b in reversed(table200.rows[n])], w)))
 
 
 class TestTaylorDerivative:
@@ -393,15 +414,25 @@ class TestFiniteDifference:
             "reaches below 0: its low point is -0.000244140625")
 
     def test_large_x_is_a_value_or_a_domain_error(self):
-        """Where (2h)^n overflows, a ValueError, never a bare OverflowError."""
+        """Where (2h)^n overflows, a ValueError, never a bare OverflowError;
+        elsewhere the difference's value where it is a normal binary64, and
+        the ``OverflowError`` naming it where it is not."""
         for n in range(1, 6):
             for x in [10.0 ** e for e in range(0, 308, 7)] + [1.7e308]:
                 h = max(x, 1.0) * MACHINE_EPS ** (1.0 / (n + 2))
                 if math.log2(2.0 * h) * n >= 1024.0:
                     with pytest.raises(ValueError, match="[(]2h[)]\\^n overflows"):
                         w_derivative_fd(n, x)
+                    continue
+                value = fd_on_lambert_w(n, x)
+                if sys.float_info.min <= abs(value) <= sys.float_info.max:
+                    assert w_derivative_fd(n, x).value == value, (n, x)
                 else:
-                    assert math.isfinite(w_derivative_fd(n, x).value), (n, x)
+                    with pytest.raises(OverflowError) as info:
+                        w_derivative_fd(n, x)
+                    assert str(info.value) == (
+                        f"d^{n}W/dx^{n} (finite_difference) at x = {x} came out "
+                        f"{value}, outside the normal binary64 range")
 
 
 def fraction_form_pn_series_eval(n, w, rel_tol):
@@ -477,96 +508,6 @@ class TestSeriesEvaluation:
         for line in path.read_text(encoding="ascii").splitlines():
             n, w, value = line.split()
             assert pn_series_eval(int(n), float(w)).hex() == value, (n, w)
-
-
-class TestBernsteinScan:
-    def test_holds_on_small_scan(self, table8):
-        report = bernstein_scan(8, log_grid(0.01, 10, 20), table8)
-        assert report.holds
-        assert report.violations == ()
-
-    def test_second_derivative_negative(self, table8):
-        assert w_derivative(2, math.e, table8).value < 0
-
-    def test_detects_sign_violation(self):
-        # a corrupted row with a negative entry breaks the sign law
-        bad = CoefficientTable(n_max=2, rows=((), (1,), (-5, 1)))
-        report = bernstein_scan(2, [0.5, 1.0], bad)
-        assert not report.holds
-        assert all(n == 2 for n, _, _ in report.violations)
-
-    def test_solves_w_once_per_grid_point(self, table8, monkeypatch):
-        # rows 3 and 6 negated, so every point of theirs is a violation
-        table = CoefficientTable(8, tuple(
-            tuple(-b for b in row) if n in (3, 6) else row
-            for n, row in enumerate(table8.rows)))
-        grid = log_grid(0.01, 10, 50)
-        want = []
-        for n in range(1, 9):
-            for x in grid:
-                value = w_derivative(n, x, table).value
-                if not (value if n % 2 else -value) > 0.0:
-                    want.append((n, x, value))
-        solved = []
-        solve = numeric._lambert
-        monkeypatch.setattr(numeric, "_lambert", lambda x: solved.append(x) or solve(x))
-        report = bernstein_scan(8, grid, table)
-        assert solved == grid
-        assert len(want) == 100
-        assert report == BernsteinScanReport(8, tuple(grid), tuple(want))
-
-    def test_reads_each_row_once_per_scan(self, table8):
-        """Each row is converted to binary64 once per scan, not once per
-        grid point: every way of reading a row is counted."""
-        reads = []
-
-        class CountedRow(tuple):
-            def __iter__(self):
-                reads.append(len(self))
-                return super().__iter__()
-
-            def __reversed__(self):
-                reads.append(len(self))
-                return iter(tuple.__getitem__(self, slice(None, None, -1)))
-
-            def __getitem__(self, index):
-                reads.append(len(self))
-                return super().__getitem__(index)
-
-        table = CoefficientTable(8, tuple(CountedRow(row) for row in table8.rows))
-        reads.clear()
-        report = bernstein_scan(8, log_grid(0.01, 10, 20), table)
-        assert report == bernstein_scan(8, log_grid(0.01, 10, 20), table8)
-        assert sorted(reads) == list(range(1, 9))
-
-    def test_underflow_is_unresolved_not_a_violation(self):
-        """Past binary64's range the closed form gives ±0.0, inf or NaN;
-        row positivity settles the sign law there, so none is a violation."""
-        report = bernstein_scan(120, log_grid(1e-3, 1e6, 30), build_table(120))
-        assert report.violations == ()
-        assert len(report.unresolved) == 294
-        assert all(not (math.isfinite(value) and abs(value) >= sys.float_info.min)
-                   for _, _, value in report.unresolved)
-        assert sum(value == 0.0 for _, _, value in report.unresolved) == 258
-
-    def test_power_overflow_is_unresolved(self):
-        report = bernstein_scan(120, [1e10], build_table(120))
-        assert report.violations == ()
-        assert (120, 1e10, -0.0) in report.unresolved
-        assert math.copysign(1.0, report.unresolved[-1][2]) == -1.0
-
-    def test_grid_validation(self, table8):
-        with pytest.raises(ValueError):
-            bernstein_scan(2, [], table8)
-        with pytest.raises(ValueError):
-            bernstein_scan(2, [0.0, 1.0], table8)
-        with pytest.raises(ValueError):
-            bernstein_scan(9, [1.0], table8)
-
-    def test_w_prime_strictly_decreasing(self, table8):
-        grid = log_grid(0.01, 10, 50)
-        values = [w_derivative(1, x, table8).value for x in grid]
-        assert all(a > b for a, b in zip(values, values[1:]))
 
 
 class TestLogGrid:

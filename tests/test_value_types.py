@@ -1,4 +1,4 @@
-"""The six value types are NamedTuples that keep the dataclass-era surface.
+"""The five value types are NamedTuples that keep the dataclass-era surface.
 
 Each keeps its fields, defaults, ``repr`` text and hash by value.  The two
 that validate, ``CoefficientTable`` and ``PropertyReport``, raise the same
@@ -11,12 +11,10 @@ import pickle
 import pytest
 
 from wderiv import (
-    BernsteinScanReport,
     CoefficientTable,
     DerivativeValue,
     PropertyReport,
     WEvaluation,
-    bernstein_scan,
     build_table,
     lambert_w,
     w_derivative,
@@ -104,17 +102,11 @@ REPRS = [
      "iterations=2)"),
     (lambda: w_derivative(2, 1.0, build_table(3)),
      "DerivativeValue(n=2, x=1.0, value=-0.2145406462821437, route='closed_form')"),
-    (lambda: bernstein_scan(2, [0.5, 1.0], build_table(2)),
-     "BernsteinScanReport(n_max=2, grid=(0.5, 1.0), violations=(), unresolved=())"),
-    (lambda: bernstein_scan(2, [0.5, 1.0],
-                            CoefficientTable(n_max=2, rows=((), (1,), (-5, 1)))),
-     "BernsteinScanReport(n_max=2, grid=(0.5, 1.0), violations=((2, 0.5, "
-     "0.9313341873879291), (2, 1.0, 0.37046157372844296)), unresolved=())"),
 ]
 
 
 TYPES = {cls.__name__: cls for cls in (CoefficientTable, PropertyReport, CheckFailure,
-                                       WEvaluation, DerivativeValue, BernsteinScanReport)}
+                                       WEvaluation, DerivativeValue)}
 
 
 @pytest.mark.parametrize("make, text", REPRS)
@@ -154,7 +146,6 @@ def test_unequal_values_differ():
                                                                     "closed_form")
     assert PropertyReport("a", True) != PropertyReport("b", True)
     assert CheckFailure(1, 0, "c", "d") != CheckFailure(1, None, "c", "d")
-    assert BernsteinScanReport(1, (1.0,), ()) != BernsteinScanReport(1, (2.0,), ())
 
 
 def test_fields_defaults_and_methods():
@@ -166,11 +157,7 @@ def test_fields_defaults_and_methods():
     assert CheckFailure._fields == ("n", "k", "check", "detail")
     assert WEvaluation._fields == ("x", "w", "residual", "iterations")
     assert DerivativeValue._fields == ("n", "x", "value", "route")
-    assert BernsteinScanReport._fields == ("n_max", "grid", "violations", "unresolved")
-    assert BernsteinScanReport._field_defaults == {"unresolved": ()}
     table = build_table(3)
     assert table.row(3) == (9, 8, 2) and table.beta(3, 1) == 8
     assert table.beta(3, 3) == 0
     assert CheckFailure(2, None, "c", "d").sort_key() == (2, 10**9, "c")
-    assert BernsteinScanReport(1, (1.0,), ()).holds
-    assert not BernsteinScanReport(1, (1.0,), ((1, 1.0, -0.5),)).holds
