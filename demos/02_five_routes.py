@@ -9,7 +9,10 @@ with its power sums (the explicit double sum, Bernoulli and forward
 differences normalise the same row of them, so their agreement checks the
 normalisation identities, not the power sum itself), the kernel sum with
 its r-Stirling inner values made by their own triangle recurrence, and the
-Carlitz-style triangle.  All routes must agree bit for bit.
+Carlitz-style triangle.  Forward differences normalise the power sums
+exactly as the explicit double sum does, so that route fails exactly where
+the explicit one fails.  The factorial identity of demo 06 is the last
+entry of the r-Stirling row.  All routes must agree bit for bit.
 """
 import sys
 import time

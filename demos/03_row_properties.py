@@ -35,7 +35,7 @@ for n in (3, 7, 20):
     print(f"    k!-weighted l.c.:    {is_log_concave_weighted(row).holds}")
     unimodal = is_unimodal(row)
     print(f"    unimodal:            {unimodal.holds} (mode at k={unimodal.mode_index})")
-    print(f"    ratio bound:         {check_ratio_bound(n, row).holds}")
+    print(f"    ratio bound:         {check_ratio_bound(row).holds}")
     print(f"    binomial inequality: {check_lemma1(row).holds}")
 
 print("\nmode position drifts right as n grows:")
@@ -57,7 +57,7 @@ clean = all(
     and is_log_concave(table.rows[n]).holds
     and is_log_concave_weighted(table.rows[n]).holds
     and is_unimodal(table.rows[n]).holds
-    and (n < 3 or check_ratio_bound(n, table.rows[n]).holds)
+    and (n < 3 or check_ratio_bound(table.rows[n]).holds)
     and (n < 3 or check_lemma1(table.rows[n]).holds)
     for n in range(1, 61)
 )

@@ -2,8 +2,8 @@
 
 * the alternating row sum equals the double factorial (2n-3)!!, i.e.
   p_n(-1) = (-1)^(n-1) (2n-3)!!, so w = -1 is never a zero of p_n;
-* summing the last-entry closed form gives an r-Stirling identity whose
-  value is (n-1)!;
+* the last entry of the r-Stirling route's row is an alternating sum of
+  r-Stirling numbers whose value is (n-1)! (``factorial_identity``);
 * the r-Stirling form of a row can be inverted: the n r-Stirling numbers
   behind row n are recovered from the row by one binomial convolution, the
   same triangular sum the routes use, with the kernel C(2n-2+j, 2n-2);
@@ -30,7 +30,7 @@ verdicts = []
 
 print("alternating sums vs (2n-3)!!:")
 for n in (1, 2, 5, 10, 20, 30):
-    alt = alternating_sum(n, table)
+    alt = alternating_sum(table.rows[n])
     verdicts.append(alt == double_factorial(2 * n - 3))
     print(f"  n={n:2d}: {alt} == {double_factorial(2 * n - 3)}: {verdicts[-1]}")
 
@@ -42,7 +42,7 @@ for n in (1, 5, 8, 12):
 
 print("\ninversion: row -> r-Stirling numbers -> compare direct:")
 for n in (3, 7, 15):
-    inverted = rstirling_from_beta_row(n, table)
+    inverted = rstirling_from_beta_row(table.rows[n])
     direct = [rstirling_shifted(n - 1 + m, m, n) for m in range(n)]
     verdicts.append(inverted == direct)
     print(f"  n={n:2d}: {inverted[:4]} ... all {n} equal the direct values: "

@@ -24,11 +24,14 @@ of negative integer order and iterated forward differences of a power.
 ``explicit``, ``bernoulli`` and ``fdiff`` normalise the one row of power
 sums: the explicit inner sum sum_q C(m, q) (-1)^q (q+n)^(m+n-1) is (-1)^m
 times power sum m.  So they check their normalisation identities, not the
-power sum itself, and the tests pin the literal double sum.  Every route
-returns a whole row; each kernel-sum route makes its n inner values, the
-plain r-Stirling numbers S_m = {2n-1+m brace n+m}_n, in O(n) passes of
-``map``, ``sum`` or ``accumulate``, and its row is ``_convolve`` of them,
-the one place that applies the sign (-1)^m and the binomials C(2n-1, k-m).
+power sum itself, and the tests pin the literal double sum.  ``fdiff``
+divides power sum m by m! exactly as ``explicit`` does, so its stage fails
+exactly where ``explicit``'s fails.  ``factorial_identity`` is the last
+entry of the ``rstirling`` route's row.  Every route returns a whole row;
+each kernel-sum route makes its n inner values, the plain r-Stirling
+numbers S_m = {2n-1+m brace n+m}_n, in O(n) passes of ``map``, ``sum`` or
+``accumulate``, and its row is ``_convolve`` of them, the one place that
+applies the sign (-1)^m and the binomials C(2n-1, k-m).
 A route that divides asserts that each quotient is exact
 (``_exact_quotients``), raising :class:`ConsistencyError` naming the route,
 the row and the index m otherwise, so the convolution works on integers
@@ -43,13 +46,11 @@ a table row exactly where its S_m equal the table row's inverted values;
 """
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from itertools import accumulate, repeat
 from math import comb, factorial
 from operator import add, mul, neg, sub
 from typing import TYPE_CHECKING, Callable
-
-from .triangle import CoefficientTable
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -162,11 +163,13 @@ def _power_sums(n: int, signed: list[list[int]] | None = None) -> list[int]:
     return sums
 
 
-def _explicit_inner(n: int, sums: list[int]) -> list[int]:
+def _explicit_inner(n: int, sums: list[int], context: str) -> list[int]:
     """Row n's r-Stirling values from its power sums ``sums``: entry m is
-    ``sums[m]`` divided exactly by m!, that is (-1)^m times the explicit
-    inner sum (1/m!) sum_{q=0}^{m} C(m, q) (-1)^q (q+n)^(m+n-1)."""
-    return _exact_quotients(n, sums, _factorials(n), "beta_explicit_row")
+    ``sums[m]`` divided exactly by m!, which is Delta^m x^(m+n-1) at x = n
+    over m! (``fdiff``) and (-1)^m times the explicit inner sum (1/m!)
+    sum_{q=0}^{m} C(m, q) (-1)^q (q+n)^(m+n-1).  A :class:`ConsistencyError`
+    names ``context``, the route's row function."""
+    return _exact_quotients(n, sums, _factorials(n), context)
 
 
 def beta_explicit_row(n: int) -> tuple[int, ...]:
@@ -175,7 +178,7 @@ def beta_explicit_row(n: int) -> tuple[int, ...]:
         beta(n, k) = sum_{m=0}^{k} (1/m!) C(2n-1, k-m) sum_{q=0}^{m} C(m, q) (-1)^q (q+n)^(m+n-1).
     """
     _check_n(n)
-    return _convolve(n, _explicit_inner(n, _power_sums(n)))
+    return _convolve(n, _explicit_inner(n, _power_sums(n), "beta_explicit_row"))
 
 
 def rstirling_shifted(n: int, m: int, r: int) -> int:
@@ -254,16 +257,10 @@ def forward_diff_power(m: int, n: int) -> int:
     return _power_diff(m, m + n - 1, n)
 
 
-def _forward_diff_inner(n: int, sums: list[int]) -> list[int]:
-    """Row n's r-Stirling values from its power sums ``sums``: entry m is
-    Delta^m x^(m+n-1) at x = n, divided exactly by m!."""
-    return _exact_quotients(n, sums, _factorials(n), "beta_forward_diff_row")
-
-
 def beta_forward_diff_row(n: int) -> tuple[int, ...]:
     """Row n via iterated forward differences of a power."""
     _check_n(n)
-    return _convolve(n, _forward_diff_inner(n, _power_sums(n)))
+    return _convolve(n, _explicit_inner(n, _power_sums(n), "beta_forward_diff_row"))
 
 
 def carlitz_row(kappa: int, lam: int) -> tuple[int, ...]:
@@ -317,17 +314,18 @@ def _kernel_inner_values(n: int, names: Collection[str], signed: list[list[int]]
     power_routes = ("explicit", "bernoulli", "fdiff")
     sums = _power_sums(n, signed) if any(name in names for name in power_routes) else []
     if "explicit" in names:
-        yield "explicit", _explicit_inner(n, sums)
+        yield "explicit", _explicit_inner(n, sums, "beta_explicit_row")
     if "rstirling" in names:
         yield "rstirling", rstirling_values(n)
     if "bernoulli" in names:
         yield "bernoulli", _bernoulli_inner(n, sums)
     if "fdiff" in names:
-        yield "fdiff", _forward_diff_inner(n, sums)
+        yield "fdiff", _explicit_inner(n, sums, "beta_forward_diff_row")
 
 
-def rstirling_from_beta_row(n: int, table: CoefficientTable) -> list[int]:
-    """Invert the r-Stirling route: recover {2n-1+m brace n+m}_n, 0 <= m < n.
+def rstirling_from_beta_row(row: Sequence[int]) -> list[int]:
+    """Invert the r-Stirling route: recover {2n-1+m brace n+m}_n, 0 <= m < n,
+    from row n = ``len(row)`` of a table.
 
     The alternating row is a binomial convolution of the r-Stirling sequence
     with the coefficients of (1-w)^(2n-1); multiplying the generating function
@@ -337,11 +335,7 @@ def rstirling_from_beta_row(n: int, table: CoefficientTable) -> list[int]:
 
     The kernel C(2n-2+j, 2n-2) is built once for the row.
     """
-    return _rstirling_from_row(n, table.row(n))
-
-
-def _rstirling_from_row(n: int, row: tuple[int, ...]) -> list[int]:
-    """``rstirling_from_beta_row`` of a table whose row n is ``row``."""
+    n = len(row)
     kernel = [comb(2 * n - 2 + j, 2 * n - 2) for j in range(n)]
     return _triangular(kernel, _alternating(list(row)))
 
@@ -351,11 +345,7 @@ def factorial_identity(n: int) -> tuple[int, int]:
 
         sum_{m=0}^{n-1} (-1)^m C(2n-1, n-m-1) {2n-1+m brace n+m}_n = (n-1)!.
 
-    The left side is the last entry of the r-Stirling row.  Returns
-    (left, right); they agree for every n >= 1.
+    The left side is the last entry of the ``rstirling`` route's row.
+    Returns (left, right); they agree for every n >= 1.
     """
-    stirlings = rstirling_values(n)
-    left = sum(
-        (-1) ** m * comb(2 * n - 1, n - 1 - m) * s for m, s in enumerate(stirlings)
-    )
-    return left, factorial(n - 1)
+    return beta_rstirling_row(n)[-1], factorial(n - 1)

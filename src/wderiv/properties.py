@@ -22,8 +22,7 @@ that ``is_log_concave_weighted(row)`` stays a one-argument call: a shift
 parameter would let a caller pass wrong shifts and screen a failing row
 through, and a private call would hide the checks from wrappers installed
 on this module.  The screen's margin scales with ``max(logs)``: on a
-positive int row every log is >= 0, so that is the old ``max |log|`` and
-the error bound is unchanged.
+positive int row every log is >= 0, so that is ``max |log|``.
 """
 from __future__ import annotations
 
@@ -138,8 +137,7 @@ def _log_concave(seq: Sequence[int], passed: PropertyReport, weighted: bool) -> 
 
     Error bound, with M = max |L| over the sequence.  On an int row that
     ``_require_positive`` passes, every entry is >= 1 and every log >= 0, so
-    M is ``max(logs)``, the same float as ``max(map(abs, logs))``, and the
-    bound below is unchanged.  math.log2 on an int
+    M is ``max(logs)``.  math.log2 on an int
     below 2**1024 rounds it to a double (relative error 2**-53, so at most
     2**-52 in the log) and takes a libm log2 (1 ulp, at most 2**-52 |L|).
     On a larger int it takes the 53-bit mantissa x of frexp (again at most
@@ -192,16 +190,20 @@ def is_unimodal(seq: Sequence[int]) -> PropertyReport:
     return PropertyReport("unimodal", True, mode_index=seq.index(max(seq)))
 
 
-def check_ratio_bound(n: int, row: Sequence[int]) -> PropertyReport:
-    """Strict bound (k+1) c_{k+1} < (n-1) c_k for all 0 <= k <= n-2.
+def check_ratio_bound(row: Sequence[int]) -> PropertyReport:
+    """Strict bound (k+1) c_{k+1} < (n-1) c_k for all 0 <= k <= n-2, with
+    n = ``len(row)``, cross-multiplied; requires n >= 3 and a positive row.
 
-    Cross-multiplied form of (k+1) c_{k+1} / c_k < n - 1; requires n >= 3
-    and a positive row of length n.
+    On row n of the triangle the first comparison, k = 0, holds for every
+    n >= 2.  By the kernel sum c_0 = n^(n-1) and c_1 = 3n^n - (n+1)^n -
+    n^(n-1) (``triangle.boundary_value``), so c_1 < (n-1) c_0 iff
+    (n+1)^n > 2 n^n, and (1 + 1/n)^n >= 2 + C(n, 2)/n^2 > 2 by the binomial
+    expansion.  The proof rests on the kernel-sum formula, which ``verify``
+    checks to its route horizon.
     """
+    n = len(row)
     if n < 3:
         raise ValueError("ratio bound requires n >= 3")
-    if len(row) != n:
-        raise ValueError(f"row must have length {n}")
     _require_positive(row)
     for k in range(n - 1):
         if (k + 1) * row[k + 1] >= (n - 1) * row[k]:

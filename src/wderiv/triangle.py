@@ -45,7 +45,6 @@ if TYPE_CHECKING:
 __all__ = [
     "CoefficientTable",
     "build_table",
-    "recurrence_step",
     "boundary_value",
     "poly_eval_exact",
     "alternating_sum",
@@ -102,20 +101,6 @@ class CoefficientTable(_CoefficientTableFields):
         if k < 0 or k >= n:
             return 0
         return row[k]
-
-
-def recurrence_step(n: int, row: tuple[_Entry, ...]) -> tuple[_Entry, ...]:
-    """Derive row n+1 from row n of the beta triangle.
-
-    Entries outside the row are zero, so the recurrence applies uniformly
-    at every index including the boundaries.  The step is ``_step`` with
-    ``range`` multipliers: int ones, whatever the row's type.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if len(row) != n:
-        raise ValueError("row length must equal n")
-    return _step(n, row, range(3 * n + 2))
 
 
 def _step(n: int, row: tuple[_Entry, ...],
@@ -237,13 +222,9 @@ def poly_eval_exact(
     return -acc if n % 2 == 0 else acc
 
 
-def alternating_sum(n: int, table: CoefficientTable) -> int:
-    """sum_k (-1)^k beta(n, k); equals (2n-3)!! with the (-1)!! = 1 convention."""
-    return _alternating_sum(table.row(n))
-
-
-def _alternating_sum(row: tuple[int, ...]) -> int:
-    """sum_k (-1)^k row[k]."""
+def alternating_sum(row: Sequence[int]) -> int:
+    """sum_k (-1)^k row[k]; on row n of the triangle it equals (2n-3)!!, with
+    the (-1)!! = 1 convention."""
     return sum(row[::2]) - sum(row[1::2])
 
 

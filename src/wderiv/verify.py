@@ -130,7 +130,7 @@ def _check_identities(n: int, row: tuple[int, ...], values: Mapping[str, list[in
     the direct r-Stirling values.  The inversion is triangular: a wrong
     entry k moves every inverted value from m = k on, so only the first m
     that differs is reported."""
-    alt, want = triangle._alternating_sum(row), triangle.double_factorial(2 * n - 3)
+    alt, want = triangle.alternating_sum(row), triangle.double_factorial(2 * n - 3)
     failures = [CheckFailure(n, None, "identity:alternating_sum",
                              f"sum {alt} != (2n-3)!! = {want}")] if alt != want else []
     if inverted != values["rstirling"]:
@@ -156,7 +156,7 @@ def _check_properties(n: int, row: tuple[int, ...], *_: object) -> list[CheckFai
             reports += [properties.is_unimodal(row), properties.is_log_concave(row)]
         reports.append(weighted)
         if n >= 3 and not (weighted.holds and row[1] < (n - 1) * row[0]):
-            reports.append(properties.check_ratio_bound(n, row))
+            reports.append(properties.check_ratio_bound(row))
     return [CheckFailure(n, None, f"property:{report.property}",
                          f"first violation at index {report.first_violation}")
             for report in reports if not report.holds]
@@ -176,7 +176,7 @@ def _check_rows(rows: Iterable[tuple[int, ...]], routes: tuple[str, ...], n_max:
     identities run (one ``_kernel_inner_values`` call, so the power-sum
     routes share one row of power sums, and all rows share the run's list
     ``signed`` of binomial rows, each made once), and ``inverted``, the
-    row's own (``_rstirling_from_row``).  They are made on the rows to the
+    row's own (``rstirling_from_beta_row``).  They are made on the rows to the
     route horizon, and only if ``kernel`` is not empty; every stage that
     reads them reads them on every row it checks.  No row past the last
     horizon is drawn.
@@ -195,7 +195,7 @@ def _check_rows(rows: Iterable[tuple[int, ...]], routes: tuple[str, ...], n_max:
     for n, row in enumerate(islice(rows, max(end for end, _, _ in stages)), 1):
         if kernel and n <= route_end:
             values = dict(closed_forms._kernel_inner_values(n, kernel, signed=signed))
-            inverted = closed_forms._rstirling_from_row(n, row)
+            inverted = closed_forms.rstirling_from_beta_row(row)
         for end, own, check in stages:
             if n <= end:
                 own += check(n, row, values, inverted)
@@ -237,7 +237,9 @@ def verify_properties(table: CoefficientTable, n_max: int | None = None) -> list
     r_k / r_{k-1} = (k+1) c_{k-1} c_{k+1} / (k c_k^2) <= 1.  So the ratio
     bound r_k < n-1 holds for every k iff c_1 < (n-1) c_0, and if it fails,
     it fails first at (0, 1); ``check_ratio_bound`` scans the row only where
-    the weighted check or that one comparison fails.
+    the weighted check or that one comparison fails.  On the triangle's rows
+    it holds for every n >= 2 (see ``check_ratio_bound``), so the ratio
+    bound for all n follows from the weighted log-concavity for all n.
     """
     return _check_table(table, (), n_max, identities=False, with_properties=True)
 

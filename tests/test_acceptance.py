@@ -85,7 +85,7 @@ def test_criterion_3_property_suite_200():
         if not is_unimodal(row).holds:
             violations += 1
         if n >= 3:
-            if not check_ratio_bound(n, row).holds:
+            if not check_ratio_bound(row).holds:
                 violations += 1
             if not check_lemma1(row).holds:
                 violations += 1
@@ -103,7 +103,7 @@ def test_criterion_4_identities():
         left, right = factorial_identity(n)
         if left != right:
             bad.append((n, "factorial"))
-        stirlings = rstirling_from_beta_row(n, table)
+        stirlings = rstirling_from_beta_row(table.rows[n])
         if any(s != rstirling_shifted(n - 1 + m, m, n)
                for m, s in enumerate(stirlings)):
             bad.append((n, "inversion"))

@@ -236,6 +236,25 @@ class TestClosedFormDerivative:
                      / (1 + w) ** 239)
             assert exact < 0 and abs(exact) < mpmath.mpf(2) ** -1075  # rounds to -0.0
 
+    @pytest.mark.parametrize("n, x", [(65, 1e6), (66, 1e6), (71, 3e5)])
+    def test_exp_decay_below_the_normal_range(self, table138, n, x):
+        """exp(-nW) is below the normal range and the value is normal:
+        rounding exp(-nW) to a subnormal first cost 7.7e-6 relative at
+        (65, 1e6), and at (66, 1e6) gave -0.0."""
+        assert math.exp(-n * lambert_w(x).w) < sys.float_info.min
+        value = w_derivative(n, x, table138).value
+        assert rel_err(value, mpmath_derivative(n, x, table138)) < 1e-12
+
+
+def mpmath_derivative(n, x, table):
+    """d^nW/dx^n at x by the closed form in mpmath at 50 digits, as a float."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        w = mpmath.lambertw(mpmath.mpf(x)).real
+        value = (mpmath.exp(-n * w) * mpmath.polyval(table.rows[n][::-1], w)
+                 / (1 + w) ** (2 * n - 1))
+        return float(value if n % 2 else -value)
+
 
 def outcome(call):
     """The float ``call()`` returns, as hex, or the type and text of its error."""
@@ -246,9 +265,10 @@ def outcome(call):
 
 
 def closed_form_on_lambert_w(n, x, table):
-    """The closed form evaluated on ``lambert_w(x).w``, one term at a time;
-    where (1 + w)^(2n-1) overflows or the value is not a normal binary64,
-    the ``OverflowError`` naming n and x."""
+    """The closed form evaluated on ``lambert_w(x).w``, one term at a time,
+    with exp(-nw) applied last as exp(-nw/2) twice where it is below the
+    normal range; where (1 + w)^(2n-1) overflows or the value is not a
+    normal binary64, the ``OverflowError`` naming n and x."""
     w = lambert_w(x).w
     acc = 0.0
     for b in reversed(table.rows[n]):
@@ -259,7 +279,10 @@ def closed_form_on_lambert_w(n, x, table):
     except OverflowError:
         raise OverflowError(f"d^{n}W/dx^{n} (closed_form) at x = {x} is below 1e-420 in "
                             f"magnitude: (1 + W)^{2 * n - 1} overflows binary64") from None
-    value = math.exp(-n * w) * pn / scale
+    if math.exp(-n * w) < sys.float_info.min:
+        value = pn / scale * math.exp(-0.5 * n * w) * math.exp(-0.5 * n * w)
+    else:
+        value = math.exp(-n * w) * pn / scale
     if not (math.isfinite(value) and abs(value) >= sys.float_info.min):
         raise OverflowError(f"d^{n}W/dx^{n} (closed_form) at x = {x} came out {value}, "
                             "outside the normal binary64 range")

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from wderiv import (
     PropertyReport,
+    boundary_value,
     build_table,
     check_lemma1,
     check_ratio_bound,
@@ -115,24 +116,32 @@ class TestUnimodal:
 
 class TestRatioBound:
     def test_row5(self, table8):
-        report = check_ratio_bound(5, table8.rows[5])
+        report = check_ratio_bound(table8.rows[5])
         assert report.holds  # e.g. k=3: 4*24 = 96 < 4*192
 
     def test_row3_by_hand(self):
-        assert check_ratio_bound(3, [9, 8, 2]).holds  # 1*8 < 2*9 and 2*2 < 2*8
+        assert check_ratio_bound([9, 8, 2]).holds  # 1*8 < 2*9 and 2*2 < 2*8
 
     def test_constructed_violation(self):
-        report = check_ratio_bound(3, [1, 2, 2])
+        report = check_ratio_bound([1, 2, 2])
         assert not report.holds
         assert report.first_violation == (0, 1)  # 1*2 < 2*1 is false
 
+    def test_first_comparison_for_every_n(self):
+        """c_1 < (n-1) c_0 is (n+1)^n > 2 n^n, which the first three terms of
+        the binomial expansion of (n+1)^n decide for every n >= 2."""
+        table = build_table(400)
+        for n in range(2, 401):
+            c0, c1 = boundary_value(n, "first"), boundary_value(n, "second")
+            assert (c0, c1) == table.rows[n][:2], n
+            assert c1 - (n - 1) * c0 == 2 * n**n - (n + 1) ** n, n
+            assert (n + 1) ** n >= 2 * n**n + comb(n, 2) * n ** (n - 2) > 2 * n**n, n
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            check_ratio_bound(2, [2, 1])
+            check_ratio_bound([2, 1])
         with pytest.raises(ValueError):
-            check_ratio_bound(3, [1, 2])
-        with pytest.raises(ValueError):
-            check_ratio_bound(3, [1, -2, 1])
+            check_ratio_bound([1, -2, 1])
 
 
 class TestLemma1:
@@ -195,7 +204,7 @@ class TestPropertyReport:
             assert is_log_concave(row).holds
             assert is_log_concave_weighted(row).holds
             assert is_unimodal(row).holds
-            assert check_ratio_bound(n, row).holds
+            assert check_ratio_bound(row).holds
             assert check_lemma1(row).holds
 
 

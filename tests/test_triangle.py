@@ -13,7 +13,6 @@ from wderiv import (
     build_table,
     double_factorial,
     poly_eval_exact,
-    recurrence_step,
     triangle,
 )
 from conftest import GOLDEN_ROWS
@@ -47,15 +46,6 @@ class TestBuildTable:
         assert table8.beta(5, 5) == 0
         assert table8.beta(5, 2) == 622
 
-    def test_recurrence_step_needs_matching_length(self):
-        with pytest.raises(ValueError):
-            recurrence_step(3, (1, 2))
-
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_recurrence_step_needs_a_row_number(self, n):
-        with pytest.raises(ValueError, match="n must be >= 1"):
-            recurrence_step(n, ())
-
 
 def reference_step(n, row):
     """The recurrence step with int multipliers from ``range``, three ``map``s."""
@@ -83,13 +73,43 @@ class DecimalOnly(Decimal):
 class TestRowStep:
     @given(st.lists(st.integers(), min_size=1, max_size=60).map(tuple))
     def test_recurrence_step_on_any_int_row(self, row):
-        assert recurrence_step(len(row), row) == reference_step(len(row), row)
+        n = len(row)
+        assert triangle._step(n, row, range(3 * n + 2)) == reference_step(n, row)
 
     def test_decimal_rows_take_no_int_operand(self):
         """Decimal rows are stepped with Decimal multipliers and zero pads."""
         with localcontext(Context(prec=200, traps=[Inexact, Rounded])):
             got = [tuple(map(str, row)) for row in triangle._rows(40, DecimalOnly(1))]
         assert got == [tuple(map(str, row)) for row in triangle._rows(40, 1)]
+
+
+class TestRecurrenceIsTheDerivative:
+    """The recurrence differentiates the closed form, for symbolic n."""
+
+    def test_for_symbolic_n(self):
+        # x = W e^W, so dW/dx = e^(-W)/(1+W); P stands for any p_n
+        sympy = pytest.importorskip("sympy")
+        n, w = sympy.symbols("n w")
+        p = sympy.Function("P")(w)
+        dw_dx = sympy.exp(-w) / (1 + w)
+        derivative = sympy.exp(-n * w) * p * (1 + w) ** (1 - 2 * n)
+        step = (sympy.exp(-(n + 1) * w) * (1 + w) ** (-(2 * n + 1))
+                * (-(n * w + 3 * n - 1) * p + (1 + w) * sympy.diff(p, w)))
+        assert sympy.simplify(sympy.diff(derivative, w) * dw_dx - step) == 0
+        # p_1 = 1: the n = 1 form is W' = 1 / (dx/dW)
+        assert sympy.simplify(derivative.subs({n: 1, p: 1})
+                              - 1 / sympy.diff(w * sympy.exp(w), w)) == 0
+
+    def test_coefficient_form_is_the_polynomial_step(self, table8):
+        sympy = pytest.importorskip("sympy")
+        w = sympy.symbols("w")
+
+        def p(n):
+            return (-1) ** (n - 1) * sympy.Poly(table8.rows[n][::-1], w)
+
+        for n in range(1, 8):
+            step = -(n * w + 3 * n - 1) * p(n) + (1 + w) * p(n).diff(w)
+            assert step == p(n + 1), n
 
 
 class TestBoundaryValue:
@@ -158,13 +178,13 @@ class TestPolyEval:
 
 class TestAlternatingSum:
     def test_examples(self, table8):
-        assert alternating_sum(2, table8) == 1
-        assert alternating_sum(3, table8) == 3
-        assert alternating_sum(4, table8) == 15  # 64 - 79 + 36 - 6
+        assert alternating_sum(table8.rows[2]) == 1
+        assert alternating_sum(table8.rows[3]) == 3
+        assert alternating_sum(table8.rows[4]) == 15  # 64 - 79 + 36 - 6
 
     def test_identity_all_rows(self, table40):
         for n in range(1, 41):
-            assert alternating_sum(n, table40) == double_factorial(2 * n - 3)
+            assert alternating_sum(table40.rows[n]) == double_factorial(2 * n - 3)
 
 
 class TestDoubleFactorial:

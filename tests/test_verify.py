@@ -34,7 +34,7 @@ def ref_verify_properties(table, n_max):
             reports.append(properties.is_log_concave(row))
             reports.append(properties.is_log_concave_weighted(row))
             if n >= 3:
-                reports.append(properties.check_ratio_bound(n, row))
+                reports.append(properties.check_ratio_bound(row))
         for report in reports:
             if not report.holds:
                 failures.append(CheckFailure(
@@ -176,12 +176,12 @@ def test_kernel_routes_build_each_row_in_one_pass(monkeypatch):
         return wrapped
 
     for name in ("_convolve", "_power_diff", "_power_sums", "rstirling_values",
-                 "_rstirling_from_row"):
+                 "rstirling_from_beta_row"):
         monkeypatch.setattr(closed_forms, name, spy(name))
     every = {
         ("_power_sums", "_kernel_inner_values"): 40,
         ("rstirling_values", "_kernel_inner_values"): 40,
-        ("_rstirling_from_row", "_check_rows"): 40,
+        ("rstirling_from_beta_row", "_check_rows"): 40,
     }
     table40 = build_table(40)
     for routes in (tuple(closed_forms.ROUTE_ROWS), ("explicit",)):
@@ -193,7 +193,7 @@ def test_kernel_routes_build_each_row_in_one_pass(monkeypatch):
         (lambda: verify_properties(table40), {}),
         (lambda: verify.verify_identities(table40),
          {("rstirling_values", "_kernel_inner_values"): 40,
-          ("_rstirling_from_row", "_check_rows"): 40}),
+          ("rstirling_from_beta_row", "_check_rows"): 40}),
         (lambda: run_verification(build_table(60)), every),
     ]
     for run, made in runs:
@@ -276,9 +276,10 @@ def ref_verify_routes(table, routes, n_max):
     return failures
 
 
-# the helper behind each kernel-sum route's inner values
+# the helper behind each kernel-sum route's inner values; explicit and fdiff
+# share one, called with the route's row function as its last argument
 INNER_HELPERS = {"explicit": "_explicit_inner", "rstirling": "rstirling_values",
-                 "bernoulli": "_bernoulli_inner", "fdiff": "_forward_diff_inner"}
+                 "bernoulli": "_bernoulli_inner", "fdiff": "_explicit_inner"}
 ROW_FUNCTIONS = {"explicit": "beta_explicit_row", "rstirling": "beta_rstirling_row",
                  "bernoulli": "beta_bernoulli_row", "fdiff": "beta_forward_diff_row"}
 route_subsets = st.sets(st.sampled_from(ROUTE_NAMES), min_size=1).map(
@@ -330,7 +331,8 @@ class TestRoutesMatchRouteByRouteRows:
 
         def off_by_one(row, *args):
             inner = helper(row, *args)
-            if row == n:
+            if row == n and (helper.__name__ != "_explicit_inner"
+                             or args[-1] == ROW_FUNCTIONS[route]):
                 inner[m] += 1
             return inner
 
@@ -376,13 +378,13 @@ def ref_verify_identities(table, n_max):
     naming only the first inverted value of a row that differs."""
     failures = []
     for n in range(1, min(n_max, table.n_max) + 1):
-        alt = triangle.alternating_sum(n, table)
+        alt = triangle.alternating_sum(table.rows[n])
         want = triangle.double_factorial(2 * n - 3)
         if alt != want:
             failures.append(CheckFailure(n, None, "identity:alternating_sum",
                                          f"sum {alt} != (2n-3)!! = {want}"))
         directs = closed_forms.rstirling_values(n)
-        stirlings = closed_forms.rstirling_from_beta_row(n, table)
+        stirlings = closed_forms.rstirling_from_beta_row(table.rows[n])
         for m, (got, direct) in enumerate(zip(stirlings, directs)):
             if got != direct:
                 failures.append(CheckFailure(
